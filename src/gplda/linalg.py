@@ -7,7 +7,12 @@ penalties and as scale matrices for covariance priors.
 
 The kernel routines solve symmetric positive definite systems and the
 two-matrix symmetric eigenproblem that every discriminant method in this
-package reduces to.
+package reduces to.  The eigenproblem's numerator is a between-class
+scatter of rank at most c - 1, so the solver factors it with a pivoted
+Cholesky decomposition and works on its r = numerical-rank factor rows:
+beyond the Cholesky factor of the denominator, a solve for k directions
+costs O(p^2 (r + k)) instead of the O(p^3) of a dense whitened
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -200,14 +205,25 @@ def generalized_eig_top(
     """Top directions of the two-matrix symmetric eigenproblem.
 
     Finds the k leading vectors maximizing the ratio of the ``between``
-    quadratic form to the ``within`` quadratic form.  The problem is
-    reduced to an ordinary symmetric eigenproblem by Cholesky whitening
-    of ``within``.
+    quadratic form to the ``within`` quadratic form, i.e. the leading
+    solutions of ``between @ beta = value * within @ beta``.
+
+    The route exploits the low rank of ``between`` (a scatter of c class
+    means has rank at most c - 1).  With ``within = L L^T`` and the
+    pivoted Cholesky factor ``between = R^T R`` (R has r = numerical-rank
+    rows), the whitened problem is ``A A^T`` with ``A = L^{-1} R^T`` of
+    shape (p, r).  The thin SVD ``A = U S V^T`` gives ``values = S**2`` and
+    ``directions = (L^{-T} U[:, :k])^T``.  Beyond the Cholesky factor of
+    ``within`` the cost is O(p^2 (r + k)), not O(p^3).  When k > r the missing
+    values are zero and the extra directions span the rest of the
+    ``within``-orthogonal complement.
 
     Parameters
     ----------
     between : ndarray of shape (p, p)
-        Symmetric positive semidefinite numerator matrix.
+        Symmetric positive semidefinite numerator matrix.  The pivoted
+        Cholesky factorization reads only its upper triangle and drops
+        any negative part.
     within : ndarray of shape (p, p)
         Symmetric positive definite denominator matrix.
     k : int
@@ -239,8 +255,10 @@ def generalized_eig_top(
     p = between.shape[0]
     if not 1 <= k <= p:
         raise DimensionError(f"k={k} is outside the valid range 1..{p}")
-    norm_b = np.linalg.norm(between)
-    norm_w = np.linalg.norm(within)
+    # Elementwise sums, not np.linalg.norm: on a p x p matrix that is one
+    # BLAS ddot, which a threaded BLAS may split at a cost far above the sum.
+    norm_b = np.sqrt(np.sum(between * between))
+    norm_w = np.sqrt(np.sum(within * within))
     if norm_b <= 1e-12 * norm_w:
         raise DegenerateBetweenCovarianceError(
             "between-class covariance is numerically zero; class means coincide"
@@ -251,17 +269,22 @@ def generalized_eig_top(
         raise SingularMatrixError(
             f"within matrix is not positive definite: {exc}"
         ) from exc
-    # Whiten: the eigenproblem becomes symmetric in the whitened coordinates.
-    half = scipy.linalg.solve_triangular(chol, between, lower=True, check_finite=False)
-    whitened = scipy.linalg.solve_triangular(chol, half.T, lower=True, check_finite=False)
-    whitened = 0.5 * (whitened + whitened.T)
-    eigenvalues, vectors = np.linalg.eigh(whitened)
-    order = np.arange(p - 1, p - 1 - k, -1)
-    top_values = eigenvalues[order]
-    top_vectors = vectors[:, order]
+    # between = R^T R with R = U[:r] P^T, from P^T between P = U^T U.
+    factor, piv, rank, _ = scipy.linalg.lapack.dpstrf(between, lower=0)
+    root_t = np.empty((p, rank))
+    root_t[piv - 1] = np.triu(factor[:rank]).T
+    # Whiten the r factor columns only; A A^T is the whitened between matrix.
+    whitened_root = scipy.linalg.solve_triangular(
+        chol, root_t, lower=True, check_finite=False
+    )
+    vectors, singular, _ = scipy.linalg.svd(
+        whitened_root, full_matrices=k > rank, check_finite=False
+    )
+    top_values = np.zeros(k)
+    top_values[: min(k, rank)] = singular[:k] ** 2
     # Map back; whitened orthonormality turns into within-orthonormality.
     directions = scipy.linalg.solve_triangular(
-        chol.T, top_vectors, lower=False, check_finite=False
+        chol.T, vectors[:, :k], lower=False, check_finite=False
     ).T
     for row in directions:
         pivot = np.argmax(np.abs(row))

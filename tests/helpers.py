@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import scipy.linalg
 
 from gplda import LabeledFunctionalDataset, PosteriorState, log_posterior
 
@@ -46,6 +47,28 @@ def random_posterior_state(
         alpha2=float(rng.uniform(0.05, 2.0)),
         sigma2=float(rng.uniform(0.1, 2.0)),
     )
+
+
+def dense_generalized_eig_top(between, within, k):
+    """Reference solver for ``between @ beta = value * within @ beta``.
+
+    The dense route: whiten the whole ``between`` matrix with the Cholesky
+    factor of ``within``, take a full symmetric eigendecomposition, and
+    map the top k eigenvectors back.  Same conventions as
+    ``generalized_eig_top``: descending values, ``within``-orthonormal
+    rows, largest-magnitude entry of each row positive.
+    """
+    p = between.shape[0]
+    chol = scipy.linalg.cholesky(within, lower=True)
+    half = scipy.linalg.solve_triangular(chol, between, lower=True)
+    whitened = scipy.linalg.solve_triangular(chol, half.T, lower=True)
+    eigenvalues, vectors = np.linalg.eigh(0.5 * (whitened + whitened.T))
+    order = np.arange(p - 1, p - 1 - k, -1)
+    directions = scipy.linalg.solve_triangular(chol.T, vectors[:, order], lower=False).T
+    for row in directions:
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
+    return eigenvalues[order], directions
 
 
 def _central_difference(f, value: float) -> float:

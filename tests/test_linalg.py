@@ -14,11 +14,12 @@ from gplda import (
     build_laplacian_stencil,
     build_penalty,
     build_second_difference,
+    between_covariance,
     generalized_eig_top,
     spd_solve,
 )
 
-from helpers import random_spd_matrix
+from helpers import dense_generalized_eig_top, random_spd_matrix
 
 
 class TestDifferenceOperators:
@@ -254,3 +255,54 @@ class TestGeneralizedEigTop:
         between = np.eye(2)
         with pytest.raises(SingularMatrixError):
             generalized_eig_top(between, np.diag([1.0, 0.0]), 1)
+
+    def test_rank_deficient_between_pads_with_zero_values(self):
+        rng = np.random.default_rng(37)
+        p = 9
+        within = random_spd_matrix(rng, p)
+        direction = rng.standard_normal(p)
+        mu = np.outer([-1.0, 0.5, 2.0], direction)  # collinear: rank-1 scatter
+        between = between_covariance(mu)
+        values, directions = generalized_eig_top(between, within, 2)
+        assert values.shape == (2,)
+        assert directions.shape == (2, p)
+        assert values[1] == 0.0
+        assert values[0] >= values[1]
+        np.testing.assert_allclose(
+            directions @ within @ directions.T, np.eye(2), atol=1e-10
+        )
+        for value, beta in zip(values, directions):
+            residual = between @ beta - value * (within @ beta)
+            assert np.linalg.norm(residual) <= 1e-8
+
+    def test_matches_dense_whitened_eigendecomposition(self):
+        """The low-rank route agrees with the dense oracle on 120 random cases."""
+        rng = np.random.default_rng(31)
+        worst_values = worst_directions = 0.0
+        for case in range(120):
+            p = int(rng.integers(2, 121))
+            within = random_spd_matrix(rng, p)
+            if case % 6 == 5:  # full-rank numerator
+                root = rng.standard_normal((p, p))
+                between = root @ root.T
+                k = min(3, p)
+            else:  # rank c - 1 scatter of class means at scales 0.01..10
+                c = int(rng.integers(2, 6))
+                scale = float(10.0 ** rng.uniform(-2.0, 1.0))
+                between = between_covariance(scale * rng.standard_normal((c, p)))
+                k = min(c - 1, p)
+            values, directions = generalized_eig_top(between, within, k)
+            ref_values, ref_directions = dense_generalized_eig_top(between, within, k)
+            worst_values = max(
+                worst_values,
+                float(np.max(np.abs(values - ref_values)) / np.max(np.abs(ref_values))),
+            )
+            worst_directions = max(
+                worst_directions,
+                float(np.max(
+                    np.linalg.norm(directions - ref_directions, axis=1)
+                    / np.linalg.norm(ref_directions, axis=1)
+                )),
+            )
+        assert worst_values <= 1e-10
+        assert worst_directions <= 1e-10
