@@ -62,12 +62,8 @@ from .linalg import (
     FIRST_DIFF,
     LAPLACIAN_2D,
     SECOND_DIFF,
-    DifferenceMatrix,
     SmoothingPenalty,
-    build_first_difference,
-    build_laplacian_stencil,
     build_penalty,
-    build_second_difference,
     generalized_eig_top,
     spd_solve,
 )
@@ -84,14 +80,13 @@ from .model import (
 )
 from .simulate import (
     DEFAULT_PDA_ALPHA_GRID,
+    METHODS,
     SIM1,
     SIM2,
     BenchmarkCell,
     BenchmarkReport,
     SimSpec,
-    default_method_options,
-    gen_sim1,
-    gen_sim2,
+    fit_method,
     generate,
     normalize_method,
     run_benchmark,
@@ -102,6 +97,5 @@ from .simulate import (
     sim2_shared_component,
     triangular_bump,
 )
-from .cli import cli_dispatch
 
 __version__ = "0.1.0"

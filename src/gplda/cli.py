@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .discriminant import error_rate, gplda_fit, mle_lda_fit, pca_lda_fit, pda_fit, predict
+from .discriminant import error_rate, predict
 from .exceptions import NumericError, ValidationError
 from .io import (
     RunConfig,
@@ -26,13 +26,12 @@ from .io import (
     load_config,
     load_csv,
     load_model,
+    parse_field,
     read_labeled_csv,
     save_dataset_csv,
     save_model,
 )
-from .linalg import FIRST_DIFF, LAPLACIAN_2D, SECOND_DIFF, build_penalty
-from .model import FitConfig
-from .simulate import SimSpec, generate, normalize_method, run_benchmark, select_pda_alpha
+from .simulate import METHODS, SimSpec, fit_method, generate, run_benchmark
 
 UNLABELED = "?"
 
@@ -68,7 +67,7 @@ def _build_parser() -> _Parser:
     fit_cmd = sub.add_parser("fit", help="fit a discriminant model from a CSV")
     fit_cmd.add_argument("--data", help="labeled-curve CSV path")
     fit_cmd.add_argument("--header", action="store_true", help="CSV has a header row")
-    fit_cmd.add_argument("--method", choices=("gplda", "pda", "mle", "pca-lda"))
+    fit_cmd.add_argument("--method", choices=[name for name, _ in METHODS.values()])
     fit_cmd.add_argument("--penalty", help="d1, d2, or lap2d:ROWSxCOLS")
     fit_cmd.add_argument("--alpha", help="penalty weight for pda, or 'cv'")
     fit_cmd.add_argument("--k", type=int, help="number of discriminant directions")
@@ -102,56 +101,14 @@ def _effective_config(args) -> RunConfig:
     if getattr(args, "out", None):
         overrides["out"] = args.out
     if getattr(args, "alpha", None):
-        overrides["pda_alpha"] = (
-            "cv" if args.alpha == "cv" else float(args.alpha)
-        )
+        overrides["pda_alpha"] = parse_field("pda.alpha", args.alpha)
     if getattr(args, "reps", None) is not None:
         overrides["bench_reps"] = args.reps
-    penalty_arg = getattr(args, "penalty", None)
-    if penalty_arg:
-        kind, grid = _parse_penalty_flag(penalty_arg)
+    if getattr(args, "penalty", None):
+        kind, _, grid = args.penalty.partition(":")
         overrides["penalty_kind"] = kind
-        overrides["penalty_grid"] = grid
+        overrides["penalty_grid"] = parse_field("penalty.grid", grid)
     return replace(config, **overrides) if overrides else config
-
-
-def _parse_penalty_flag(value: str):
-    if value in (FIRST_DIFF, SECOND_DIFF):
-        return value, None
-    if value.startswith(LAPLACIAN_2D + ":"):
-        spec = value[len(LAPLACIAN_2D) + 1 :]
-        parts = spec.lower().split("x")
-        if len(parts) != 2:
-            raise ValidationError(
-                f"--penalty {value!r}: expected {LAPLACIAN_2D}:ROWSxCOLS"
-            )
-        try:
-            return LAPLACIAN_2D, (int(parts[0]), int(parts[1]))
-        except ValueError:
-            raise ValidationError(
-                f"--penalty {value!r}: grid dimensions must be integers"
-            ) from None
-    raise ValidationError(
-        f"--penalty {value!r}: expected d1, d2, or {LAPLACIAN_2D}:ROWSxCOLS"
-    )
-
-
-def _resolve_penalty(config: RunConfig, method: str, p: int):
-    kind = config.penalty_kind
-    if kind == "auto":
-        kind = SECOND_DIFF if method == "pda" else FIRST_DIFF
-    if kind == LAPLACIAN_2D:
-        if config.penalty_grid is None:
-            raise ValidationError(
-                "penalty.kind lap2d needs penalty.grid = ROWSxCOLS"
-            )
-        rows, cols = config.penalty_grid
-        if rows * cols != p:
-            raise ValidationError(
-                f"penalty grid {rows}x{cols} covers {rows * cols} points, data has p={p}"
-            )
-        return build_penalty(kind, (rows, cols))
-    return build_penalty(kind, p)
 
 
 def _cmd_simulate(args) -> int:
@@ -190,36 +147,7 @@ def _cmd_fit(args) -> int:
     if not config.out:
         raise ValidationError("fit needs --out (or out = ... in the config)")
     dataset = load_csv(config.data, has_header=args.header)
-    method = config.method
-    trace = None
-    if method == "gplda":
-        penalty = _resolve_penalty(config, method, dataset.p)
-        fit_config = FitConfig(
-            penalty=penalty,
-            max_sweeps=config.max_sweeps,
-            rel_tol=config.rel_tol,
-            jitter_scale=config.jitter_scale,
-        )
-        model, trace = gplda_fit(
-            dataset, hyper=config.hyper, config=fit_config, k=config.k
-        )
-    elif method == "pda":
-        penalty = _resolve_penalty(config, method, dataset.p)
-        alpha = config.pda_alpha
-        if alpha == "cv":
-            alpha = select_pda_alpha(dataset, penalty, seed=config.seed)
-            print(f"cross-validated alpha = {alpha}")
-        model = pda_fit(dataset, penalty, float(alpha), k=config.k)
-    elif method == "mle":
-        ridge = None if config.mle_ridge == "auto" else float(config.mle_ridge)
-        model = mle_lda_fit(dataset, k=config.k, ridge=ridge)
-    elif method == "pca-lda":
-        ridge = None if config.mle_ridge == "auto" else float(config.mle_ridge)
-        model = pca_lda_fit(dataset, q=config.pca_q, k=config.k, ridge=ridge)
-    else:
-        raise ValidationError(
-            f"unknown method {method!r}; expected gplda, pda, mle, or pca-lda"
-        )
+    model, trace = fit_method(config.method, dataset, config, config.seed)
     save_model(config.out, model)
     for note in model.warnings:
         print(f"note: {note}")
@@ -243,6 +171,10 @@ def _cmd_predict(args) -> int:
         raise ValidationError("predict needs --data")
     model = load_model(args.model)
     labels, values = read_labeled_csv(args.data, has_header=args.header)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite)) + 1
+        raise ValidationError(f"{args.data}: row {row} contains a non-finite value")
     predicted = predict(model, values)
     predicted_text = [str(p) for p in np.atleast_1d(predicted)]
     if args.out:
@@ -260,29 +192,14 @@ def _cmd_predict(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = _effective_config(args)
-    options = {
-        "GPLDA": {
-            "hyper": config.hyper,
-            "max_sweeps": config.max_sweeps,
-            "rel_tol": config.rel_tol,
-            "jitter_scale": config.jitter_scale,
-            "k": config.k,
-        },
-        "PDA": {"alpha": config.pda_alpha, "k": config.k},
-        "MLE_LDA": {
-            "ridge": None if config.mle_ridge == "auto" else float(config.mle_ridge),
-            "k": config.k,
-        },
-        "PCA_LDA": {"q": config.pca_q, "k": config.k},
-    }
     report = run_benchmark(
         which=config.bench_which,
-        methods=[normalize_method(m) for m in config.bench_methods],
+        methods=config.bench_methods,
         n_values=config.bench_n_values,
         reps=config.bench_reps,
         base_seed=config.seed,
         n_test=config.bench_n_test,
-        options=options,
+        config=config,
     )
     table = report.to_csv()
     out = config.out or "report.csv"

@@ -210,7 +210,6 @@ def pda_fit(
     penalty: SmoothingPenalty,
     alpha: float,
     k: int | None = None,
-    jitter_scale: float = 0.0,
 ) -> DiscriminantModel:
     """Penalized discriminant baseline.
 
@@ -222,8 +221,6 @@ def pda_fit(
     alpha : float
         Non-negative penalty weight; 0 recovers the plain pooled-scatter
         discriminant.
-    jitter_scale : float
-        Optional relative diagonal jitter applied to the within estimate.
     """
     if alpha < 0:
         raise ValidationError(f"alpha must be non-negative, got {alpha}")
@@ -234,8 +231,6 @@ def pda_fit(
     mu = data.class_means()
     within = pooled_within_scatter(data.y, data.labels, mu) + alpha * penalty.matrix
     within = 0.5 * (within + within.T)
-    if jitter_scale > 0:
-        within = within + jitter_scale * (np.trace(within) / data.p) * np.eye(data.p)
     return _assemble(
         METHOD_PDA, mu, within, data.label_names, k,
         penalty_descriptor=penalty.descriptor,

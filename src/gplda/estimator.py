@@ -26,13 +26,12 @@ from .exceptions import (
     SingularMatrixError,
     ValidationError,
 )
-from .linalg import FIRST_DIFF, SmoothingPenalty, build_penalty, spd_solve
+from .linalg import FIRST_DIFF, SmoothingPenalty, build_penalty, cholesky_factor, spd_solve
 from .model import (
     FitConfig,
     HyperParams,
     LabeledFunctionalDataset,
     PosteriorState,
-    cholesky_factor,
     log_posterior,
     pooled_within_scatter,
 )

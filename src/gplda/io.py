@@ -4,8 +4,9 @@ CSV rows are ``label, v1, ..., vp``.  Model files are JSON with float
 values written in full precision so a save/load round trip reproduces
 the model bit for bit.  Run configuration is a flat ``key = value`` text
 format with dotted section prefixes, designed to diff cleanly; every
-field of :class:`RunConfig` has a printable default and the format/parse
-pair is an exact round trip.
+field of :class:`RunConfig` has a printable default, and one table of
+(key, field, codec) rows drives both the formatter and the parser, so
+the pair is an exact round trip.
 
 All file writes go through a temporary file in the target directory
 followed by an atomic rename, so readers never observe partial files.
@@ -33,7 +34,7 @@ def atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     handle, temp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
-        with os.fdopen(handle, "w") as fh:
+        with os.fdopen(handle, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(temp_path, path)
     except BaseException:
@@ -50,12 +51,14 @@ def read_labeled_csv(path: str, has_header: bool = False):
     one-based row and column positions, counting data rows only.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             raw_rows = [
                 row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)
             ]
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     if has_header and raw_rows:
         raw_rows = raw_rows[1:]
     if not raw_rows:
@@ -130,12 +133,14 @@ def load_model(path: str) -> DiscriminantModel:
     model predicts but does not expose them.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: not a valid model file: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: not a valid model file: expected a JSON object")
     if payload.get("format") != MODEL_FORMAT:
         raise ParseError(
             f"{path}: unrecognized model format {payload.get('format')!r}"
@@ -192,48 +197,86 @@ def _format_float(value: float) -> str:
     return repr(float(value))
 
 
+def _parse_grid(raw: str) -> tuple[int, int]:
+    rows, cols = raw.lower().split("x")
+    return int(rows), int(cols)
+
+
+def _or(codec, value, *words):
+    """``codec`` plus ``value``, which is read from any of ``words`` and
+    written as the first.
+    """
+    parse, fmt, what = codec
+    return (
+        lambda raw: value if raw in words else parse(raw),
+        lambda v: words[0] if v == value else fmt(v),
+        f"{what} or {words[0]!r}" if words[0] else what,
+    )
+
+
+def _sequence(codec):
+    """Codec for a comma-separated tuple of ``codec`` values."""
+    parse, fmt, what = codec
+    return (
+        lambda raw: tuple(parse(part.strip()) for part in raw.split(",") if part.strip()),
+        lambda values: ",".join(fmt(v) for v in values),
+        f"a comma-separated list, each {what}",
+    )
+
+
+# A codec is (parse, format, description): parse raises ValueError on text
+# that is not of the described form.
+_TEXT = (str, str, "text")
+_INT = (int, str, "an integer")
+_FLOAT = (float, _format_float, "a number")
+_GRID = (_parse_grid, lambda grid: "%dx%d" % grid, "ROWSxCOLS")
+
+# (key, RunConfig attribute, codec) in output order.  A "hyper.<name>"
+# attribute is a field of RunConfig.hyper.
+_CONFIG_FIELDS = (
+    ("method", "method", _TEXT),
+    ("k", "k", _or(_INT, None, "auto", "")),
+    ("seed", "seed", _INT),
+    ("data", "data", _or(_TEXT, None, "")),
+    ("out", "out", _or(_TEXT, None, "")),
+    ("penalty.kind", "penalty_kind", _TEXT),
+    ("penalty.grid", "penalty_grid", _or(_GRID, None, "")),
+    ("pda.alpha", "pda_alpha", _or(_FLOAT, "cv", "cv")),
+    ("pca.q", "pca_q", _INT),
+    ("mle.ridge", "mle_ridge", _or(_FLOAT, "auto", "auto")),
+    *((f"hyper.{f.name}", f"hyper.{f.name}", _FLOAT) for f in fields(HyperParams)),
+    ("fit.max_sweeps", "max_sweeps", _INT),
+    ("fit.rel_tol", "rel_tol", _FLOAT),
+    ("fit.jitter_scale", "jitter_scale", _FLOAT),
+    ("bench.which", "bench_which", _TEXT),
+    ("bench.methods", "bench_methods", _sequence(_TEXT)),
+    ("bench.n_values", "bench_n_values", _sequence(_INT)),
+    ("bench.reps", "bench_reps", _INT),
+    ("bench.n_test", "bench_n_test", _INT),
+)
+_FIELDS_BY_KEY = {key: (attribute, codec) for key, attribute, codec in _CONFIG_FIELDS}
+
+
+def parse_field(key: str, raw: str):
+    """Parse the text of one config value; errors name the key."""
+    if key not in _FIELDS_BY_KEY:
+        raise ParseError(f"unknown config key {key!r}")
+    parse, _, what = _FIELDS_BY_KEY[key][1]
+    try:
+        return parse(raw.strip())
+    except ValueError:
+        raise ParseError(f"config key {key}: cannot parse {raw.strip()!r} as {what}") from None
+
+
 def format_config(config: RunConfig) -> str:
     """Render a config as flat ``key = value`` lines."""
-    lines = [
-        f"method = {config.method}",
-        f"k = {'auto' if config.k is None else config.k}",
-        f"seed = {config.seed}",
-        f"data = {'' if config.data is None else config.data}",
-        f"out = {'' if config.out is None else config.out}",
-        f"penalty.kind = {config.penalty_kind}",
-        "penalty.grid = "
-        + ("" if config.penalty_grid is None else "%dx%d" % config.penalty_grid),
-        f"pda.alpha = {config.pda_alpha if isinstance(config.pda_alpha, str) else _format_float(config.pda_alpha)}",
-        f"pca.q = {config.pca_q}",
-        f"mle.ridge = {config.mle_ridge if isinstance(config.mle_ridge, str) else _format_float(config.mle_ridge)}",
-    ]
-    for name in ("a1", "b1", "a2", "b2", "a3", "b3", "delta"):
-        lines.append(f"hyper.{name} = {_format_float(getattr(config.hyper, name))}")
-    lines += [
-        f"fit.max_sweeps = {config.max_sweeps}",
-        f"fit.rel_tol = {_format_float(config.rel_tol)}",
-        f"fit.jitter_scale = {_format_float(config.jitter_scale)}",
-        f"bench.which = {config.bench_which}",
-        f"bench.methods = {','.join(config.bench_methods)}",
-        f"bench.n_values = {','.join(str(v) for v in config.bench_n_values)}",
-        f"bench.reps = {config.bench_reps}",
-        f"bench.n_test = {config.bench_n_test}",
-    ]
+    lines = []
+    for key, attribute, (_, fmt, _) in _CONFIG_FIELDS:
+        owner = config
+        for name in attribute.split("."):
+            owner = getattr(owner, name)
+        lines.append(f"{key} = {fmt(owner)}")
     return "\n".join(lines) + "\n"
-
-
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"config key {key}: cannot parse {raw!r} as an integer") from None
-
-
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParseError(f"config key {key}: cannot parse {raw!r} as a number") from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -243,7 +286,6 @@ def parse_config(text: str) -> RunConfig:
     their defaults, so partial configs are valid.
     """
     values: dict = {}
-    hyper_values: dict = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -252,78 +294,20 @@ def parse_config(text: str) -> RunConfig:
             raise ParseError(f"config line {line_no}: expected 'key = value'", row=line_no)
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        if key == "method":
-            values["method"] = raw
-        elif key == "k":
-            values["k"] = None if raw in ("", "auto") else _parse_int(key, raw)
-        elif key == "seed":
-            values["seed"] = _parse_int(key, raw)
-        elif key == "data":
-            values["data"] = raw or None
-        elif key == "out":
-            values["out"] = raw or None
-        elif key == "penalty.kind":
-            values["penalty_kind"] = raw
-        elif key == "penalty.grid":
-            if raw:
-                parts = raw.lower().split("x")
-                if len(parts) != 2:
-                    raise ParseError(
-                        f"config key {key}: expected ROWSxCOLS, got {raw!r}"
-                    )
-                values["penalty_grid"] = (
-                    _parse_int(key, parts[0]),
-                    _parse_int(key, parts[1]),
-                )
-            else:
-                values["penalty_grid"] = None
-        elif key == "pda.alpha":
-            values["pda_alpha"] = "cv" if raw == "cv" else _parse_float(key, raw)
-        elif key == "pca.q":
-            values["pca_q"] = _parse_int(key, raw)
-        elif key == "mle.ridge":
-            values["mle_ridge"] = "auto" if raw == "auto" else _parse_float(key, raw)
-        elif key.startswith("hyper."):
-            name = key[len("hyper."):]
-            if name not in ("a1", "b1", "a2", "b2", "a3", "b3", "delta"):
-                raise ParseError(f"unknown config key {key!r}")
-            hyper_values[name] = _parse_float(key, raw)
-        elif key == "fit.max_sweeps":
-            values["max_sweeps"] = _parse_int(key, raw)
-        elif key == "fit.rel_tol":
-            values["rel_tol"] = _parse_float(key, raw)
-        elif key == "fit.jitter_scale":
-            values["jitter_scale"] = _parse_float(key, raw)
-        elif key == "bench.which":
-            values["bench_which"] = raw
-        elif key == "bench.methods":
-            values["bench_methods"] = tuple(
-                part.strip() for part in raw.split(",") if part.strip()
-            )
-        elif key == "bench.n_values":
-            values["bench_n_values"] = tuple(
-                _parse_int(key, part.strip()) for part in raw.split(",") if part.strip()
-            )
-        elif key == "bench.reps":
-            values["bench_reps"] = _parse_int(key, raw)
-        elif key == "bench.n_test":
-            values["bench_n_test"] = _parse_int(key, raw)
-        else:
-            raise ParseError(f"unknown config key {key!r}")
-    if hyper_values:
-        defaults = HyperParams()
-        merged = {
-            name: hyper_values.get(name, getattr(defaults, name))
-            for name in ("a1", "b1", "a2", "b2", "a3", "b3", "delta")
-        }
-        values["hyper"] = HyperParams(**merged)
+        value = parse_field(key, raw)
+        values[_FIELDS_BY_KEY[key][0]] = value
+    hyper = {a[6:]: values.pop(a) for a in list(values) if a.startswith("hyper.")}
+    if hyper:
+        values["hyper"] = HyperParams(**hyper)
     return RunConfig(**values)
 
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path) as fh:
-            return parse_config(fh.read())
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config file {path}: not UTF-8 text: {exc}") from exc
+    return parse_config(text)

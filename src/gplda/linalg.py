@@ -36,25 +36,6 @@ PENALTY_KINDS = (FIRST_DIFF, SECOND_DIFF, LAPLACIAN_2D)
 
 
 @dataclass(frozen=True, eq=False)
-class DifferenceMatrix:
-    """A banded finite-difference operator on a regular one-dimensional grid.
-
-    Attributes
-    ----------
-    entries : ndarray of shape (p - order, p)
-        Dense matrix applying the difference stencil to a length-p vector.
-    order : int
-        Order of the difference (1 or 2).
-    p : int
-        Number of grid points the operator acts on.
-    """
-
-    entries: np.ndarray
-    order: int
-    p: int
-
-
-@dataclass(frozen=True, eq=False)
 class SmoothingPenalty:
     """Symmetric positive semidefinite roughness penalty on a grid.
 
@@ -85,61 +66,10 @@ class SmoothingPenalty:
         return self.kind
 
 
-def build_first_difference(p: int) -> DifferenceMatrix:
-    """First-order difference operator with rows (-1, +1).
-
-    Parameters
-    ----------
-    p : int
-        Grid length, at least 2.
-
-    Returns
-    -------
-    DifferenceMatrix
-        Operator of shape (p-1, p) mapping v to its adjacent differences.
-    """
-    if p < 2:
-        raise DimensionError(f"first differences need at least 2 grid points, got p={p}")
-    d = np.zeros((p - 1, p))
-    idx = np.arange(p - 1)
-    d[idx, idx] = -1.0
-    d[idx, idx + 1] = 1.0
-    return DifferenceMatrix(entries=d, order=1, p=p)
-
-
-def build_second_difference(p: int) -> DifferenceMatrix:
-    """Second-order difference operator with rows (1, -2, 1)."""
-    if p < 3:
-        raise DimensionError(f"second differences need at least 3 grid points, got p={p}")
-    d = np.zeros((p - 2, p))
-    idx = np.arange(p - 2)
-    d[idx, idx] = 1.0
-    d[idx, idx + 1] = -2.0
-    d[idx, idx + 2] = 1.0
-    return DifferenceMatrix(entries=d, order=2, p=p)
-
-
-def build_laplacian_stencil(rows: int, cols: int) -> np.ndarray:
-    """Five-point Laplacian on a rows-by-cols grid with replicate boundaries.
-
-    Out-of-range neighbours are clamped to the boundary cell, so the centre
-    weight of each row equals the number of in-bounds neighbours and
-    constant images are annihilated.
-    """
-    if rows < 2 or cols < 2:
-        raise DimensionError(
-            f"two-dimensional penalty needs a grid of at least 2x2, got {rows}x{cols}"
-        )
-    p = rows * cols
-    stencil = np.zeros((p, p))
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                if 0 <= rr < rows and 0 <= cc < cols:
-                    stencil[i, i] += 1.0
-                    stencil[i, rr * cols + cc] -= 1.0
-    return stencil
+def _difference_gram(p: int, order: int) -> np.ndarray:
+    """Gram matrix D^T D of the order-th difference operator on p points."""
+    d = np.diff(np.eye(p), n=order, axis=0)
+    return d.T @ d
 
 
 def build_penalty(kind: str, dims: int | tuple[int, int]) -> SmoothingPenalty:
@@ -148,8 +78,9 @@ def build_penalty(kind: str, dims: int | tuple[int, int]) -> SmoothingPenalty:
     Parameters
     ----------
     kind : str
-        ``"d1"`` (first differences), ``"d2"`` (second differences), or
-        ``"lap2d"`` (five-point Laplacian on an image grid).
+        ``"d1"`` (first differences, rows (-1, 1)), ``"d2"`` (second
+        differences, rows (1, -2, 1)), or ``"lap2d"`` (five-point
+        Laplacian on an image grid with replicate boundaries).
     dims : int or (rows, cols)
         Grid length for the one-dimensional kinds, grid shape for
         ``"lap2d"``.
@@ -159,27 +90,49 @@ def build_penalty(kind: str, dims: int | tuple[int, int]) -> SmoothingPenalty:
     SmoothingPenalty
         Penalty with ``matrix`` equal to the Gram matrix of the operator.
     """
-    if kind == FIRST_DIFF:
-        d = build_first_difference(_as_length(dims))
-        return SmoothingPenalty(matrix=d.entries.T @ d.entries, kind=kind)
-    if kind == SECOND_DIFF:
-        d = build_second_difference(_as_length(dims))
-        return SmoothingPenalty(matrix=d.entries.T @ d.entries, kind=kind)
+    if kind in (FIRST_DIFF, SECOND_DIFF):
+        if isinstance(dims, tuple):
+            raise DimensionError("one-dimensional penalty takes a single grid length")
+        p, order = int(dims), 1 if kind == FIRST_DIFF else 2
+        if p <= order:
+            raise DimensionError(
+                f"order-{order} differences need at least {order + 1} grid points, got p={p}"
+            )
+        return SmoothingPenalty(matrix=_difference_gram(p, order), kind=kind)
     if kind == LAPLACIAN_2D:
         if not (isinstance(dims, tuple) and len(dims) == 2):
             raise DimensionError(
                 "two-dimensional penalty needs dims given as a (rows, cols) pair"
             )
         rows, cols = int(dims[0]), int(dims[1])
-        stencil = build_laplacian_stencil(rows, cols)
-        return SmoothingPenalty(matrix=stencil.T @ stencil, kind=kind, grid=(rows, cols))
+        if rows < 2 or cols < 2:
+            raise DimensionError(
+                f"two-dimensional penalty needs a grid of at least 2x2, got {rows}x{cols}"
+            )
+        # The Laplacian is L = kron(I_r, P_c) + kron(P_r, I_c) with P the
+        # path Laplacians; its two terms commute, so L^T L expands to three
+        # Kronecker products.  All entries are small integers, so the
+        # result is exact.
+        path_r = _difference_gram(rows, 1)
+        path_c = _difference_gram(cols, 1)
+        matrix = (
+            np.kron(np.eye(rows), path_c @ path_c)
+            + 2.0 * np.kron(path_r, path_c)
+            + np.kron(path_r @ path_r, np.eye(cols))
+        )
+        return SmoothingPenalty(matrix=matrix, kind=kind, grid=(rows, cols))
     raise DimensionError(f"unknown penalty kind {kind!r}, expected one of {PENALTY_KINDS}")
 
 
-def _as_length(dims) -> int:
-    if isinstance(dims, tuple):
-        raise DimensionError("one-dimensional penalty takes a single grid length")
-    return int(dims)
+def cholesky_factor(a: np.ndarray):
+    """Lower Cholesky factor of a symmetric positive definite matrix.
+
+    Returns the scipy ``(factor, lower)`` pair that ``cho_solve`` takes.
+    """
+    try:
+        return scipy.linalg.cho_factor(a, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"matrix is not positive definite: {exc}") from exc
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -192,11 +145,7 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"right-hand side of length {b.shape[0]} does not match matrix of size {a.shape[0]}"
         )
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"Cholesky factorization failed: {exc}") from exc
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+    return scipy.linalg.cho_solve(cholesky_factor(a), b, check_finite=False)
 
 
 def generalized_eig_top(

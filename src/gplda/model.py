@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .exceptions import DimensionError, HyperParameterError, SingularMatrixError, ValidationError
-from .linalg import SmoothingPenalty
+from .exceptions import DimensionError, HyperParameterError, ValidationError
+from .linalg import SmoothingPenalty, cholesky_factor
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,16 +260,6 @@ def _check_state_shapes(
         value = getattr(state, name)
         if not (np.isfinite(value) and value > 0):
             raise ValidationError(f"state.{name} must be strictly positive, got {value}")
-
-
-def cholesky_factor(sigma_w: np.ndarray):
-    """Lower Cholesky factor of a covariance, as a scipy factor pair."""
-    try:
-        return scipy.linalg.cho_factor(sigma_w, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            f"within-class covariance is not positive definite: {exc}"
-        ) from exc
 
 
 def log_posterior_terms(

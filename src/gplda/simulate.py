@@ -33,8 +33,9 @@ from .discriminant import (
     predict,
 )
 from .exceptions import NumericError, ValidationError
-from .linalg import FIRST_DIFF, SECOND_DIFF, build_penalty
-from .model import FitConfig, HyperParams, LabeledFunctionalDataset
+from .io import RunConfig
+from .linalg import FIRST_DIFF, LAPLACIAN_2D, SECOND_DIFF, build_penalty
+from .model import FitConfig, LabeledFunctionalDataset
 
 SIM1 = "sim1"
 SIM2 = "sim2"
@@ -44,26 +45,87 @@ _ROLE_TEST = 1
 
 _MASK64 = (1 << 64) - 1
 
-METHOD_TAGS = (METHOD_GPLDA, METHOD_PDA, METHOD_MLE_LDA, METHOD_PCA_LDA)
 
-_CLI_TO_TAG = {
-    "gplda": METHOD_GPLDA,
-    "pda": METHOD_PDA,
-    "mle": METHOD_MLE_LDA,
-    "pca-lda": METHOD_PCA_LDA,
+def _resolve_penalty(config: RunConfig, tag: str, p: int):
+    """The config's penalty on p points; kind ``auto`` is d2 for PDA, else d1."""
+    kind = config.penalty_kind
+    if kind == "auto":
+        kind = SECOND_DIFF if tag == METHOD_PDA else FIRST_DIFF
+    if kind != LAPLACIAN_2D:
+        return build_penalty(kind, p)
+    if config.penalty_grid is None:
+        raise ValidationError("penalty.kind lap2d needs penalty.grid = ROWSxCOLS")
+    rows, cols = config.penalty_grid
+    if rows * cols != p:
+        raise ValidationError(
+            f"penalty grid {rows}x{cols} covers {rows * cols} points, data has p={p}"
+        )
+    return build_penalty(kind, (rows, cols))
+
+
+def _ridge(config: RunConfig):
+    return None if config.mle_ridge == "auto" else float(config.mle_ridge)
+
+
+# The fit functions call the library by module-level name at call time, so
+# that patching a name in this module (as tracers and test hooks do)
+# reaches every method.
+
+def _fit_gplda(train, config: RunConfig, seed: int):
+    fit_config = FitConfig(
+        penalty=_resolve_penalty(config, METHOD_GPLDA, train.p),
+        max_sweeps=config.max_sweeps,
+        rel_tol=config.rel_tol,
+        jitter_scale=config.jitter_scale,
+    )
+    return gplda_fit(train, hyper=config.hyper, config=fit_config, k=config.k)
+
+
+def _fit_pda(train, config: RunConfig, seed: int):
+    penalty = _resolve_penalty(config, METHOD_PDA, train.p)
+    if config.pda_alpha != "cv":
+        return pda_fit(train, penalty, float(config.pda_alpha), k=config.k), None
+    alpha = select_pda_alpha(train, penalty, seed=seed)
+    model = pda_fit(train, penalty, alpha, k=config.k)
+    note = f"cross-validated alpha = {alpha}"
+    return replace(model, warnings=model.warnings + (note,)), None
+
+
+def _fit_mle(train, config: RunConfig, seed: int):
+    return mle_lda_fit(train, k=config.k, ridge=_ridge(config)), None
+
+
+def _fit_pca_lda(train, config: RunConfig, seed: int):
+    return pca_lda_fit(train, q=config.pca_q, k=config.k, ridge=_ridge(config)), None
+
+
+# tag -> (CLI name, fit).  fit(train, config, seed) returns (model, trace),
+# where trace is the backfitting trace for GPLDA and None otherwise, and
+# seed keys the cross-validation folds of PDA.
+METHODS = {
+    METHOD_GPLDA: ("gplda", _fit_gplda),
+    METHOD_PDA: ("pda", _fit_pda),
+    METHOD_MLE_LDA: ("mle", _fit_mle),
+    METHOD_PCA_LDA: ("pca-lda", _fit_pca_lda),
 }
 
 
 def normalize_method(name: str) -> str:
     """Map a CLI-style method name or tag to the canonical method tag."""
-    if name in METHOD_TAGS:
+    if name in METHODS:
         return name
+    tags = {cli_name: tag for tag, (cli_name, _) in METHODS.items()}
     key = name.strip().lower()
-    if key in _CLI_TO_TAG:
-        return _CLI_TO_TAG[key]
-    raise ValidationError(
-        f"unknown method {name!r}; expected one of {sorted(_CLI_TO_TAG)} or {METHOD_TAGS}"
-    )
+    if key not in tags:
+        raise ValidationError(
+            f"unknown method {name!r}; expected one of {sorted(tags)} or {tuple(METHODS)}"
+        )
+    return tags[key]
+
+
+def fit_method(method: str, train: LabeledFunctionalDataset, config: RunConfig, seed: int):
+    """Fit a method, by tag or CLI name, with ``config``; see ``METHODS``."""
+    return METHODS[normalize_method(method)][1](train, config, seed)
 
 
 @dataclass(frozen=True)
@@ -167,34 +229,18 @@ def generate(
     return _make_dataset(y_train, l_train), _make_dataset(y_test, l_test)
 
 
-def gen_sim1(spec: SimSpec, noise_scale: float = 1.0):
-    """Triangular-bump problem; see module docstring."""
-    return generate(replace(spec, which=SIM1), noise_scale)
-
-
-def gen_sim2(spec: SimSpec, noise_scale: float = 1.0):
-    """Sinusoid problem; see module docstring."""
-    return generate(replace(spec, which=SIM2), noise_scale)
-
-
 DEFAULT_PDA_ALPHA_GRID = (1e-2, 1e-1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
 
 
-def select_pda_alpha(
-    data: LabeledFunctionalDataset,
-    penalty,
-    grid=DEFAULT_PDA_ALPHA_GRID,
-    folds: int = 5,
-    seed: int = 0,
-) -> float:
+def select_pda_alpha(data: LabeledFunctionalDataset, penalty, seed: int = 0) -> float:
     """Pick the penalty weight by stratified cross-validation.
 
-    Folds are assigned round-robin within each class after a seeded
-    shuffle.  Ties resolve to the smallest candidate.  Fold counts are
-    reduced if some class has fewer curves than requested folds.
+    The candidates are ``DEFAULT_PDA_ALPHA_GRID``.  Folds are assigned
+    round-robin within each class after a seeded shuffle.  Ties resolve
+    to the smallest candidate.  Five folds are used, fewer if some class
+    has fewer than five curves.
     """
-    counts = data.class_counts
-    folds = max(2, min(folds, int(counts.min())))
+    folds = max(2, min(5, int(data.class_counts.min())))
     rng = _stream(seed, 2)
     assignment = np.zeros(data.n, dtype=int)
     for i in range(1, data.c + 1):
@@ -203,7 +249,7 @@ def select_pda_alpha(
         assignment[shuffled] = np.arange(shuffled.size) % folds
     best_alpha = None
     best_error = np.inf
-    for alpha in grid:
+    for alpha in DEFAULT_PDA_ALPHA_GRID:
         fold_errors = []
         for fold in range(folds):
             holdout = assignment == fold
@@ -229,54 +275,6 @@ def select_pda_alpha(
     if best_alpha is None:
         raise NumericError("cross-validation failed for every candidate alpha")
     return float(best_alpha)
-
-
-def default_method_options() -> dict:
-    """Per-method settings used by the benchmark harness."""
-    return {
-        METHOD_GPLDA: {
-            "penalty_kind": FIRST_DIFF,
-            "hyper": HyperParams(),
-            "max_sweeps": 500,
-            "rel_tol": 1e-6,
-            "jitter_scale": 1e-8,
-            "k": None,
-        },
-        METHOD_PDA: {"penalty_kind": SECOND_DIFF, "alpha": "cv", "k": None},
-        METHOD_MLE_LDA: {"ridge": None, "k": None},
-        METHOD_PCA_LDA: {"q": 1, "ridge": None, "k": None},
-    }
-
-
-def _fit_for_method(tag: str, train: LabeledFunctionalDataset, options: dict, seed: int):
-    if tag == METHOD_GPLDA:
-        penalty = build_penalty(options.get("penalty_kind", FIRST_DIFF), train.p)
-        config = FitConfig(
-            penalty=penalty,
-            max_sweeps=options.get("max_sweeps", 500),
-            rel_tol=options.get("rel_tol", 1e-6),
-            jitter_scale=options.get("jitter_scale", 1e-8),
-        )
-        model, _ = gplda_fit(
-            train, hyper=options.get("hyper"), config=config, k=options.get("k")
-        )
-        return model
-    if tag == METHOD_PDA:
-        penalty = build_penalty(options.get("penalty_kind", SECOND_DIFF), train.p)
-        alpha = options.get("alpha", "cv")
-        if alpha == "cv":
-            alpha = select_pda_alpha(train, penalty, seed=seed)
-        return pda_fit(train, penalty, float(alpha), k=options.get("k"))
-    if tag == METHOD_MLE_LDA:
-        return mle_lda_fit(train, k=options.get("k"), ridge=options.get("ridge"))
-    if tag == METHOD_PCA_LDA:
-        return pca_lda_fit(
-            train,
-            q=options.get("q", 1),
-            k=options.get("k"),
-            ridge=options.get("ridge"),
-        )
-    raise ValidationError(f"unknown method tag {tag!r}")
 
 
 @dataclass(frozen=True)
@@ -355,7 +353,7 @@ def run_benchmark(
     reps: int,
     base_seed: int,
     n_test: int = 200,
-    options: dict | None = None,
+    config: RunConfig | None = None,
 ) -> BenchmarkReport:
     """Monte Carlo comparison of methods over training sizes.
 
@@ -378,8 +376,9 @@ def run_benchmark(
         Seed offset; replication r uses base_seed + r.
     n_test : int
         Test curves per replication.
-    options : dict, optional
-        Per-method-tag overrides merged over ``default_method_options``.
+    config : RunConfig, optional
+        Method settings (penalty, alpha, ridge, q, k, fit settings) shared
+        by every replication; defaults to ``RunConfig()``.
 
     Returns
     -------
@@ -390,9 +389,7 @@ def run_benchmark(
     tags = [normalize_method(m) for m in methods]
     if not tags:
         raise ValidationError("methods list is empty")
-    merged = default_method_options()
-    for tag, overrides in (options or {}).items():
-        merged.setdefault(normalize_method(tag), {}).update(overrides)
+    config = RunConfig() if config is None else config
 
     results: dict = {
         (tag, int(n)): {"errors": [], "reps": [], "failures": 0, "seconds": 0.0}
@@ -408,7 +405,7 @@ def run_benchmark(
                 slot = results[(tag, int(n))]
                 start = time.perf_counter()
                 try:
-                    model = _fit_for_method(tag, train, merged.get(tag, {}), seed)
+                    model, _ = fit_method(tag, train, config, seed)
                     predicted = predict(model, test.y)
                     slot["errors"].append(error_rate(predicted, truth))
                     slot["reps"].append(r)

@@ -71,6 +71,38 @@ def dense_generalized_eig_top(between, within, k):
     return eigenvalues[order], directions
 
 
+def loop_difference_operator(p: int, order: int) -> np.ndarray:
+    """Order-1 or order-2 difference operator of shape (p - order, p).
+
+    Built row by row with the stencil (-1, 1) or (1, -2, 1), as a
+    reference for the penalty builder.
+    """
+    stencil = {1: (-1.0, 1.0), 2: (1.0, -2.0, 1.0)}[order]
+    d = np.zeros((p - order, p))
+    for i in range(p - order):
+        d[i, i : i + order + 1] = stencil
+    return d
+
+
+def loop_laplacian_stencil(rows: int, cols: int) -> np.ndarray:
+    """Five-point Laplacian on a rows-by-cols grid, built cell by cell.
+
+    Out-of-range neighbours are dropped, so the centre weight of each row
+    equals the number of in-bounds neighbours and constant images are
+    annihilated.  A reference for the penalty builder.
+    """
+    p = rows * cols
+    stencil = np.zeros((p, p))
+    for r in range(rows):
+        for c in range(cols):
+            i = r * cols + c
+            for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                if 0 <= rr < rows and 0 <= cc < cols:
+                    stencil[i, i] += 1.0
+                    stencil[i, rr * cols + cc] -= 1.0
+    return stencil
+
+
 def _central_difference(f, value: float) -> float:
     h = 1e-5 * (1.0 + abs(value))
     return (f(value + h) - f(value - h)) / (2.0 * h)

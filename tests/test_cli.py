@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from gplda import parse_config, save_dataset_csv
+from gplda import DEFAULT_PDA_ALPHA_GRID, METHODS, parse_config, save_dataset_csv
 from gplda.cli import cli_dispatch
 
 from helpers import two_class_separable
@@ -103,6 +103,46 @@ class TestFitAndPredict:
         assert payload["method_tag"] == "PDA"
         assert payload["penalty"] == "d2"
 
+    @pytest.mark.parametrize("tag", sorted(METHODS))
+    def test_every_method_fits(self, tmp_path, capsys, tag):
+        train = _write_training_csv(tmp_path)
+        model_path = str(tmp_path / "model.json")
+        cli_name = METHODS[tag][0]
+        assert cli_dispatch(
+            ["fit", "--method", cli_name, "--data", train, "--out", model_path]
+        ) == 0
+        capsys.readouterr()
+        with open(model_path) as fh:
+            assert json.load(fh)["method_tag"] == tag
+
+    def test_cross_validated_alpha_is_reported(self, tmp_path, capsys):
+        train = _write_training_csv(tmp_path)
+        model_path = str(tmp_path / "model.json")
+        assert cli_dispatch(
+            ["fit", "--method", "pda", "--alpha", "cv", "--data", train, "--out", model_path]
+        ) == 0
+        notes = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("note: cross-validated alpha = ")
+        ]
+        assert len(notes) == 1
+        assert float(notes[0].rsplit("=", 1)[1]) in DEFAULT_PDA_ALPHA_GRID
+
+    def test_non_finite_rows_rejected(self, tmp_path, capsys):
+        train = _write_training_csv(tmp_path)
+        model_path = str(tmp_path / "model.json")
+        cli_dispatch(["fit", "--method", "mle", "--data", train, "--out", model_path])
+        for bad in ("nan", "inf"):
+            path = str(tmp_path / f"{bad}.csv")
+            with open(path, "w") as fh:
+                fh.write("?," + ",".join(["0.5"] * 8) + "\n")
+                fh.write("?," + ",".join(["0.5"] * 7 + [bad]) + "\n")
+            capsys.readouterr()
+            assert cli_dispatch(["predict", "--model", model_path, "--data", path]) == 1
+            captured = capsys.readouterr()
+            assert "error:" in captured.err and "row 2" in captured.err
+            assert captured.out == ""
+
     def test_predictions_to_file_without_truth(self, tmp_path, capsys):
         train = _write_training_csv(tmp_path)
         model_path = str(tmp_path / "model.json")
@@ -149,6 +189,20 @@ class TestBench:
         capsys.readouterr()
         with open(report_path + ".summary.json") as fh:
             assert json.load(fh)["cells"][0]["errors"] == first_errors
+
+
+    def test_penalty_settings_apply(self, tmp_path, capsys):
+        cfg = str(tmp_path / "bench.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(
+                "bench.which = sim2\n"
+                "bench.n_values = 20\n"
+                "penalty.kind = lap2d\n"
+                "penalty.grid = 3x3\n"
+            )
+        args = ["--config", cfg, "bench", "--reps", "1", "--out", str(tmp_path / "r.csv")]
+        assert cli_dispatch(args) == 1
+        assert "covers 9 points" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -205,6 +259,41 @@ class TestExitCodes:
         assert "cannot read" in capsys.readouterr().err
 
 
+    def test_model_file_that_is_not_an_object(self, tmp_path, capsys):
+        train = _write_training_csv(tmp_path)
+        model_path = str(tmp_path / "model.json")
+        with open(model_path, "w") as fh:
+            fh.write("[1, 2]\n")
+        assert cli_dispatch(["predict", "--model", model_path, "--data", train]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_csv_that_is_not_utf8(self, tmp_path, capsys):
+        path = str(tmp_path / "train.csv")
+        with open(path, "wb") as fh:
+            fh.write(b"1,0.5,\xff\xfe\n2,0.25,0.75\n")
+        code = cli_dispatch(
+            ["fit", "--method", "mle", "--data", path, "--out", str(tmp_path / "m.json")]
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = str(tmp_path / "run.cfg")
+        with open(path, "wb") as fh:
+            fh.write(b"method = \xff\n")
+        assert cli_dispatch(["--config", path, "--print-config"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_alpha_that_is_not_a_number(self, tmp_path, capsys):
+        train = _write_training_csv(tmp_path)
+        code = cli_dispatch(
+            ["fit", "--method", "pda", "--alpha", "abc", "--data", train,
+             "--out", str(tmp_path / "m.json")]
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+
 class TestConsoleEntryPoint:
     def test_installed_script_prints_config(self):
         result = subprocess.run(
@@ -214,3 +303,4 @@ class TestConsoleEntryPoint:
         )
         assert result.returncode == 0
         assert "method = gplda" in result.stdout
+        assert result.stderr == ""

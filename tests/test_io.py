@@ -158,7 +158,40 @@ class TestModelFiles:
             load_model(path)
 
 
+DEFAULT_CONFIG_LINES = (
+    "method = gplda",
+    "k = auto",
+    "seed = 0",
+    "data = ",
+    "out = ",
+    "penalty.kind = auto",
+    "penalty.grid = ",
+    "pda.alpha = cv",
+    "pca.q = 1",
+    "mle.ridge = auto",
+    "hyper.a1 = 1.0",
+    "hyper.b1 = 20.0",
+    "hyper.a2 = 1.0",
+    "hyper.b2 = 100.0",
+    "hyper.a3 = 1.0",
+    "hyper.b3 = 0.001",
+    "hyper.delta = 2.0",
+    "fit.max_sweeps = 500",
+    "fit.rel_tol = 1e-06",
+    "fit.jitter_scale = 1e-08",
+    "bench.which = sim1",
+    "bench.methods = gplda,pda",
+    "bench.n_values = 50,200",
+    "bench.reps = 30",
+    "bench.n_test = 200",
+)
+
+
 class TestConfigFormat:
+    def test_default_text_is_pinned(self):
+        # round trips cannot catch a renamed or reordered key; this can
+        assert format_config(RunConfig()) == "\n".join(DEFAULT_CONFIG_LINES) + "\n"
+
     def test_default_round_trip(self):
         config = default_run_config()
         assert parse_config(format_config(config)) == config

@@ -10,54 +10,66 @@ from gplda import (
     DegenerateBetweenCovarianceError,
     DimensionError,
     SingularMatrixError,
-    build_first_difference,
-    build_laplacian_stencil,
     build_penalty,
-    build_second_difference,
     between_covariance,
     generalized_eig_top,
     spd_solve,
 )
 
-from helpers import dense_generalized_eig_top, random_spd_matrix
+from helpers import (
+    dense_generalized_eig_top,
+    loop_difference_operator,
+    loop_laplacian_stencil,
+    random_spd_matrix,
+)
 
 
 class TestDifferenceOperators:
     def test_first_difference_entries(self):
-        d = build_first_difference(4)
-        expected = np.array(
+        d = np.array(
             [
                 [-1.0, 1.0, 0.0, 0.0],
                 [0.0, -1.0, 1.0, 0.0],
                 [0.0, 0.0, -1.0, 1.0],
             ]
         )
-        assert d.order == 1
-        assert d.p == 4
-        np.testing.assert_array_equal(d.entries, expected)
+        np.testing.assert_array_equal(build_penalty(FIRST_DIFF, 4).matrix, d.T @ d)
 
     def test_first_difference_applies_adjacent_differences(self):
-        d = build_first_difference(5)
+        omega = build_penalty(FIRST_DIFF, 5).matrix
         v = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
-        np.testing.assert_allclose(d.entries @ v, np.diff(v))
+        assert v @ omega @ v == pytest.approx(np.sum(np.diff(v) ** 2))
 
     def test_second_difference_entries(self):
-        d = build_second_difference(5)
-        assert d.order == 2
-        assert d.entries.shape == (3, 5)
-        np.testing.assert_array_equal(d.entries[0], [1.0, -2.0, 1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(d.entries[-1], [0.0, 0.0, 1.0, -2.0, 1.0])
+        d = np.array(
+            [
+                [1.0, -2.0, 1.0, 0.0, 0.0],
+                [0.0, 1.0, -2.0, 1.0, 0.0],
+                [0.0, 0.0, 1.0, -2.0, 1.0],
+            ]
+        )
+        np.testing.assert_array_equal(build_penalty(SECOND_DIFF, 5).matrix, d.T @ d)
 
     def test_second_difference_annihilates_lines(self):
-        d = build_second_difference(7)
+        omega = build_penalty(SECOND_DIFF, 7).matrix
         line = 2.0 + 3.0 * np.arange(7)
-        np.testing.assert_allclose(d.entries @ line, 0.0, atol=1e-12)
+        np.testing.assert_allclose(omega @ line, 0.0, atol=1e-12)
 
     def test_too_small_grids_rejected(self):
-        with pytest.raises(DimensionError):
-            build_first_difference(1)
-        with pytest.raises(DimensionError):
-            build_second_difference(2)
+        with pytest.raises(DimensionError, match="at least 2 grid points"):
+            build_penalty(FIRST_DIFF, 1)
+        with pytest.raises(DimensionError, match="at least 3 grid points"):
+            build_penalty(SECOND_DIFF, 2)
+
+    @pytest.mark.parametrize(
+        "kind,order,p",
+        [(FIRST_DIFF, 1, p) for p in (2, 3, 30, 101, 400)]
+        + [(SECOND_DIFF, 2, p) for p in (3, 4, 30, 101, 400)],
+    )
+    def test_gram_bytes_match_loop_operator(self, kind, order, p):
+        d = loop_difference_operator(p, order)
+        expected = d.T @ d
+        assert build_penalty(kind, p).matrix.tobytes() == expected.tobytes()
 
 
 class TestPenaltyMatrices:
@@ -76,9 +88,9 @@ class TestPenaltyMatrices:
         assert penalty.descriptor == "d1"
 
     def test_gram_matches_operator_product(self):
-        d = build_second_difference(9)
+        d = loop_difference_operator(9, 2)
         penalty = build_penalty(SECOND_DIFF, 9)
-        np.testing.assert_allclose(penalty.matrix, d.entries.T @ d.entries)
+        np.testing.assert_allclose(penalty.matrix, d.T @ d)
 
     @pytest.mark.parametrize("kind,p", [(FIRST_DIFF, 8), (SECOND_DIFF, 11)])
     def test_row_sums_vanish(self, kind, p):
@@ -109,32 +121,39 @@ class TestPenaltyMatrices:
 
 class TestLaplacianStencil:
     def test_shape_symmetry_and_row_sums(self):
-        stencil = build_laplacian_stencil(3, 4)
-        assert stencil.shape == (12, 12)
-        np.testing.assert_allclose(stencil, stencil.T)
-        np.testing.assert_allclose(stencil @ np.ones(12), 0.0, atol=1e-12)
+        omega = build_penalty(LAPLACIAN_2D, (3, 4)).matrix
+        assert omega.shape == (12, 12)
+        np.testing.assert_array_equal(omega, omega.T)
+        np.testing.assert_allclose(omega @ np.ones(12), 0.0, atol=1e-12)
 
     def test_centre_weights_count_in_bounds_neighbours(self):
-        stencil = build_laplacian_stencil(3, 3)
-        diag = np.diag(stencil)
+        # diag(L^T L) = deg^2 + deg for a node with deg in-bounds neighbours
+        diag = np.diag(build_penalty(LAPLACIAN_2D, (3, 3)).matrix)
         # corner, edge, interior of a 3x3 grid
-        assert diag[0] == 2.0
-        assert diag[1] == 3.0
-        assert diag[4] == 4.0
+        assert diag[0] == 2.0 ** 2 + 2.0
+        assert diag[1] == 3.0 ** 2 + 3.0
+        assert diag[4] == 4.0 ** 2 + 4.0
 
     def test_two_dimensional_penalty_gram(self):
         penalty = build_penalty(LAPLACIAN_2D, (3, 4))
-        stencil = build_laplacian_stencil(3, 4)
+        stencil = loop_laplacian_stencil(3, 4)
         np.testing.assert_allclose(penalty.matrix, stencil.T @ stencil)
         assert penalty.grid == (3, 4)
         assert penalty.descriptor == "lap2d:3x4"
         assert np.linalg.eigvalsh(penalty.matrix).min() >= -1e-10
 
+    @pytest.mark.parametrize("rows,cols", [(2, 2), (3, 5), (7, 4), (40, 40)])
+    def test_gram_bytes_match_loop_stencil(self, rows, cols):
+        stencil = loop_laplacian_stencil(rows, cols)
+        expected = stencil.T @ stencil
+        matrix = build_penalty(LAPLACIAN_2D, (rows, cols)).matrix
+        assert matrix.tobytes() == expected.tobytes()
+
     def test_grid_shape_required(self):
         with pytest.raises(DimensionError, match="rows, cols"):
             build_penalty(LAPLACIAN_2D, 12)
-        with pytest.raises(DimensionError):
-            build_laplacian_stencil(1, 5)
+        with pytest.raises(DimensionError, match="at least 2x2"):
+            build_penalty(LAPLACIAN_2D, (1, 5))
 
 
 class TestSpdSolve:

@@ -10,8 +10,10 @@ from gplda import (
     METHOD_PCA_LDA,
     METHOD_PDA,
     NumericError,
+    RunConfig,
     SECOND_DIFF,
     SimSpec,
+    SmoothingPenalty,
     ValidationError,
     build_penalty,
     error_rate,
@@ -121,12 +123,12 @@ class TestGenerate:
 
     def test_noiseless_first_problem_is_separable(self):
         # without noise the curves span only two directions, so the within
-        # matrix needs its jitter to be factorizable at all
+        # matrix needs a small ridge, carried here by the penalty, to be
+        # factorizable at all
         train, test = generate(SimSpec("sim1", 200, 200, seed=3), noise_scale=0.0)
-        model = pda_fit(
-            train, build_penalty(SECOND_DIFF, train.p), alpha=0.1,
-            jitter_scale=1e-8,
-        )
+        d2 = build_penalty(SECOND_DIFF, train.p).matrix
+        ridged = SmoothingPenalty(matrix=d2 + 1e-7 * np.eye(train.p), kind=SECOND_DIFF)
+        model = pda_fit(train, ridged, alpha=0.1)
         predicted = predict(model, test.y)
         truth = np.asarray(test.label_names)[test.labels - 1]
         assert error_rate(predicted, truth) <= 0.01
@@ -186,7 +188,7 @@ class TestRunBenchmark:
             reps=3,
             base_seed=0,
             n_test=40,
-            options={"PCA_LDA": {"q": 2}},
+            config=RunConfig(pca_q=2),
         )
         assert report.reps == 3 and report.base_seed == 0
         cell = report.cell("mle", 20)
@@ -220,7 +222,7 @@ class TestRunBenchmark:
         # a hard-zero ridge makes the pooled scatter singular when p > n
         report = run_benchmark(
             which="sim2", methods=["mle"], n_values=(20,), reps=2,
-            base_seed=0, n_test=10, options={"MLE_LDA": {"ridge": 0.0}},
+            base_seed=0, n_test=10, config=RunConfig(mle_ridge=0.0),
         )
         cell = report.cell("mle", 20)
         assert cell.failures == 2
