@@ -21,7 +21,7 @@ projected space is the within-covariance distance in the original space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -297,14 +297,8 @@ def pca_lda_fit(
     submodel = mle_lda_fit(reduced, k=k, ridge=ridge)
     directions = submodel.directions @ components.T
     within = components @ submodel.within_cov_used @ components.T
-    return DiscriminantModel(
-        method_tag=METHOD_PCA_LDA,
-        directions=directions,
-        projected_centroids=submodel.projected_centroids,
-        class_labels=submodel.class_labels,
-        within_cov_used=within,
-        eigenvalues=submodel.eigenvalues,
-        warnings=submodel.warnings,
+    return replace(
+        submodel, method_tag=METHOD_PCA_LDA, directions=directions, within_cov_used=within
     )
 
 

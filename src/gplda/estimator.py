@@ -14,7 +14,7 @@ the norm of its change divided by one plus its norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -26,7 +26,9 @@ from .exceptions import (
     SingularMatrixError,
     ValidationError,
 )
-from .linalg import FIRST_DIFF, SmoothingPenalty, build_penalty, cholesky_factor, spd_solve
+from .linalg import (
+    FIRST_DIFF, SmoothingPenalty, build_penalty, cholesky_factor, frobenius_norm, spd_solve
+)
 from .model import (
     FitConfig,
     HyperParams,
@@ -55,14 +57,7 @@ class FirstOrderResiduals:
     sigma_w: float
 
     def as_dict(self) -> dict:
-        return {
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "noise_precision": self.noise_precision,
-            "x_max": self.x_max,
-            "mu_max": self.mu_max,
-            "sigma_w": self.sigma_w,
-        }
+        return asdict(self)
 
     def max(self) -> float:
         return max(self.as_dict().values())
@@ -174,11 +169,12 @@ def update_mu(
     c, p = data.c, data.p
     counts = data.class_counts
     eye = np.eye(p)
+    smoothing = sigma_w @ penalty.matrix
     mu = np.zeros((c, p))
     for i in range(1, c + 1):
         rows = data.class_rows(i)
         xbar = x[rows].mean(axis=0)
-        system = eye + (alpha1 / counts[i - 1]) * (sigma_w @ penalty.matrix)
+        system = eye + (alpha1 / counts[i - 1]) * smoothing
         try:
             mu[i - 1] = scipy.linalg.solve(system, xbar, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
@@ -243,7 +239,7 @@ def initial_state(
 def _relative_change(new, old) -> float:
     if np.isscalar(new):
         return abs(new - old) / (1.0 + abs(old))
-    return float(np.linalg.norm(new - old)) / (1.0 + float(np.linalg.norm(old)))
+    return frobenius_norm(new - old) / (1.0 + frobenius_norm(old))
 
 
 def fit(
@@ -349,14 +345,16 @@ def first_order_residuals(
     """
     n, p, c = data.n, data.p, data.c
     omega = penalty.matrix
-    factor = cholesky_factor(state.sigma_w)
+    sw_inv = scipy.linalg.cho_solve(
+        cholesky_factor(state.sigma_w), np.eye(p), check_finite=False
+    )
 
     mean_quad = float(np.sum(state.mu * (state.mu @ omega)))
     g_alpha1 = -mean_quad + (2.0 * hyper.a1 + c - 2.0) / state.alpha1 - 2.0 * hyper.b1
 
-    sw_inv_omega = scipy.linalg.cho_solve(factor, omega, check_finite=False)
+    # tr(sw_inv @ omega), both symmetric.
     g_alpha2 = (
-        -float(np.trace(sw_inv_omega))
+        -float(np.sum(sw_inv * omega))
         + (2.0 * hyper.a2 + p - 2.0) / state.alpha2
         - 2.0 * hyper.b2
     )
@@ -369,28 +367,20 @@ def first_order_residuals(
     )
 
     centered = state.x - state.mu[data.labels - 1]
-    solved = scipy.linalg.cho_solve(factor, centered.T, check_finite=False).T
+    solved = centered @ sw_inv
     grad_x = 2.0 * resid_y / state.sigma2 - 2.0 * solved
     x_max = float(np.max(np.linalg.norm(grad_x, axis=1))) if n else 0.0
 
-    mu_max = 0.0
-    for i in range(1, c + 1):
-        rows = data.class_rows(i)
-        diff_sum = np.sum(centered[rows], axis=0)
-        grad_mu = 2.0 * scipy.linalg.cho_solve(
-            factor, diff_sum, check_finite=False
-        ) - 2.0 * state.alpha1 * (omega @ state.mu[i - 1])
-        mu_max = max(mu_max, float(np.linalg.norm(grad_mu)))
+    # Class i: 2 sw_inv sum_{j in i} (x_j - mu_i) - 2 alpha1 omega mu_i.
+    solved_sums = np.zeros((c, p))
+    np.add.at(solved_sums, data.labels - 1, solved)
+    grad_mu = 2.0 * solved_sums - 2.0 * state.alpha1 * (state.mu @ omega)
+    mu_max = float(np.max(np.linalg.norm(grad_mu, axis=1)))
 
-    scatter_full = centered.T @ centered
-    sw_inv = scipy.linalg.cho_solve(factor, np.eye(p), check_finite=False)
+    scatter = centered.T @ centered
     nu = hyper.nu(p)
-    grad_sw = (
-        sw_inv @ scatter_full @ sw_inv
-        + state.alpha2 * (sw_inv @ omega @ sw_inv)
-        - (n + nu + p + 1.0) * sw_inv
-    )
-    sigma_w_norm = float(np.linalg.norm(grad_sw))
+    sandwich = sw_inv @ (scatter + state.alpha2 * omega) @ sw_inv
+    grad_sw = sandwich - (n + nu + p + 1.0) * sw_inv
 
     return FirstOrderResiduals(
         alpha1=abs(g_alpha1),
@@ -398,5 +388,5 @@ def first_order_residuals(
         noise_precision=abs(g_noise_prec),
         x_max=x_max,
         mu_max=mu_max,
-        sigma_w=sigma_w_norm,
+        sigma_w=frobenius_norm(grad_sw),
     )

@@ -110,8 +110,8 @@ def save_model(path: str, model: DiscriminantModel) -> None:
     """Serialize a fitted discriminant to a JSON model file.
 
     Stores the method tag, class labels, directions, projected centroids,
-    and the penalty descriptor.  Floats keep full precision, so loading
-    reproduces them exactly.
+    the penalty descriptor, and the fit's warnings as ``notes``.  Floats
+    keep full precision, so loading reproduces them exactly.
     """
     payload = {
         "format": MODEL_FORMAT,
@@ -122,15 +122,23 @@ def save_model(path: str, model: DiscriminantModel) -> None:
             [float(v) for v in row] for row in model.projected_centroids
         ],
         "penalty": model.penalty,
+        "notes": list(model.warnings),
     }
     atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
+
+
+def _is_label(value) -> bool:
+    return isinstance(value, (str, int, float)) and not isinstance(value, bool)
 
 
 def load_model(path: str) -> DiscriminantModel:
     """Load a model file written by ``save_model``.
 
     The within covariance and eigenvalues are not stored, so the loaded
-    model predicts but does not expose them.
+    model predicts but does not expose them; older files without ``notes``
+    load with no warnings.  Raises ``ParseError`` unless the directions
+    are a finite k x p array (k >= 1), the class labels are c >= 2 strings
+    or numbers, and the projected centroids are a finite c x k array.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -146,15 +154,28 @@ def load_model(path: str) -> DiscriminantModel:
             f"{path}: unrecognized model format {payload.get('format')!r}"
         )
     try:
-        return DiscriminantModel(
+        directions = np.asarray(payload["directions"], dtype=float)
+        centroids = np.asarray(payload["projected_centroids"], dtype=float)
+        labels = payload["class_labels"]
+        model = DiscriminantModel(
             method_tag=payload["method_tag"],
-            directions=np.asarray(payload["directions"], dtype=float),
-            projected_centroids=np.asarray(payload["projected_centroids"], dtype=float),
-            class_labels=tuple(payload["class_labels"]),
+            directions=directions,
+            projected_centroids=centroids,
+            class_labels=tuple(labels),
             penalty=payload.get("penalty"),
+            warnings=tuple(payload.get("notes", [])),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed model file: {exc}") from exc
+    if directions.ndim != 2 or directions.size == 0 or not np.isfinite(directions).all():
+        problem = "directions must be a finite k x p array with k >= 1"
+    elif not (isinstance(labels, list) and len(labels) >= 2 and all(map(_is_label, labels))):
+        problem = "class_labels must hold at least 2 strings or numbers"
+    elif centroids.shape != (len(labels), model.k) or not np.isfinite(centroids).all():
+        problem = f"projected_centroids must be a finite {len(labels)} x {model.k} array"
+    else:
+        return model
+    raise ParseError(f"{path}: malformed model file: {problem}")
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,15 @@ def cholesky_factor(a: np.ndarray):
         raise SingularMatrixError(f"matrix is not positive definite: {exc}") from exc
 
 
+def frobenius_norm(a: np.ndarray) -> float:
+    """Frobenius norm of an array, as the square root of an elementwise sum.
+
+    Not ``np.linalg.norm``: on a p x p matrix that is one BLAS ddot, which
+    a threaded BLAS may split at a cost far above the sum.
+    """
+    return float(np.sqrt(np.sum(a * a)))
+
+
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b for symmetric positive definite a via Cholesky."""
     a = np.asarray(a, dtype=float)
@@ -204,11 +213,7 @@ def generalized_eig_top(
     p = between.shape[0]
     if not 1 <= k <= p:
         raise DimensionError(f"k={k} is outside the valid range 1..{p}")
-    # Elementwise sums, not np.linalg.norm: on a p x p matrix that is one
-    # BLAS ddot, which a threaded BLAS may split at a cost far above the sum.
-    norm_b = np.sqrt(np.sum(between * between))
-    norm_w = np.sqrt(np.sum(within * within))
-    if norm_b <= 1e-12 * norm_w:
+    if frobenius_norm(between) <= 1e-12 * frobenius_norm(within):
         raise DegenerateBetweenCovarianceError(
             "between-class covariance is numerically zero; class means coincide"
         )

@@ -17,7 +17,7 @@ one block at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
@@ -228,16 +228,11 @@ class LogPosteriorTerms:
     data_fidelity: float
 
     def total(self) -> float:
-        return (
-            self.obs_loglik
-            + self.latent_loglik
-            + self.mean_prior
-            + self.cov_prior
-            + self.alpha1_prior
-            + self.alpha2_prior
-            + self.noise_precision_prior
-            + self.constant
-        )
+        total = 0.0
+        for f in fields(self):
+            if f.name != "data_fidelity":
+                total += getattr(self, f.name)
+        return total
 
 
 def _check_state_shapes(

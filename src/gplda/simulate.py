@@ -16,7 +16,7 @@ order replications run in.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -238,23 +238,28 @@ def select_pda_alpha(data: LabeledFunctionalDataset, penalty, seed: int = 0) -> 
     The candidates are ``DEFAULT_PDA_ALPHA_GRID``.  Folds are assigned
     round-robin within each class after a seeded shuffle.  Ties resolve
     to the smallest candidate.  Five folds are used, fewer if some class
-    has fewer than five curves.
+    has fewer than five curves.  Every class needs at least two curves, so
+    that each fold trains and tests on every class.
     """
-    folds = max(2, min(5, int(data.class_counts.min())))
+    counts = data.class_counts
+    if counts.min() < 2:
+        name = data.label_names[int(np.argmin(counts))]
+        raise ValidationError(
+            f"class {name!r} has {int(counts.min())} curve(s); cross-validating the "
+            "penalty weight needs at least 2 curves per class (pass --alpha)"
+        )
+    folds = min(5, int(counts.min()))
     rng = _stream(seed, 2)
     assignment = np.zeros(data.n, dtype=int)
     for i in range(1, data.c + 1):
         rows = data.class_rows(i)
         shuffled = rng.permutation(rows)
         assignment[shuffled] = np.arange(shuffled.size) % folds
-    best_alpha = None
-    best_error = np.inf
+    mean_errors = []
     for alpha in DEFAULT_PDA_ALPHA_GRID:
         fold_errors = []
         for fold in range(folds):
             holdout = assignment == fold
-            if not holdout.any() or holdout.all():
-                continue
             train = LabeledFunctionalDataset(
                 y=data.y[~holdout],
                 labels=data.labels[~holdout],
@@ -268,13 +273,9 @@ def select_pda_alpha(data: LabeledFunctionalDataset, penalty, seed: int = 0) -> 
                 continue
             truth = np.asarray(data.label_names)[data.labels[holdout] - 1]
             fold_errors.append(error_rate(predicted, truth))
-        mean_error = float(np.mean(fold_errors)) if fold_errors else np.inf
-        if mean_error < best_error:
-            best_error = mean_error
-            best_alpha = alpha
-    if best_alpha is None:
-        raise NumericError("cross-validation failed for every candidate alpha")
-    return float(best_alpha)
+        mean_errors.append(float(np.mean(fold_errors)))
+    # argmin takes the first minimum: the smallest tied candidate.
+    return float(DEFAULT_PDA_ALPHA_GRID[int(np.argmin(mean_errors))])
 
 
 @dataclass(frozen=True)
@@ -325,25 +326,7 @@ class BenchmarkReport:
         return "\n".join(lines) + "\n"
 
     def to_summary(self) -> dict:
-        return {
-            "which": self.which,
-            "reps": self.reps,
-            "base_seed": self.base_seed,
-            "n_test": self.n_test,
-            "cells": [
-                {
-                    "method": cell.method,
-                    "n_train": cell.n_train,
-                    "mean_pct": cell.mean_pct,
-                    "std_pct": cell.std_pct,
-                    "failures": cell.failures,
-                    "seconds": cell.seconds,
-                    "errors": list(cell.errors),
-                    "replications": list(cell.replications),
-                }
-                for cell in self.cells
-            ],
-        }
+        return asdict(self)
 
 
 def run_benchmark(

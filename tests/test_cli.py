@@ -127,6 +127,8 @@ class TestFitAndPredict:
         ]
         assert len(notes) == 1
         assert float(notes[0].rsplit("=", 1)[1]) in DEFAULT_PDA_ALPHA_GRID
+        with open(model_path) as fh:
+            assert json.load(fh)["notes"] == [notes[0][len("note: "):]]
 
     def test_non_finite_rows_rejected(self, tmp_path, capsys):
         train = _write_training_csv(tmp_path)
@@ -205,6 +207,22 @@ class TestBench:
         assert "covers 9 points" in capsys.readouterr().err
 
 
+# Each edit leaves a model file that parses as JSON but cannot predict.
+_MODEL_BREAKERS = {
+    "centroid-width": lambda m: m.update(projected_centroids=[[0.0, 1.0], [1.0, 0.0]]),
+    "extra-label": lambda m: m["class_labels"].append("3"),
+    "nan-direction": lambda m: m.update(
+        directions=[[float("nan")] + m["directions"][0][1:]]
+    ),
+    "one-class": lambda m: m.update(
+        class_labels=m["class_labels"][:1],
+        projected_centroids=m["projected_centroids"][:1],
+    ),
+    "list-labels": lambda m: m.update(class_labels=[[1], [2]]),
+    "flat-directions": lambda m: m.update(directions=m["directions"][0]),
+}
+
+
 class TestExitCodes:
     def test_missing_required_inputs(self, tmp_path, capsys):
         assert cli_dispatch(["fit", "--method", "mle"]) == 1
@@ -266,6 +284,22 @@ class TestExitCodes:
             fh.write("[1, 2]\n")
         assert cli_dispatch(["predict", "--model", model_path, "--data", train]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(_MODEL_BREAKERS))
+    def test_broken_model_file(self, tmp_path, capsys, case):
+        train = _write_training_csv(tmp_path)
+        model_path = str(tmp_path / "model.json")
+        assert cli_dispatch(["fit", "--method", "mle", "--data", train, "--out", model_path]) == 0
+        with open(model_path) as fh:
+            payload = json.load(fh)
+        _MODEL_BREAKERS[case](payload)
+        with open(model_path, "w") as fh:
+            json.dump(payload, fh)
+        capsys.readouterr()
+        assert cli_dispatch(["predict", "--model", model_path, "--data", train]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "malformed model file" in captured.err
+        assert captured.out == ""
 
     def test_csv_that_is_not_utf8(self, tmp_path, capsys):
         path = str(tmp_path / "train.csv")

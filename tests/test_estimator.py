@@ -404,16 +404,21 @@ class TestFirstOrderResiduals:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(137)
-        for _ in range(3):
-            c = 2
+        # The last case has three classes of sizes 2, 3, 4 in shuffled
+        # order, so the per-class gradient sums must index the classes right.
+        for case in range(4):
             p, n = 5, 9
-            labels = np.sort(
-                np.concatenate([np.arange(1, c + 1), rng.integers(1, c + 1, size=n - c)])
-            )
+            if case < 3:
+                labels = np.sort(
+                    np.concatenate([np.arange(1, 3), rng.integers(1, 3, size=n - 2)])
+                )
+            else:
+                labels = np.array([2, 3, 1, 3, 2, 3, 1, 2, 3])
+            c = int(labels.max())
             data = LabeledFunctionalDataset(
                 y=rng.standard_normal((n, p)) + labels[:, None] * 0.5,
                 labels=labels,
-                label_names=(1, 2),
+                label_names=tuple(range(1, c + 1)),
             )
             state = random_posterior_state(rng, data)
             hyper = HyperParams()

@@ -1,6 +1,7 @@
 """Tests for CSV handling, model files, and the flat config format."""
 
 import dataclasses
+import json
 import os
 
 import numpy as np
@@ -135,6 +136,21 @@ class TestModelFiles:
         path = str(tmp_path / "model.json")
         save_model(path, relabeled)
         assert load_model(path).penalty == "d2"
+
+    def test_notes_persisted(self, tmp_path):
+        data = two_class_separable(10, 6, gap=2.0, seed=5)
+        model = mle_lda_fit(data, k=3)
+        assert any("clamped" in note for note in model.warnings)
+        path = str(tmp_path / "model.json")
+        save_model(path, model)
+        assert load_model(path).warnings == model.warnings
+        # files written before notes were stored load with none
+        with open(path) as fh:
+            payload = json.load(fh)
+        del payload["notes"]
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        assert load_model(path).warnings == ()
 
     def test_invalid_json_rejected(self, tmp_path):
         path = str(tmp_path / "model.json")

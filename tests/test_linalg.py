@@ -1,8 +1,13 @@
 """Tests for difference operators, penalty matrices, and the eigensolver."""
 
+import ast
+import glob
+import os
+
 import numpy as np
 import pytest
 
+import gplda
 from gplda import (
     FIRST_DIFF,
     LAPLACIAN_2D,
@@ -15,6 +20,7 @@ from gplda import (
     generalized_eig_top,
     spd_solve,
 )
+from gplda.linalg import frobenius_norm
 
 from helpers import (
     dense_generalized_eig_top,
@@ -325,3 +331,26 @@ class TestGeneralizedEigTop:
             )
         assert worst_values <= 1e-10
         assert worst_directions <= 1e-10
+
+
+class TestMatrixNorms:
+    def test_frobenius_norm_matches_numpy(self):
+        a = np.random.default_rng(3).standard_normal((7, 5))
+        assert frobenius_norm(a) == pytest.approx(np.linalg.norm(a), rel=1e-14)
+
+    def test_package_takes_no_whole_array_norm(self):
+        # np.linalg.norm without axis= is one BLAS ddot on a matrix, which a
+        # threaded BLAS may split at great cost; frobenius_norm is the rule.
+        offenders = []
+        package = os.path.dirname(gplda.__file__)
+        for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Call)
+                    and ast.unparse(node.func).endswith("linalg.norm")
+                    and not any(kw.arg == "axis" for kw in node.keywords)
+                ):
+                    offenders.append(f"{os.path.basename(path)}:{node.lineno}")
+        assert offenders == []

@@ -9,7 +9,6 @@ from gplda import (
     METHOD_MLE_LDA,
     METHOD_PCA_LDA,
     METHOD_PDA,
-    NumericError,
     RunConfig,
     SECOND_DIFF,
     SimSpec,
@@ -149,15 +148,18 @@ class TestSelectPdaAlpha:
         penalty = build_penalty(SECOND_DIFF, 8)
         assert select_pda_alpha(data, penalty) == DEFAULT_PDA_ALPHA_GRID[0]
 
-    def test_all_folds_degenerate_raises(self):
-        # one curve per class collapses both into the same fold, so no
-        # candidate ever gets a usable train/holdout split
+    @pytest.mark.parametrize(
+        "sizes, named", [((1, 1), "a"), ((6, 1), "b")], ids=["one-each", "six-and-one"]
+    )
+    def test_class_with_one_curve_is_rejected(self, sizes, named):
+        # a one-curve class is missing from the training part of its fold
+        labels = np.repeat([1, 2], sizes)
         data = LabeledFunctionalDataset(
-            y=np.random.default_rng(0).standard_normal((2, 6)),
-            labels=np.array([1, 2]),
-            label_names=(1, 2),
+            y=np.random.default_rng(0).standard_normal((labels.size, 6)),
+            labels=labels,
+            label_names=("a", "b"),
         )
-        with pytest.raises(NumericError, match="cross-validation failed"):
+        with pytest.raises(ValidationError, match=f"class '{named}' has 1 curve.*--alpha"):
             select_pda_alpha(data, build_penalty(SECOND_DIFF, 6))
 
     def test_default_grid_is_increasing_and_positive(self):
