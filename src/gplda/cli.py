@@ -160,6 +160,9 @@ def _cmd_fit(args) -> int:
             f"{status} after {trace.sweeps_run} sweeps, "
             f"objective {trace.log_posterior_per_sweep[-1]:.6f}"
         )
+        # A fit can stop on a small change per sweep far from stationarity.
+        block, value = max(trace.final_residuals.as_dict().items(), key=lambda kv: kv[1])
+        print(f"largest first-order residual {value:.3g} ({block})")
     print(f"wrote {config.out} ({model.method_tag}, k={model.k})")
     return 0
 

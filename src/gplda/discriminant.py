@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DimensionError, ValidationError
-from .linalg import SmoothingPenalty, generalized_eig_top
+from .linalg import SmoothingPenalty, blas_threads_for, generalized_eig_top
 from .model import (
     FitConfig,
     HyperParams,
@@ -173,14 +173,15 @@ def gplda_directions(
         raise DimensionError(
             f"{len(class_labels)} class labels for {state.mu.shape[0]} mean curves"
         )
-    return _assemble(
-        METHOD_GPLDA,
-        state.mu,
-        state.sigma_w,
-        tuple(class_labels),
-        k,
-        penalty_descriptor=penalty_descriptor,
-    )
+    with blas_threads_for(state.mu.shape[1]):
+        return _assemble(
+            METHOD_GPLDA,
+            state.mu,
+            state.sigma_w,
+            tuple(class_labels),
+            k,
+            penalty_descriptor=penalty_descriptor,
+        )
 
 
 def gplda_fit(
@@ -228,13 +229,14 @@ def pda_fit(
         raise DimensionError(
             f"penalty is built for grid length {penalty.p}, data has p={data.p}"
         )
-    mu = data.class_means()
-    within = pooled_within_scatter(data.y, data.labels, mu) + alpha * penalty.matrix
-    within = 0.5 * (within + within.T)
-    return _assemble(
-        METHOD_PDA, mu, within, data.label_names, k,
-        penalty_descriptor=penalty.descriptor,
-    )
+    with blas_threads_for(data.p):
+        mu = data.class_means()
+        within = pooled_within_scatter(data.y, data.labels, mu) + alpha * penalty.matrix
+        within = 0.5 * (within + within.T)
+        return _assemble(
+            METHOD_PDA, mu, within, data.label_names, k,
+            penalty_descriptor=penalty.descriptor,
+        )
 
 
 def mle_lda_fit(
@@ -255,15 +257,16 @@ def mle_lda_fit(
         raise ValidationError(
             f"need more curves than classes, got n={data.n}, c={data.c}"
         )
-    mu = data.class_means()
-    within = pooled_within_scatter(data.y, data.labels, mu)
-    if ridge is None:
-        ridge = 0.0 if data.n > data.p else 1e-6 * float(np.trace(within)) / data.p
-    if ridge < 0:
-        raise ValidationError(f"ridge must be non-negative, got {ridge}")
-    if ridge > 0:
-        within = within + ridge * np.eye(data.p)
-    return _assemble(METHOD_MLE_LDA, mu, within, data.label_names, k)
+    with blas_threads_for(data.p):
+        mu = data.class_means()
+        within = pooled_within_scatter(data.y, data.labels, mu)
+        if ridge is None:
+            ridge = 0.0 if data.n > data.p else 1e-6 * float(np.trace(within)) / data.p
+        if ridge < 0:
+            raise ValidationError(f"ridge must be non-negative, got {ridge}")
+        if ridge > 0:
+            within = within + ridge * np.eye(data.p)
+        return _assemble(METHOD_MLE_LDA, mu, within, data.label_names, k)
 
 
 def pca_lda_fit(
@@ -275,8 +278,9 @@ def pca_lda_fit(
     """Principal components followed by the pooled-covariance discriminant.
 
     Projects the curves onto the top ``q`` eigenvectors of the total
-    covariance, runs ``mle_lda_fit`` in the reduced space, and composes
-    the result back to curve space.
+    covariance (the leading right singular vectors of the centred curves,
+    from a thin SVD), runs ``mle_lda_fit`` in the reduced space, and
+    composes the result back to curve space.
 
     Parameters
     ----------
@@ -287,19 +291,18 @@ def pca_lda_fit(
         raise ValidationError(
             f"q={q} is outside the valid range 1..{min(data.n, data.p)}"
         )
-    centered = data.y - data.y.mean(axis=0)
-    total_cov = centered.T @ centered / data.n
-    eigenvalues, vectors = np.linalg.eigh(total_cov)
-    components = vectors[:, ::-1][:, :q]
-    reduced = LabeledFunctionalDataset(
-        y=data.y @ components, labels=data.labels, label_names=data.label_names
-    )
-    submodel = mle_lda_fit(reduced, k=k, ridge=ridge)
-    directions = submodel.directions @ components.T
-    within = components @ submodel.within_cov_used @ components.T
-    return replace(
-        submodel, method_tag=METHOD_PCA_LDA, directions=directions, within_cov_used=within
-    )
+    with blas_threads_for(data.p):
+        centered = data.y - data.y.mean(axis=0)
+        components = np.linalg.svd(centered, full_matrices=False)[2][:q].T
+        reduced = LabeledFunctionalDataset(
+            y=data.y @ components, labels=data.labels, label_names=data.label_names
+        )
+        submodel = mle_lda_fit(reduced, k=k, ridge=ridge)
+        directions = submodel.directions @ components.T
+        within = components @ submodel.within_cov_used @ components.T
+        return replace(
+            submodel, method_tag=METHOD_PCA_LDA, directions=directions, within_cov_used=within
+        )
 
 
 def predict(model: DiscriminantModel, x_new: np.ndarray):
@@ -315,19 +318,20 @@ def predict(model: DiscriminantModel, x_new: np.ndarray):
     label or ndarray of labels
         Original label values; ties resolve to the lowest class index.
     """
-    x_new = np.asarray(x_new, dtype=float)
-    single = x_new.ndim == 1
-    batch = x_new[None, :] if single else x_new
-    if batch.ndim != 2 or batch.shape[1] != model.p:
-        raise DimensionError(
-            f"input of shape {x_new.shape} does not match grid length {model.p}"
-        )
-    projected = batch @ model.directions.T
-    deltas = projected[:, None, :] - model.projected_centroids[None, :, :]
-    distances = np.sum(deltas * deltas, axis=2)
-    indices = np.argmin(distances, axis=1)
-    labels = np.asarray(model.class_labels)[indices]
-    return labels[0] if single else labels
+    with blas_threads_for(model.p):
+        x_new = np.asarray(x_new, dtype=float)
+        single = x_new.ndim == 1
+        batch = x_new[None, :] if single else x_new
+        if batch.ndim != 2 or batch.shape[1] != model.p:
+            raise DimensionError(
+                f"input of shape {x_new.shape} does not match grid length {model.p}"
+            )
+        projected = batch @ model.directions.T
+        deltas = projected[:, None, :] - model.projected_centroids[None, :, :]
+        distances = np.sum(deltas * deltas, axis=2)
+        indices = np.argmin(distances, axis=1)
+        labels = np.asarray(model.class_labels)[indices]
+        return labels[0] if single else labels
 
 
 def error_rate(predicted, truth) -> float:

@@ -27,7 +27,8 @@ from .exceptions import (
     ValidationError,
 )
 from .linalg import (
-    FIRST_DIFF, SmoothingPenalty, build_penalty, cholesky_factor, frobenius_norm, spd_solve
+    FIRST_DIFF, SmoothingPenalty, blas_threads_for, build_penalty, cholesky_factor,
+    frobenius_norm, spd_solve,
 )
 from .model import (
     FitConfig,
@@ -285,49 +286,50 @@ def fit(
         raise DimensionError(
             f"penalty is built for grid length {config.penalty.p}, data has p={data.p}"
         )
-    state = start if start is not None else initial_state(data, hyper, config)
-    x, mu = state.x, state.mu
-    sigma_w = state.sigma_w
-    alpha1, alpha2, sigma2 = state.alpha1, state.alpha2, state.sigma2
-    penalty = config.penalty
+    with blas_threads_for(data.p):
+        state = start if start is not None else initial_state(data, hyper, config)
+        x, mu = state.x, state.mu
+        sigma_w = state.sigma_w
+        alpha1, alpha2, sigma2 = state.alpha1, state.alpha2, state.sigma2
+        penalty = config.penalty
 
-    history = [log_posterior(state, data, hyper, penalty)]
-    converged = False
-    sweeps_run = 0
-    for sweep in range(1, config.max_sweeps + 1):
-        sweeps_run = sweep
-        prev = (alpha1, alpha2, sigma2, x, mu, sigma_w)
-        alpha1 = update_alpha1(mu, penalty, hyper)
-        alpha2 = update_alpha2(sigma_w, penalty, hyper)
-        sigma2 = update_sigma2(x, data, hyper)
-        x = update_x(data, mu, sigma_w, sigma2)
-        mu = update_mu(x, data, sigma_w, alpha1, penalty)
-        sigma_w = update_sigma_w(
-            x, mu, data, alpha2, penalty, hyper, config.jitter_scale
-        )
-        blocks = (alpha1, alpha2, sigma2, x, mu, sigma_w)
-        for value in blocks:
-            if not np.all(np.isfinite(value)):
-                raise NumericFailureError(
-                    f"estimate became non-finite during sweep {sweep}", sweep=sweep
-                )
-        state = PosteriorState(
-            x=x, mu=mu, sigma_w=sigma_w, alpha1=alpha1, alpha2=alpha2, sigma2=sigma2
-        )
-        history.append(log_posterior(state, data, hyper, penalty))
-        change = max(_relative_change(b, pb) for b, pb in zip(blocks, prev))
-        if change < config.rel_tol:
-            converged = True
-            break
+        history = [log_posterior(state, data, hyper, penalty)]
+        converged = False
+        sweeps_run = 0
+        for sweep in range(1, config.max_sweeps + 1):
+            sweeps_run = sweep
+            prev = (alpha1, alpha2, sigma2, x, mu, sigma_w)
+            alpha1 = update_alpha1(mu, penalty, hyper)
+            alpha2 = update_alpha2(sigma_w, penalty, hyper)
+            sigma2 = update_sigma2(x, data, hyper)
+            x = update_x(data, mu, sigma_w, sigma2)
+            mu = update_mu(x, data, sigma_w, alpha1, penalty)
+            sigma_w = update_sigma_w(
+                x, mu, data, alpha2, penalty, hyper, config.jitter_scale
+            )
+            blocks = (alpha1, alpha2, sigma2, x, mu, sigma_w)
+            for value in blocks:
+                if not np.all(np.isfinite(value)):
+                    raise NumericFailureError(
+                        f"estimate became non-finite during sweep {sweep}", sweep=sweep
+                    )
+            state = PosteriorState(
+                x=x, mu=mu, sigma_w=sigma_w, alpha1=alpha1, alpha2=alpha2, sigma2=sigma2
+            )
+            history.append(log_posterior(state, data, hyper, penalty))
+            change = max(_relative_change(b, pb) for b, pb in zip(blocks, prev))
+            if change < config.rel_tol:
+                converged = True
+                break
 
-    residuals = first_order_residuals(state, data, hyper, penalty)
-    trace = FitTrace(
-        sweeps_run=sweeps_run,
-        converged=converged,
-        log_posterior_per_sweep=tuple(history),
-        final_residuals=residuals,
-    )
-    return state, trace
+        residuals = first_order_residuals(state, data, hyper, penalty)
+        trace = FitTrace(
+            sweeps_run=sweeps_run,
+            converged=converged,
+            log_posterior_per_sweep=tuple(history),
+            final_residuals=residuals,
+        )
+        return state, trace
 
 
 def first_order_residuals(

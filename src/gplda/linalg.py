@@ -13,10 +13,19 @@ Cholesky decomposition and works on its r = numerical-rank factor rows:
 beyond the Cholesky factor of the denominator, a solve for k directions
 costs O(p^2 (r + k)) instead of the O(p^3) of a dense whitened
 eigendecomposition.
+
+``blas_threads_for`` is the package's one BLAS thread policy: the public
+fit and predict functions run their small solves on one BLAS thread when
+the grid is short, where a second thread costs more in hand-offs than it
+saves.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +42,12 @@ SECOND_DIFF = "d2"
 LAPLACIAN_2D = "lap2d"
 
 PENALTY_KINDS = (FIRST_DIFF, SECOND_DIFF, LAPLACIAN_2D)
+
+# Grids of fewer points than this run their BLAS calls on one thread.  On
+# a 2-vCPU host a GPLDA plus PDA fit and predict took 0.26 to 0.87 of its
+# 2-thread time at 1 thread for p = 101 to 1296, and 1.03 to 1.08 for
+# p = 1444 and 1600 (README, "BLAS threads").
+ONE_BLAS_THREAD_BELOW_P = 1400
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,3 +260,69 @@ def generalized_eig_top(
         if row[pivot] < 0:
             row *= -1.0
     return top_values, directions
+
+
+@functools.cache
+def _openblas_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS in the process.
+
+    Looked up once, in the shared objects mapped into the process, under
+    the ``scipy_openblas`` or the plain ``openblas`` prefix, with or
+    without the ``64_`` suffix of the 64-bit-integer builds.  Empty when
+    there is no ``/proc`` or no OpenBLAS is loaded (MKL, Accelerate, ...).
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
+            # The last field of a line is the mapped file, if any.
+            mapped = {line.split(maxsplit=5)[-1].strip() for line in fh}
+    except OSError:
+        return ()
+    paths = sorted(m for m in mapped if "openblas" in os.path.basename(m).lower())
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (
+            ("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", "")
+        ):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def blas_threads_for(p: int):
+    """Run the body on one BLAS thread when the grid length p is short.
+
+    Below ``ONE_BLAS_THREAD_BELOW_P`` every loaded OpenBLAS whose thread
+    count is above 1 is set to 1, and each count is put back on exit, also
+    when the body raises.  The manager only lowers counts, never raises
+    them, so it does nothing under ``OPENBLAS_NUM_THREADS=1``, and nested
+    managers leave the restoring to the outermost one that lowered.
+    Without ``/proc`` or without OpenBLAS it does nothing.
+
+    The count is process-global while the manager is active: BLAS calls
+    that other Python threads make meanwhile also run on one thread, and
+    when managers in two Python threads overlap, the first to exit
+    restores the count for both.  Either way only speed changes; as with
+    any change of BLAS thread count, results may differ in the last bits.
+    """
+    lowered = []
+    try:
+        if p < ONE_BLAS_THREAD_BELOW_P:
+            for get, set_ in _openblas_controls():
+                count = get()
+                if count > 1:
+                    set_(1)
+                    lowered.append((set_, count))
+        yield
+    finally:
+        for set_, count in reversed(lowered):
+            set_(count)

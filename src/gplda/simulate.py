@@ -34,7 +34,7 @@ from .discriminant import (
 )
 from .exceptions import NumericError, ValidationError
 from .io import RunConfig
-from .linalg import FIRST_DIFF, LAPLACIAN_2D, SECOND_DIFF, build_penalty
+from .linalg import FIRST_DIFF, LAPLACIAN_2D, SECOND_DIFF, blas_threads_for, build_penalty
 from .model import FitConfig, LabeledFunctionalDataset
 
 SIM1 = "sim1"
@@ -256,24 +256,25 @@ def select_pda_alpha(data: LabeledFunctionalDataset, penalty, seed: int = 0) -> 
         shuffled = rng.permutation(rows)
         assignment[shuffled] = np.arange(shuffled.size) % folds
     mean_errors = []
-    for alpha in DEFAULT_PDA_ALPHA_GRID:
-        fold_errors = []
-        for fold in range(folds):
-            holdout = assignment == fold
-            train = LabeledFunctionalDataset(
-                y=data.y[~holdout],
-                labels=data.labels[~holdout],
-                label_names=data.label_names,
-            )
-            try:
-                model = pda_fit(train, penalty, alpha)
-                predicted = predict(model, data.y[holdout])
-            except NumericError:
-                fold_errors.append(1.0)
-                continue
-            truth = np.asarray(data.label_names)[data.labels[holdout] - 1]
-            fold_errors.append(error_rate(predicted, truth))
-        mean_errors.append(float(np.mean(fold_errors)))
+    with blas_threads_for(data.p):
+        for alpha in DEFAULT_PDA_ALPHA_GRID:
+            fold_errors = []
+            for fold in range(folds):
+                holdout = assignment == fold
+                train = LabeledFunctionalDataset(
+                    y=data.y[~holdout],
+                    labels=data.labels[~holdout],
+                    label_names=data.label_names,
+                )
+                try:
+                    model = pda_fit(train, penalty, alpha)
+                    predicted = predict(model, data.y[holdout])
+                except NumericError:
+                    fold_errors.append(1.0)
+                    continue
+                truth = np.asarray(data.label_names)[data.labels[holdout] - 1]
+                fold_errors.append(error_rate(predicted, truth))
+            mean_errors.append(float(np.mean(fold_errors)))
     # argmin takes the first minimum: the smallest tied candidate.
     return float(DEFAULT_PDA_ALPHA_GRID[int(np.argmin(mean_errors))])
 
@@ -287,6 +288,8 @@ class BenchmarkCell:
     ``replications`` maps each entry of ``errors`` to its replication
     index.  ``failures`` counts replications that raised a numeric error;
     they are excluded from the mean and never retried.
+    ``failure_reasons`` holds one ``"TypeName: message"`` entry per failed
+    replication, in replication order.
     """
 
     method: str
@@ -297,6 +300,7 @@ class BenchmarkCell:
     seconds: float
     errors: tuple[float, ...]
     replications: tuple[int, ...]
+    failure_reasons: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -375,7 +379,7 @@ def run_benchmark(
     config = RunConfig() if config is None else config
 
     results: dict = {
-        (tag, int(n)): {"errors": [], "reps": [], "failures": 0, "seconds": 0.0}
+        (tag, int(n)): {"errors": [], "reps": [], "failure_reasons": [], "seconds": 0.0}
         for tag in tags
         for n in n_values
     }
@@ -392,8 +396,8 @@ def run_benchmark(
                     predicted = predict(model, test.y)
                     slot["errors"].append(error_rate(predicted, truth))
                     slot["reps"].append(r)
-                except NumericError:
-                    slot["failures"] += 1
+                except NumericError as exc:
+                    slot["failure_reasons"].append(f"{type(exc).__name__}: {exc}")
                 finally:
                     slot["seconds"] += time.perf_counter() - start
 
@@ -413,10 +417,11 @@ def run_benchmark(
                     n_train=int(n),
                     mean_pct=mean_pct,
                     std_pct=std_pct,
-                    failures=slot["failures"],
+                    failures=len(slot["failure_reasons"]),
                     seconds=slot["seconds"],
                     errors=tuple(slot["errors"]),
                     replications=tuple(slot["reps"]),
+                    failure_reasons=tuple(slot["failure_reasons"]),
                 )
             )
     return BenchmarkReport(

@@ -86,6 +86,8 @@ class TestFitAndPredict:
         assert set(trace["final_residuals"]) == {
             "alpha1", "alpha2", "noise_precision", "x_max", "mu_max", "sigma_w",
         }
+        block, value = max(trace["final_residuals"].items(), key=lambda kv: kv[1])
+        assert f"largest first-order residual {value:.3g} ({block})\n" in out
 
     def test_penalized_fit_with_fixed_weight(self, tmp_path, capsys):
         train = _write_training_csv(tmp_path)

@@ -1,5 +1,7 @@
 """Tests for discriminant fitting, baselines, and prediction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,14 @@ from gplda import (
     METHOD_MLE_LDA,
     METHOD_PCA_LDA,
     METHOD_PDA,
+    SimSpec,
     SingularMatrixError,
     ValidationError,
     between_covariance,
     build_penalty,
     error_rate,
     generalized_eig_top,
+    generate,
     gplda_directions,
     gplda_fit,
     mle_lda_fit,
@@ -260,6 +264,25 @@ class TestPcaLdaFit:
             model.directions[0]
         )
         assert cosine == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_matches_total_covariance_eigenvectors(self, q):
+        # Oracle: components from eigh of the p x p total covariance.
+        train, test = generate(SimSpec(which="sim2", n_train=20, n_test=200, seed=4))
+        centered = train.y - train.y.mean(axis=0)
+        components = np.linalg.eigh(centered.T @ centered / train.n)[1][:, ::-1][:, :q]
+        reduced = LabeledFunctionalDataset(
+            y=train.y @ components, labels=train.labels, label_names=train.label_names
+        )
+        submodel = mle_lda_fit(reduced)
+        oracle = replace(submodel, directions=submodel.directions @ components.T)
+        model = pca_lda_fit(train, q=q)
+        signs = np.sign(np.sum(model.directions * oracle.directions, axis=1, keepdims=True))
+        np.testing.assert_allclose(
+            model.directions * signs, oracle.directions,
+            rtol=0, atol=1e-10 * np.abs(oracle.directions).max(),
+        )
+        np.testing.assert_array_equal(predict(model, test.y), predict(oracle, test.y))
 
     def test_component_count_out_of_range_rejected(self):
         rng = np.random.default_rng(59)

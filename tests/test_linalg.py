@@ -20,7 +20,11 @@ from gplda import (
     generalized_eig_top,
     spd_solve,
 )
-from gplda.linalg import frobenius_norm
+from gplda import discriminant as discriminant_module
+from gplda import estimator as estimator_module
+from gplda import linalg as linalg_module
+from gplda import simulate as simulate_module
+from gplda.linalg import blas_threads_for, frobenius_norm
 
 from helpers import (
     dense_generalized_eig_top,
@@ -354,3 +358,174 @@ class TestMatrixNorms:
                 ):
                     offenders.append(f"{os.path.basename(path)}:{node.lineno}")
         assert offenders == []
+
+
+def _blas_threads():
+    return [get() for get, _ in linalg_module._openblas_controls()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS at 2 threads during the test, then as it was.
+
+    Raising the count first makes the checks below meaningful also in a
+    process started with OPENBLAS_NUM_THREADS=1.
+    """
+    controls = linalg_module._openblas_controls()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in str(blas.get("name", "")).lower():
+        pytest.skip("NumPy is not built on OpenBLAS")
+    assert controls, "NumPy runs on OpenBLAS, but no thread controls were found"
+    before = _blas_threads()
+    for _, set_ in controls:
+        set_(2)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, before):
+            set_(count)
+
+
+class _Curves:
+    """Array-like that records the BLAS thread counts when it is read."""
+
+    def __init__(self, values, seen):
+        self.values, self.seen = values, seen
+
+    def __array__(self, dtype=None, copy=None):
+        self.seen.append(_blas_threads())
+        return np.asarray(self.values, dtype=dtype)
+
+
+def _line_model(p):
+    return gplda.DiscriminantModel(
+        method_tag="MLE_LDA",
+        directions=np.ones((1, p)) / p,
+        projected_centroids=np.array([[0.0], [1.0]]),
+        class_labels=(1, 2),
+    )
+
+
+def _entry_point_calls(seen):
+    """Entry point -> (module of a callee to spy on, callee name, call).
+
+    The callee runs inside the entry point before any nested entry point;
+    predict calls none, so its input records the counts when it is read.
+    """
+    train, _ = gplda.generate(gplda.SimSpec(which="sim1", n_train=20, n_test=2, seed=0))
+    d2 = build_penalty(SECOND_DIFF, train.p)
+    state, _ = gplda.fit(train)
+    return {
+        "fit": (estimator_module, "log_posterior", lambda: gplda.fit(train)),
+        "gplda_directions": (
+            discriminant_module, "generalized_eig_top",
+            lambda: gplda.gplda_directions(state, train.label_names),
+        ),
+        "pda_fit": (
+            discriminant_module, "pooled_within_scatter", lambda: gplda.pda_fit(train, d2, 1.0)
+        ),
+        "mle_lda_fit": (
+            discriminant_module, "pooled_within_scatter", lambda: gplda.mle_lda_fit(train)
+        ),
+        "pca_lda_fit": (
+            discriminant_module, "mle_lda_fit", lambda: gplda.pca_lda_fit(train, q=2)
+        ),
+        "predict": (
+            None, None, lambda: gplda.predict(_line_model(train.p), _Curves(train.y, seen))
+        ),
+        "select_pda_alpha": (
+            simulate_module, "pda_fit", lambda: gplda.select_pda_alpha(train, d2)
+        ),
+    }
+
+
+class TestBlasThreadPolicy:
+    ENTRY_POINTS = (
+        "fit", "gplda_directions", "pda_fit", "mle_lda_fit", "pca_lda_fit", "predict",
+        "select_pda_alpha",
+    )
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_entry_point_runs_on_one_thread_at_short_grids(
+        self, entry, two_blas_threads, monkeypatch
+    ):
+        seen = []
+        module, callee, call = _entry_point_calls(seen)[entry]
+        if module is not None:
+            original = getattr(module, callee)
+
+            def spy(*args, **kwargs):
+                seen.append(_blas_threads())
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, callee, spy)
+        call()
+        assert seen and all(counts == [1] * len(counts) for counts in seen)
+        assert _blas_threads() == [2] * len(seen[0])
+
+    def test_long_grid_keeps_the_count(self, two_blas_threads):
+        seen = []
+        p = linalg_module.ONE_BLAS_THREAD_BELOW_P
+        gplda.predict(_line_model(p), _Curves(np.zeros((3, p)), seen))
+        assert seen == [_blas_threads()]
+        assert set(seen[0]) == {2}
+
+    def test_count_restored_after_return_and_exception(self, two_blas_threads):
+        before = _blas_threads()
+        with blas_threads_for(101):
+            assert set(_blas_threads()) == {1}
+        assert _blas_threads() == before
+        with pytest.raises(DimensionError):
+            gplda.predict(_line_model(101), np.zeros(5))
+        assert _blas_threads() == before
+        with pytest.raises(RuntimeError):
+            with blas_threads_for(101):
+                raise RuntimeError("inside")
+        assert _blas_threads() == before
+
+    def test_nested_managers_restore_once_and_never_raise(self, two_blas_threads):
+        before = _blas_threads()
+        with blas_threads_for(101):
+            with blas_threads_for(101):
+                assert set(_blas_threads()) == {1}
+            assert set(_blas_threads()) == {1}
+            with blas_threads_for(linalg_module.ONE_BLAS_THREAD_BELOW_P):
+                assert set(_blas_threads()) == {1}
+            assert set(_blas_threads()) == {1}
+        assert _blas_threads() == before
+
+    def test_without_openblas_the_manager_is_a_no_op(self, two_blas_threads, monkeypatch):
+        controls = linalg_module._openblas_controls()
+        monkeypatch.setattr(linalg_module, "_openblas_controls", lambda: ())
+        with blas_threads_for(101):
+            assert [get() for get, _ in controls] == [2] * len(controls)
+
+
+def test_thread_control_stays_in_linalg():
+    # ctypes and the OpenBLAS thread setters are linalg's alone, so that
+    # one module owns the process-global thread count.
+    offenders = []
+    package = os.path.dirname(gplda.__file__)
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        if os.path.basename(path) == "linalg.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]
+            else:
+                continue
+            if any(
+                name.split(".")[0] == "ctypes" or "set_num_threads" in name for name in names
+            ):
+                offenders.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert offenders == []

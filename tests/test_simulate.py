@@ -1,5 +1,7 @@
 """Tests for the synthetic problems, CV selection, and the benchmark loop."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from gplda import (
     METHOD_MLE_LDA,
     METHOD_PCA_LDA,
     METHOD_PDA,
+    NumericFailureError,
     RunConfig,
     SECOND_DIFF,
     SimSpec,
@@ -28,6 +31,7 @@ from gplda import (
     sim2_shared_component,
     triangular_bump,
 )
+from gplda import simulate as simulate_module
 
 from helpers import two_class_separable
 
@@ -230,6 +234,28 @@ class TestRunBenchmark:
         assert cell.failures == 2
         assert cell.errors == ()
         assert np.isnan(cell.mean_pct)
+        assert len(cell.failure_reasons) == 2
+        assert all(r.startswith("SingularMatrixError: ") for r in cell.failure_reasons)
+
+    def test_failure_reasons_reach_the_summary(self, monkeypatch):
+        fit_method = simulate_module.fit_method
+
+        def failing_second_replication(method, train, config, seed):
+            if seed == 1:
+                raise NumericFailureError("estimate became non-finite during sweep 3", sweep=3)
+            return fit_method(method, train, config, seed)
+
+        monkeypatch.setattr(simulate_module, "fit_method", failing_second_replication)
+        report = run_benchmark(
+            which="sim1", methods=["mle"], n_values=(20,), reps=3, base_seed=0, n_test=10
+        )
+        reason = "NumericFailureError: estimate became non-finite during sweep 3"
+        cell = report.cell("mle", 20)
+        assert (cell.failures, cell.replications) == (1, (0, 2))
+        assert cell.failure_reasons == (reason,)
+        summary = json.loads(json.dumps(report.to_summary()))
+        assert summary["cells"][0]["failure_reasons"] == [reason]
+        assert report.to_csv().splitlines()[0] == "method,N,mean_pct,std_pct,failures,seconds"
 
     def test_unknown_cell_rejected(self):
         report = run_benchmark(
