@@ -61,7 +61,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--which", choices=("sim1", "sim2"))
     sim.add_argument("--n-train", type=int, default=50)
     sim.add_argument("--n-test", type=int, default=200)
-    sim.add_argument("--seed", type=int)
+    sim.add_argument("--seed")
     sim.add_argument("--out", help="output path prefix for the two CSV files")
 
     fit_cmd = sub.add_parser("fit", help="fit a discriminant model from a CSV")
@@ -70,8 +70,8 @@ def _build_parser() -> _Parser:
     fit_cmd.add_argument("--method", choices=[name for name, _ in METHODS.values()])
     fit_cmd.add_argument("--penalty", help="d1, d2, or lap2d:ROWSxCOLS")
     fit_cmd.add_argument("--alpha", help="penalty weight for pda, or 'cv'")
-    fit_cmd.add_argument("--k", type=int, help="number of discriminant directions")
-    fit_cmd.add_argument("--seed", type=int)
+    fit_cmd.add_argument("--k", help="number of discriminant directions, or 'auto'")
+    fit_cmd.add_argument("--seed")
     fit_cmd.add_argument("--out", help="model file path")
 
     pred = sub.add_parser("predict", help="apply a saved model to curves in a CSV")
@@ -81,42 +81,41 @@ def _build_parser() -> _Parser:
     pred.add_argument("--out", help="output CSV of predicted labels")
 
     bench = sub.add_parser("bench", help="run the simulation benchmark")
-    bench.add_argument("--reps", type=int)
-    bench.add_argument("--seed", type=int)
+    bench.add_argument("--reps")
+    bench.add_argument("--seed")
     bench.add_argument("--out", help="report CSV path")
     return parser
 
 
+# (flag, config key): a flag's text is read as that key's text in a config file.
+_FLAG_KEYS = (
+    ("method", "method"),
+    ("k", "k"),
+    ("seed", "seed"),
+    ("data", "data"),
+    ("out", "out"),
+    ("alpha", "pda.alpha"),
+    ("reps", "bench.reps"),
+    ("which", "bench.which"),
+)
+
+
 def _effective_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    if getattr(args, "method", None):
-        overrides["method"] = args.method
-    if getattr(args, "k", None) is not None:
-        overrides["k"] = args.k
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "data", None):
-        overrides["data"] = args.data
-    if getattr(args, "out", None):
-        overrides["out"] = args.out
-    if getattr(args, "alpha", None):
-        overrides["pda_alpha"] = parse_field("pda.alpha", args.alpha)
-    if getattr(args, "reps", None) is not None:
-        overrides["bench_reps"] = args.reps
+    texts = ((key, getattr(args, flag, None)) for flag, key in _FLAG_KEYS)
+    overrides = dict(parse_field(key, text) for key, text in texts if text is not None)
     if getattr(args, "penalty", None):
         kind, _, grid = args.penalty.partition(":")
         overrides["penalty_kind"] = kind
-        overrides["penalty_grid"] = parse_field("penalty.grid", grid)
-    return replace(config, **overrides) if overrides else config
+        overrides["penalty_grid"] = parse_field("penalty.grid", grid)[1]
+    return replace(config, **overrides)
 
 
 def _cmd_simulate(args) -> int:
     config = _effective_config(args)
-    which = args.which or config.bench_which
-    prefix = config.out or f"{which}_seed{config.seed}"
+    prefix = config.out or f"{config.bench_which}_seed{config.seed}"
     spec = SimSpec(
-        which=which,
+        which=config.bench_which,
         n_train=args.n_train,
         n_test=args.n_test,
         seed=config.seed,

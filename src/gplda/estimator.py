@@ -192,7 +192,7 @@ def update_sigma_w(
     alpha2: float,
     penalty: SmoothingPenalty,
     hyper: HyperParams,
-    jitter_scale: float = 1e-8,
+    jitter_scale: float = FitConfig.jitter_scale,
 ) -> np.ndarray:
     """Maximizing within-class covariance given everything else.
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .discriminant import DiscriminantModel
 from .exceptions import ParseError, ValidationError
-from .model import HyperParams, LabeledFunctionalDataset, validate_dataset
+from .model import FitConfig, HyperParams, LabeledFunctionalDataset, validate_dataset
 
 MODEL_FORMAT = "gplda-model-v1"
 
@@ -124,7 +124,8 @@ def save_model(path: str, model: DiscriminantModel) -> None:
         "penalty": model.penalty,
         "notes": list(model.warnings),
     }
-    atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
+    # NumPy scalars, such as np.int64 labels, are written as Python values.
+    atomic_write_text(path, json.dumps(payload, indent=1, default=np.generic.item) + "\n")
 
 
 def _is_label(value) -> bool:
@@ -200,9 +201,9 @@ class RunConfig:
     pca_q: int = 1
     mle_ridge: float | str = "auto"
     hyper: HyperParams = field(default_factory=HyperParams)
-    max_sweeps: int = 500
-    rel_tol: float = 1e-6
-    jitter_scale: float = 1e-8
+    max_sweeps: int = FitConfig.max_sweeps
+    rel_tol: float = FitConfig.rel_tol
+    jitter_scale: float = FitConfig.jitter_scale
     bench_which: str = "sim1"
     bench_methods: tuple[str, ...] = ("gplda", "pda")
     bench_n_values: tuple[int, ...] = (50, 200)
@@ -279,12 +280,12 @@ _FIELDS_BY_KEY = {key: (attribute, codec) for key, attribute, codec in _CONFIG_F
 
 
 def parse_field(key: str, raw: str):
-    """Parse the text of one config value; errors name the key."""
+    """Parse one config value as ``(RunConfig attribute, value)``; errors name the key."""
     if key not in _FIELDS_BY_KEY:
         raise ParseError(f"unknown config key {key!r}")
-    parse, _, what = _FIELDS_BY_KEY[key][1]
+    attribute, (parse, _, what) = _FIELDS_BY_KEY[key]
     try:
-        return parse(raw.strip())
+        return attribute, parse(raw.strip())
     except ValueError:
         raise ParseError(f"config key {key}: cannot parse {raw.strip()!r} as {what}") from None
 
@@ -314,9 +315,8 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in stripped:
             raise ParseError(f"config line {line_no}: expected 'key = value'", row=line_no)
         key, _, raw = stripped.partition("=")
-        key = key.strip()
-        value = parse_field(key, raw)
-        values[_FIELDS_BY_KEY[key][0]] = value
+        attribute, value = parse_field(key.strip(), raw)
+        values[attribute] = value
     hyper = {a[6:]: values.pop(a) for a in list(values) if a.startswith("hyper.")}
     if hyper:
         values["hyper"] = HyperParams(**hyper)

@@ -232,12 +232,8 @@ def generalized_eig_top(
         raise DegenerateBetweenCovarianceError(
             "between-class covariance is numerically zero; class means coincide"
         )
-    try:
-        chol = scipy.linalg.cholesky(within, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            f"within matrix is not positive definite: {exc}"
-        ) from exc
+    # The triangular solves read only the lower triangle of the factor.
+    chol = cholesky_factor(within)[0]
     # between = R^T R with R = U[:r] P^T, from P^T between P = U^T U.
     factor, piv, rank, _ = scipy.linalg.lapack.dpstrf(between, lower=0)
     root_t = np.empty((p, rank))

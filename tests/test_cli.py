@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import ast
+import inspect
 import json
 import subprocess
 import sys
@@ -7,8 +9,10 @@ import sys
 import numpy as np
 import pytest
 
+import gplda.cli
 from gplda import DEFAULT_PDA_ALPHA_GRID, METHODS, parse_config, save_dataset_csv
-from gplda.cli import cli_dispatch
+from gplda.cli import _FLAG_KEYS, cli_dispatch
+from gplda.io import _FIELDS_BY_KEY
 
 from helpers import two_class_separable
 
@@ -36,6 +40,83 @@ class TestPrintConfig:
         config = parse_config(capsys.readouterr().out)
         assert config.seed == 11
         assert config.method == "pda"
+
+
+# (subcommand, flag, text, config key): the flag and the config key must
+# read the same text the same way.
+_PARITY_CASES = (
+    ("fit", "method", "pda", "method"),
+    ("fit", "k", "auto", "k"),
+    ("fit", "k", "3", "k"),
+    ("fit", "seed", "7", "seed"),
+    ("fit", "data", "train.csv", "data"),
+    ("bench", "out", "report.csv", "out"),
+    ("fit", "alpha", "cv", "pda.alpha"),
+    ("fit", "alpha", "10", "pda.alpha"),
+    ("bench", "reps", "3", "bench.reps"),
+    ("simulate", "which", "sim2", "bench.which"),
+)
+
+
+def _config_line(lines, key):
+    return next(line for line in lines.splitlines() if line.startswith(key + " = "))
+
+
+class TestFlagConfigParity:
+    def test_cases_cover_the_flag_table(self):
+        assert {(flag, key) for _, flag, _, key in _PARITY_CASES} == set(_FLAG_KEYS)
+
+    @pytest.mark.parametrize("command, flag, text, key", _PARITY_CASES)
+    def test_flag_prints_what_the_config_key_prints(
+        self, tmp_path, capsys, command, flag, text, key
+    ):
+        path = str(tmp_path / "run.cfg")
+        with open(path, "w") as fh:
+            fh.write(f"{key} = {text}\n")
+        assert cli_dispatch(["--config", path, "--print-config"]) == 0
+        expected = _config_line(capsys.readouterr().out, key)
+        assert cli_dispatch(["--print-config", command, f"--{flag}", text]) == 0
+        assert _config_line(capsys.readouterr().out, key) == expected
+
+    @pytest.mark.parametrize(
+        "command, flag, text, key",
+        [("fit", "seed", "x", "seed"), ("fit", "k", "two", "k"),
+         ("bench", "reps", "2.5", "bench.reps")],
+    )
+    def test_flag_rejects_what_the_config_key_rejects(
+        self, tmp_path, capsys, command, flag, text, key
+    ):
+        path = str(tmp_path / "run.cfg")
+        with open(path, "w") as fh:
+            fh.write(f"{key} = {text}\n")
+        assert cli_dispatch(["--config", path, "--print-config"]) == 1
+        expected = capsys.readouterr().err
+        assert cli_dispatch(["--print-config", command, f"--{flag}", text]) == 1
+        assert capsys.readouterr().err == expected
+
+    def test_unparsable_seed_names_the_key(self, capsys):
+        assert cli_dispatch(["--print-config", "fit", "--seed", "x"]) == 1
+        assert capsys.readouterr().err == (
+            "error: config key seed: cannot parse 'x' as an integer\n"
+        )
+
+    def test_flag_keys_are_config_keys(self):
+        assert {key for _, key in _FLAG_KEYS} <= set(_FIELDS_BY_KEY)
+
+    def test_table_flags_leave_parsing_to_the_config_table(self):
+        # argparse must hand a table flag's text to parse_field unconverted.
+        tree = ast.parse(inspect.getsource(gplda.cli))
+        flags = {f"--{flag}" for flag, _ in _FLAG_KEYS}
+        offenders = [
+            f"cli.py:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"
+            and any(isinstance(a, ast.Constant) and a.value in flags for a in node.args)
+            and any(kw.arg == "type" for kw in node.keywords)
+        ]
+        assert offenders == []
 
 
 class TestSimulate:

@@ -24,6 +24,7 @@ from gplda import (
     read_labeled_csv,
     save_dataset_csv,
     save_model,
+    validate_dataset,
 )
 from gplda.io import atomic_write_text
 
@@ -119,6 +120,18 @@ class TestModelFiles:
         )
         probe = np.linspace(-1.0, 1.0, 6)
         assert predict(loaded, probe) == predict(model, probe)
+
+    def test_numpy_labels_round_trip(self, tmp_path):
+        base = two_class_separable(10, 6, gap=2.0, seed=5)
+        data = validate_dataset(base.y, np.repeat(np.array([1, 2], dtype=np.int64), 10))
+        assert isinstance(data.label_names[0], np.int64)
+        model = mle_lda_fit(data, ridge=0.0)
+        path = str(tmp_path / "model.json")
+        save_model(path, model)
+        loaded = load_model(path)
+        assert loaded.class_labels == (1, 2)
+        probe = base.y[[0, 15]]
+        np.testing.assert_array_equal(predict(loaded, probe), predict(model, probe))
 
     def test_within_covariance_not_persisted(self, tmp_path):
         data = two_class_separable(10, 6, gap=2.0, seed=5)

@@ -529,3 +529,29 @@ def test_thread_control_stays_in_linalg():
             ):
                 offenders.append(f"{os.path.basename(path)}:{node.lineno}")
     assert offenders == []
+
+
+def test_spd_factorization_stays_in_cholesky_factor():
+    # cholesky_factor is the one Cholesky call, so every SPD factorization
+    # fails with the same SingularMatrixError text.
+    offenders = []
+    allowed = set()
+    package = os.path.dirname(gplda.__file__)
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        name = os.path.basename(path)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        owner = [
+            node for node in tree.body
+            if name == "linalg.py"
+            and isinstance(node, ast.FunctionDef) and node.name == "cholesky_factor"
+        ]
+        allowed.update(id(node) for root in owner for node in ast.walk(root))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if called in ("cholesky", "cho_factor", "dpotrf"):
+                offenders.append(f"{name}:{node.lineno}")
+    assert allowed and offenders == []
