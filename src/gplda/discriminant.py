@@ -173,11 +173,11 @@ def gplda_directions(
         raise DimensionError(
             f"{len(class_labels)} class labels for {state.mu.shape[0]} mean curves"
         )
-    with blas_threads_for(state.mu.shape[1]):
+    with blas_threads_for():
         return _assemble(
             METHOD_GPLDA,
             state.mu,
-            state.sigma_w,
+            np.asarray(state.sigma_w),
             tuple(class_labels),
             k,
             penalty_descriptor=penalty_descriptor,
@@ -229,7 +229,7 @@ def pda_fit(
         raise DimensionError(
             f"penalty is built for grid length {penalty.p}, data has p={data.p}"
         )
-    with blas_threads_for(data.p):
+    with blas_threads_for():
         mu = data.class_means()
         within = pooled_within_scatter(data.y, data.labels, mu) + alpha * penalty.matrix
         within = 0.5 * (within + within.T)
@@ -257,7 +257,7 @@ def mle_lda_fit(
         raise ValidationError(
             f"need more curves than classes, got n={data.n}, c={data.c}"
         )
-    with blas_threads_for(data.p):
+    with blas_threads_for():
         mu = data.class_means()
         within = pooled_within_scatter(data.y, data.labels, mu)
         if ridge is None:
@@ -291,7 +291,7 @@ def pca_lda_fit(
         raise ValidationError(
             f"q={q} is outside the valid range 1..{min(data.n, data.p)}"
         )
-    with blas_threads_for(data.p):
+    with blas_threads_for():
         centered = data.y - data.y.mean(axis=0)
         components = np.linalg.svd(centered, full_matrices=False)[2][:q].T
         reduced = LabeledFunctionalDataset(
@@ -318,7 +318,7 @@ def predict(model: DiscriminantModel, x_new: np.ndarray):
     label or ndarray of labels
         Original label values; ties resolve to the lowest class index.
     """
-    with blas_threads_for(model.p):
+    with blas_threads_for():
         x_new = np.asarray(x_new, dtype=float)
         single = x_new.ndim == 1
         batch = x_new[None, :] if single else x_new

@@ -10,33 +10,40 @@ other blocks.
 Convergence is declared when the largest per-block relative change in a
 sweep falls below ``rel_tol``, where the relative change of a block is
 the norm of its change divided by one plus its norm.
+
+Inside ``fit`` each covariance value is a ``WithinCovariance`` operator:
+its low-rank form when there are fewer curves than grid points and the
+jitter keeps its diagonal positive, its Cholesky form otherwise.  A sweep
+then costs O(n p log p + p n^2) when n < p instead of O(p^3).  The update
+functions also accept a dense covariance matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     DimensionError,
     HyperParameterError,
     NumericFailureError,
-    SingularMatrixError,
     ValidationError,
 )
 from .linalg import (
-    FIRST_DIFF, SmoothingPenalty, blas_threads_for, build_penalty, cholesky_factor,
-    frobenius_norm, spd_solve,
+    FIRST_DIFF, SmoothingPenalty, blas_threads_for, build_penalty, frobenius_norm,
 )
 from .model import (
+    CholeskyForm,
     FitConfig,
     HyperParams,
     LabeledFunctionalDataset,
     PosteriorState,
+    WithinCovariance,
+    WoodburyForm,
     log_posterior,
     pooled_within_scatter,
+    within_covariance,
 )
 
 
@@ -97,7 +104,7 @@ def update_alpha1(
 
 
 def update_alpha2(
-    sigma_w: np.ndarray, penalty: SmoothingPenalty, hyper: HyperParams
+    sigma_w: np.ndarray | WithinCovariance, penalty: SmoothingPenalty, hyper: HyperParams
 ) -> float:
     """Maximizing value of the covariance scale scalar.
 
@@ -110,10 +117,7 @@ def update_alpha2(
         raise HyperParameterError(
             f"2*a2 + p - 2 = {numerator} must be positive (a2={hyper.a2}, p={p})"
         )
-    factor = cholesky_factor(sigma_w)
-    trace_term = float(
-        np.trace(scipy.linalg.cho_solve(factor, penalty.matrix, check_finite=False))
-    )
+    trace_term = within_covariance(sigma_w, penalty).penalty_trace
     return numerator / (2.0 * hyper.b2 + trace_term)
 
 
@@ -140,7 +144,7 @@ def update_sigma2(
 def update_x(
     data: LabeledFunctionalDataset,
     mu: np.ndarray,
-    sigma_w: np.ndarray,
+    sigma_w: np.ndarray | WithinCovariance,
     sigma2: float,
 ) -> np.ndarray:
     """Maximizing latent curves given everything else.
@@ -148,16 +152,13 @@ def update_x(
     Each curve is the matrix-weighted blend of its observation and its
     class mean that solves (sigma_w + sigma2 I) x = sigma_w y + sigma2 mu.
     """
-    p = data.p
-    blend = sigma_w + sigma2 * np.eye(p)
-    rhs = sigma_w @ data.y.T + sigma2 * mu[data.labels - 1].T
-    return spd_solve(blend, rhs).T
+    return within_covariance(sigma_w).blend(data.y, mu[data.labels - 1], sigma2)
 
 
 def update_mu(
     x: np.ndarray,
     data: LabeledFunctionalDataset,
-    sigma_w: np.ndarray,
+    sigma_w: np.ndarray | WithinCovariance,
     alpha1: float,
     penalty: SmoothingPenalty,
 ) -> np.ndarray:
@@ -167,22 +168,8 @@ def update_mu(
     (I + (alpha1 / n_i) sigma_w omega) mu_i = xbar_i, a smoothing of the
     within-class average of the latent curves.
     """
-    c, p = data.c, data.p
-    counts = data.class_counts
-    eye = np.eye(p)
-    smoothing = sigma_w @ penalty.matrix
-    mu = np.zeros((c, p))
-    for i in range(1, c + 1):
-        rows = data.class_rows(i)
-        xbar = x[rows].mean(axis=0)
-        system = eye + (alpha1 / counts[i - 1]) * smoothing
-        try:
-            mu[i - 1] = scipy.linalg.solve(system, xbar, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularMatrixError(
-                f"mean smoothing system for class {i} is singular: {exc}"
-            ) from exc
-    return mu
+    xbar = np.array([x[data.class_rows(i)].mean(axis=0) for i in range(1, data.c + 1)])
+    return within_covariance(sigma_w, penalty).smooth_means(xbar, alpha1 / data.class_counts)
 
 
 def update_sigma_w(
@@ -202,14 +189,42 @@ def update_sigma_w(
     jitter proportional to its mean eigenvalue is added to the diagonal.
     """
     n, p = data.n, data.p
-    nu = hyper.nu(p)
-    rho = n / (n + nu + p + 1.0)
+    rho = _scatter_weight(data, hyper)
     scatter = pooled_within_scatter(x, data.labels, mu)
     sigma_w = rho * scatter + (rho / n) * alpha2 * penalty.matrix
     sigma_w = 0.5 * (sigma_w + sigma_w.T)
     if jitter_scale > 0:
-        sigma_w = sigma_w + jitter_scale * (np.trace(sigma_w) / p) * np.eye(p)
+        sigma_w[np.diag_indices(p)] += jitter_scale * (np.trace(sigma_w) / p)
     return sigma_w
+
+
+def _scatter_weight(data: LabeledFunctionalDataset, hyper: HyperParams) -> float:
+    # rho of the covariance update, n / (n + nu + p + 1).
+    return data.n / (data.n + hyper.nu(data.p) + data.p + 1.0)
+
+
+def _within_update(
+    x: np.ndarray,
+    mu: np.ndarray,
+    data: LabeledFunctionalDataset,
+    alpha2: float,
+    penalty: SmoothingPenalty,
+    hyper: HyperParams,
+    jitter_scale: float,
+) -> WithinCovariance:
+    """``update_sigma_w``'s value as an operator.
+
+    The low-rank form R^T R + beta Omega + eps I, with
+    R = sqrt(rho / n) (x - mu), when it applies; otherwise the Cholesky
+    form of the dense update.
+    """
+    rho = _scatter_weight(data, hyper)
+    root = np.sqrt(rho / data.n) * (x - mu[data.labels - 1])
+    within = WoodburyForm.build(root, (rho / data.n) * alpha2, jitter_scale, penalty)
+    if within is None:
+        dense = update_sigma_w(x, mu, data, alpha2, penalty, hyper, jitter_scale)
+        within = CholeskyForm(dense, penalty)
+    return within
 
 
 def initial_state(
@@ -221,7 +236,7 @@ def initial_state(
     class averages, the precision scalars at their prior means, the noise
     variance at the average observed within-class variance per grid point,
     and the covariance at its own update formula evaluated at these
-    starting values.
+    starting values, as a ``WithinCovariance`` operator.
     """
     mu0 = data.class_means()
     x0 = data.y.copy()
@@ -229,7 +244,7 @@ def initial_state(
     alpha2 = hyper.a2 / hyper.b2
     scatter = pooled_within_scatter(data.y, data.labels, mu0)
     sigma2 = float(np.trace(scatter)) / data.p
-    sigma_w = update_sigma_w(
+    sigma_w = _within_update(
         x0, mu0, data, alpha2, config.penalty, hyper, config.jitter_scale
     )
     return PosteriorState(
@@ -238,6 +253,8 @@ def initial_state(
 
 
 def _relative_change(new, old) -> float:
+    if isinstance(new, WithinCovariance):
+        return new.relative_change(old)
     if np.isscalar(new):
         return abs(new - old) / (1.0 + abs(old))
     return frobenius_norm(new - old) / (1.0 + frobenius_norm(old))
@@ -266,7 +283,8 @@ def fit(
     Returns
     -------
     (PosteriorState, FitTrace)
-        The final state and the per-sweep diagnostics.
+        The final state, with the covariance as a dense matrix, and the
+        per-sweep diagnostics.
 
     Raises
     ------
@@ -286,35 +304,36 @@ def fit(
         raise DimensionError(
             f"penalty is built for grid length {config.penalty.p}, data has p={data.p}"
         )
-    with blas_threads_for(data.p):
-        state = start if start is not None else initial_state(data, hyper, config)
-        x, mu = state.x, state.mu
-        sigma_w = state.sigma_w
-        alpha1, alpha2, sigma2 = state.alpha1, state.alpha2, state.sigma2
+    with blas_threads_for():
         penalty = config.penalty
+        state = start if start is not None else initial_state(data, hyper, config)
+        within = within_covariance(state.sigma_w, penalty)
+        state = replace(state, sigma_w=within)
+        x, mu = state.x, state.mu
+        alpha1, alpha2, sigma2 = state.alpha1, state.alpha2, state.sigma2
 
         history = [log_posterior(state, data, hyper, penalty)]
         converged = False
         sweeps_run = 0
         for sweep in range(1, config.max_sweeps + 1):
             sweeps_run = sweep
-            prev = (alpha1, alpha2, sigma2, x, mu, sigma_w)
+            prev = (alpha1, alpha2, sigma2, x, mu, within)
             alpha1 = update_alpha1(mu, penalty, hyper)
-            alpha2 = update_alpha2(sigma_w, penalty, hyper)
+            alpha2 = update_alpha2(within, penalty, hyper)
             sigma2 = update_sigma2(x, data, hyper)
-            x = update_x(data, mu, sigma_w, sigma2)
-            mu = update_mu(x, data, sigma_w, alpha1, penalty)
-            sigma_w = update_sigma_w(
+            x = update_x(data, mu, within, sigma2)
+            mu = update_mu(x, data, within, alpha1, penalty)
+            within = _within_update(
                 x, mu, data, alpha2, penalty, hyper, config.jitter_scale
             )
-            blocks = (alpha1, alpha2, sigma2, x, mu, sigma_w)
-            for value in blocks:
-                if not np.all(np.isfinite(value)):
-                    raise NumericFailureError(
-                        f"estimate became non-finite during sweep {sweep}", sweep=sweep
-                    )
+            blocks = (alpha1, alpha2, sigma2, x, mu, within)
+            if not (np.all(np.isfinite((alpha1, alpha2, sigma2))) and np.all(np.isfinite(x))
+                    and np.all(np.isfinite(mu)) and within.is_finite()):
+                raise NumericFailureError(
+                    f"estimate became non-finite during sweep {sweep}", sweep=sweep
+                )
             state = PosteriorState(
-                x=x, mu=mu, sigma_w=sigma_w, alpha1=alpha1, alpha2=alpha2, sigma2=sigma2
+                x=x, mu=mu, sigma_w=within, alpha1=alpha1, alpha2=alpha2, sigma2=sigma2
             )
             history.append(log_posterior(state, data, hyper, penalty))
             change = max(_relative_change(b, pb) for b, pb in zip(blocks, prev))
@@ -323,6 +342,13 @@ def fit(
                 break
 
         residuals = first_order_residuals(state, data, hyper, penalty)
+        # The returned covariance is dense: the update of the last sweep's
+        # blocks, or the starting value when no sweep ran.
+        if sweeps_run:
+            sigma_w = update_sigma_w(x, mu, data, alpha2, penalty, hyper, config.jitter_scale)
+        else:
+            sigma_w = within.dense()
+        state = replace(state, sigma_w=sigma_w)
         trace = FitTrace(
             sweeps_run=sweeps_run,
             converged=converged,
@@ -347,16 +373,13 @@ def first_order_residuals(
     """
     n, p, c = data.n, data.p, data.c
     omega = penalty.matrix
-    sw_inv = scipy.linalg.cho_solve(
-        cholesky_factor(state.sigma_w), np.eye(p), check_finite=False
-    )
+    within = within_covariance(state.sigma_w, penalty)
 
     mean_quad = float(np.sum(state.mu * (state.mu @ omega)))
     g_alpha1 = -mean_quad + (2.0 * hyper.a1 + c - 2.0) / state.alpha1 - 2.0 * hyper.b1
 
-    # tr(sw_inv @ omega), both symmetric.
     g_alpha2 = (
-        -float(np.sum(sw_inv * omega))
+        -within.penalty_trace
         + (2.0 * hyper.a2 + p - 2.0) / state.alpha2
         - 2.0 * hyper.b2
     )
@@ -369,20 +392,18 @@ def first_order_residuals(
     )
 
     centered = state.x - state.mu[data.labels - 1]
-    solved = centered @ sw_inv
+    solved = within.solve(centered)
     grad_x = 2.0 * resid_y / state.sigma2 - 2.0 * solved
     x_max = float(np.max(np.linalg.norm(grad_x, axis=1))) if n else 0.0
 
-    # Class i: 2 sw_inv sum_{j in i} (x_j - mu_i) - 2 alpha1 omega mu_i.
+    # Class i: 2 inv(sigma_w) sum_{j in i} (x_j - mu_i) - 2 alpha1 omega mu_i.
     solved_sums = np.zeros((c, p))
     np.add.at(solved_sums, data.labels - 1, solved)
     grad_mu = 2.0 * solved_sums - 2.0 * state.alpha1 * (state.mu @ omega)
     mu_max = float(np.max(np.linalg.norm(grad_mu, axis=1)))
 
-    scatter = centered.T @ centered
-    nu = hyper.nu(p)
-    sandwich = sw_inv @ (scatter + state.alpha2 * omega) @ sw_inv
-    grad_sw = sandwich - (n + nu + p + 1.0) * sw_inv
+    # inv(sigma_w) (scatter + alpha2 omega) inv(sigma_w) - (n + nu + p + 1) inv(sigma_w).
+    grad_sw = within.gradient_norm(centered, state.alpha2, n + hyper.nu(p) + p + 1.0)
 
     return FirstOrderResiduals(
         alpha1=abs(g_alpha1),
@@ -390,5 +411,5 @@ def first_order_residuals(
         noise_precision=abs(g_noise_prec),
         x_max=x_max,
         mu_max=mu_max,
-        sigma_w=frobenius_norm(grad_sw),
+        sigma_w=grad_sw,
     )

@@ -3,7 +3,12 @@
 The penalties are Gram matrices of discrete difference operators on a
 regular grid.  They are symmetric positive semidefinite and annihilate
 constant vectors, which is what makes them usable both as smoothing
-penalties and as scale matrices for covariance priors.
+penalties and as scale matrices for covariance priors.  Each penalty has
+an orthonormal eigenbasis (``SmoothingPenalty.basis``).  The orthonormal
+DCT-II diagonalises the first-difference penalty exactly, and its
+two-dimensional form the grid Laplacian's (Strang 1999, SIAM Rev.
+41:135), so those bases rotate by fast transforms and hold no p x p
+matrix; any other penalty takes its basis from ``eigh``.
 
 The kernel routines solve symmetric positive definite systems and the
 two-matrix symmetric eigenproblem that every discriminant method in this
@@ -15,9 +20,8 @@ costs O(p^2 (r + k)) instead of the O(p^3) of a dense whitened
 eigendecomposition.
 
 ``blas_threads_for`` is the package's one BLAS thread policy: the public
-fit and predict functions run their small solves on one BLAS thread when
-the grid is short, where a second thread costs more in hand-offs than it
-saves.
+fit and predict functions run on one BLAS thread, because at the sizes
+they work with a second thread costs more in hand-offs than it saves.
 """
 
 from __future__ import annotations
@@ -43,11 +47,70 @@ LAPLACIAN_2D = "lap2d"
 
 PENALTY_KINDS = (FIRST_DIFF, SECOND_DIFF, LAPLACIAN_2D)
 
-# Grids of fewer points than this run their BLAS calls on one thread.  On
-# a 2-vCPU host a GPLDA plus PDA fit and predict took 0.26 to 0.87 of its
-# 2-thread time at 1 thread for p = 101 to 1296, and 1.03 to 1.08 for
-# p = 1444 and 1600 (README, "BLAS threads").
-ONE_BLAS_THREAD_BELOW_P = 1400
+# Grids of fewer points keep their DCT-II basis as a dense p x p matrix.
+# There a product with it is faster than a fast transform (on one core,
+# 50 rows: 0.016 against 0.144 ms at p = 101, 0.040 against 0.063 ms at
+# 12 x 12), and it needs no scipy.fft; from p = 160 the transform wins.
+DENSE_DCT_BELOW_P = 150
+
+
+@dataclass(frozen=True, eq=False)
+class PenaltyBasis:
+    """Orthonormal eigenbasis Q of a penalty: ``matrix = Q diag(eigenvalues) Q^T``.
+
+    ``rotate`` and ``unrotate`` act on rows, so for an (m, p) array they
+    return ``rows @ Q`` and ``rows @ Q.T``.  With ``vectors`` None, Q is
+    the orthonormal DCT-II on ``grid`` (one length, or rows x cols in
+    row-major order), applied in O(m p log p) with no p x p matrix;
+    otherwise Q is ``vectors``.
+    """
+
+    eigenvalues: np.ndarray
+    vectors: np.ndarray | None = None
+    grid: tuple[int, ...] = ()
+
+    @classmethod
+    def dct(cls, grid: tuple[int, ...]) -> "PenaltyBasis":
+        """Basis of the first-difference penalty (one length) or the grid
+        Laplacian (rows, cols): DCT-II vectors with the path-Laplacian
+        eigenvalues 2 - 2 cos(pi k / m), squared sums of them in 2-D."""
+        path = [2.0 - 2.0 * np.cos(np.pi * np.arange(m) / m) for m in grid]
+        eigenvalues = path[0] if len(grid) == 1 else np.add.outer(*path).ravel() ** 2
+        if eigenvalues.size >= DENSE_DCT_BELOW_P:
+            return cls(eigenvalues=eigenvalues, grid=grid)
+        return cls(eigenvalues=eigenvalues, vectors=functools.reduce(np.kron, map(_dct_ii, grid)))
+
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray) -> "PenaltyBasis":
+        eigenvalues, vectors = np.linalg.eigh(matrix)
+        return cls(eigenvalues=eigenvalues, vectors=vectors)
+
+    def rotate(self, rows: np.ndarray) -> np.ndarray:
+        if self.vectors is not None:
+            return rows @ self.vectors
+        return self._transform("dctn", rows)
+
+    def unrotate(self, rows: np.ndarray) -> np.ndarray:
+        if self.vectors is not None:
+            return rows @ self.vectors.T
+        return self._transform("idctn", rows)
+
+    def _transform(self, name: str, rows: np.ndarray) -> np.ndarray:
+        # Imported on first use: scipy.fft adds about 0.1 s to the start of
+        # every process, and only low-rank covariance fits need it.
+        import scipy.fft
+
+        transform = getattr(scipy.fft, name)
+        axes = tuple(range(1, len(self.grid) + 1))
+        grids = np.reshape(rows, (-1, *self.grid))
+        return transform(grids, type=2, norm="ortho", axes=axes).reshape(np.shape(rows))
+
+
+def _dct_ii(m: int) -> np.ndarray:
+    """Orthonormal DCT-II vectors of length m, as the columns of an m x m matrix."""
+    q = np.sqrt(2.0 / m) * np.cos(np.pi * np.outer(2 * np.arange(m) + 1, np.arange(m)) / (2 * m))
+    q[:, 0] /= np.sqrt(2.0)
+    return q
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +134,15 @@ class SmoothingPenalty:
     @property
     def p(self) -> int:
         return self.matrix.shape[0]
+
+    @functools.cached_property
+    def basis(self) -> PenaltyBasis:
+        """Orthonormal eigenbasis of ``matrix``, computed once.
+
+        ``eigh`` of the matrix, unless ``build_penalty`` made the penalty
+        and filled in its closed DCT-II form.
+        """
+        return PenaltyBasis.from_matrix(self.matrix)
 
     @property
     def descriptor(self) -> str:
@@ -113,7 +185,10 @@ def build_penalty(kind: str, dims: int | tuple[int, int]) -> SmoothingPenalty:
             raise DimensionError(
                 f"order-{order} differences need at least {order + 1} grid points, got p={p}"
             )
-        return SmoothingPenalty(matrix=_difference_gram(p, order), kind=kind)
+        penalty = SmoothingPenalty(matrix=_difference_gram(p, order), kind=kind)
+        if kind == FIRST_DIFF:
+            _fill_basis(penalty, PenaltyBasis.dct((p,)))
+        return penalty
     if kind == LAPLACIAN_2D:
         if not (isinstance(dims, tuple) and len(dims) == 2):
             raise DimensionError(
@@ -135,8 +210,17 @@ def build_penalty(kind: str, dims: int | tuple[int, int]) -> SmoothingPenalty:
             + 2.0 * np.kron(path_r, path_c)
             + np.kron(path_r @ path_r, np.eye(cols))
         )
-        return SmoothingPenalty(matrix=matrix, kind=kind, grid=(rows, cols))
+        penalty = SmoothingPenalty(matrix=matrix, kind=kind, grid=(rows, cols))
+        _fill_basis(penalty, PenaltyBasis.dct((rows, cols)))
+        return penalty
     raise DimensionError(f"unknown penalty kind {kind!r}, expected one of {PENALTY_KINDS}")
+
+
+def _fill_basis(penalty: SmoothingPenalty, basis: PenaltyBasis) -> None:
+    # Pre-fills the cached ``basis`` property of a penalty this module just
+    # built, whose matrix the closed form diagonalises exactly.  A penalty
+    # made any other way, whatever its kind, gets the ``eigh`` basis.
+    penalty.__dict__["basis"] = basis
 
 
 def cholesky_factor(a: np.ndarray):
@@ -294,12 +378,14 @@ def _openblas_controls() -> tuple:
 
 
 @contextlib.contextmanager
-def blas_threads_for(p: int):
-    """Run the body on one BLAS thread when the grid length p is short.
+def blas_threads_for():
+    """Run the body on one BLAS thread.
 
-    Below ``ONE_BLAS_THREAD_BELOW_P`` every loaded OpenBLAS whose thread
-    count is above 1 is set to 1, and each count is put back on exit, also
-    when the body raises.  The manager only lowers counts, never raises
+    Every loaded OpenBLAS whose thread count is above 1 is set to 1, and
+    each count is put back on exit, also when the body raises.  On a
+    2-vCPU host a GPLDA plus PDA fit and predict took 0.05 to 0.59 of its
+    2-thread time at 1 thread for grids of p = 101 to 1600 (README, "BLAS
+    threads").  The manager only lowers counts, never raises
     them, so it does nothing under ``OPENBLAS_NUM_THREADS=1``, and nested
     managers leave the restoring to the outermost one that lowered.
     Without ``/proc`` or without OpenBLAS it does nothing.
@@ -312,12 +398,11 @@ def blas_threads_for(p: int):
     """
     lowered = []
     try:
-        if p < ONE_BLAS_THREAD_BELOW_P:
-            for get, set_ in _openblas_controls():
-                count = get()
-                if count > 1:
-                    set_(1)
-                    lowered.append((set_, count))
+        for get, set_ in _openblas_controls():
+            count = get()
+            if count > 1:
+                set_(1)
+                lowered.append((set_, count))
         yield
     finally:
         for set_, count in reversed(lowered):

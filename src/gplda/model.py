@@ -12,18 +12,35 @@ scalars carry gamma hyperpriors.
 all unknowns given the observations, with the additive constant fixed to
 zero.  All block updates in the estimator maximize exactly this quantity
 one block at a time.
+
+Every within-class covariance value is read through one operator,
+``WithinCovariance``, in one of two forms.  The covariance update is
+rho S + beta Omega + eps I, with S the scatter of n latent curves.  In
+the penalty's eigenbasis that is a positive diagonal plus a term of rank
+at most n, so when n < p the ``WoodburyForm`` works with n x n
+capacitance matrices: O(p n^2) per operation plus the rotation of n
+rows into the basis, O(n p log p) for the DCT-II bases.  The
+``CholeskyForm`` factors the dense p x p matrix: it serves n >= p, a
+diagonal with a zero (no jitter on a singular penalty), and any dense
+matrix handed in.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
 
-from .exceptions import DimensionError, HyperParameterError, ValidationError
-from .linalg import SmoothingPenalty, cholesky_factor
+from .exceptions import (
+    DimensionError,
+    HyperParameterError,
+    SingularMatrixError,
+    ValidationError,
+)
+from .linalg import SmoothingPenalty, cholesky_factor, frobenius_norm, spd_solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,8 +191,10 @@ class PosteriorState:
         Latent smooth curves, one per observation.
     mu : ndarray of shape (c, p)
         Class mean curves.
-    sigma_w : ndarray of shape (p, p)
-        Within-class covariance, symmetric positive definite.
+    sigma_w : ndarray of shape (p, p), or WithinCovariance
+        Within-class covariance, symmetric positive definite: a dense
+        matrix, or the operator of one (``np.asarray`` gives its matrix).
+        ``fit`` returns the dense matrix.
     alpha1, alpha2 : float
         Precision scalars for the mean prior and the covariance scale.
     sigma2 : float
@@ -188,6 +207,253 @@ class PosteriorState:
     alpha1: float
     alpha2: float
     sigma2: float
+
+
+class WithinCovariance:
+    """One within-class covariance value S and the operations read from it.
+
+    Rows are curves, and Omega is ``penalty.matrix``:
+
+    - ``dense()``: the p x p matrix S;
+    - ``log_det`` and ``penalty_trace`` = tr(S^-1 Omega), computed once;
+    - ``solve(rows)``: ``rows @ inv(S)``;
+    - ``blend(y, m, shift)``: rows x solving (S + shift I) x = S y + shift m;
+    - ``smooth_means(xbar, scales)``: row i solves
+      (I + scales[i] S Omega) mu_i = xbar[i];
+    - ``gradient_norm(rows, weight, count)``: the Frobenius norm of
+      S^-1 (rows^T rows + weight Omega) S^-1 - count S^-1;
+    - ``relative_change(old)``: ||S - old||_F / (1 + ||old||_F);
+    - ``is_finite()``.
+
+    ``within_covariance`` gives the operator of a value.
+    """
+
+    penalty: SmoothingPenalty | None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.p, self.p)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.dense(), dtype=dtype)
+
+    def relative_change(self, old: "WithinCovariance") -> float:
+        return frobenius_norm(self.dense() - old.dense()) / (1.0 + frobenius_norm(old.dense()))
+
+
+class CholeskyForm(WithinCovariance):
+    """A dense Sigma_w and its Cholesky factor; operations cost up to O(p^3)."""
+
+    def __init__(self, matrix: np.ndarray, penalty: SmoothingPenalty | None = None):
+        self.matrix = matrix
+        self.penalty = penalty
+        self.p = matrix.shape[0]
+
+    @functools.cached_property
+    def factor(self):
+        return cholesky_factor(self.matrix)
+
+    @functools.cached_property
+    def log_det(self) -> float:
+        return 2.0 * float(np.sum(np.log(np.diag(self.factor[0]))))
+
+    @functools.cached_property
+    def penalty_trace(self) -> float:
+        solved = scipy.linalg.cho_solve(self.factor, self.penalty.matrix, check_finite=False)
+        return float(np.trace(solved))
+
+    def dense(self) -> np.ndarray:
+        return self.matrix
+
+    def is_finite(self) -> bool:
+        return bool(np.all(np.isfinite(self.matrix)))
+
+    def solve(self, rows: np.ndarray) -> np.ndarray:
+        return scipy.linalg.cho_solve(self.factor, rows.T, check_finite=False).T
+
+    def blend(self, y, m, shift):
+        shifted = self.matrix + shift * np.eye(self.p)
+        return spd_solve(shifted, self.matrix @ y.T + shift * m.T).T
+
+    def smooth_means(self, xbar, scales):
+        eye = np.eye(self.p)
+        smoothing = self.matrix @ self.penalty.matrix
+        means = np.zeros_like(xbar)
+        for i, scale in enumerate(scales):
+            try:
+                means[i] = scipy.linalg.solve(eye + scale * smoothing, xbar[i], check_finite=False)
+            except scipy.linalg.LinAlgError as exc:
+                raise SingularMatrixError(
+                    f"mean smoothing system for class {i + 1} is singular: {exc}"
+                ) from exc
+        return means
+
+    def gradient_norm(self, rows, weight, count):
+        inverse = scipy.linalg.cho_solve(self.factor, np.eye(self.p), check_finite=False)
+        sandwich = inverse @ (rows.T @ rows + weight * self.penalty.matrix) @ inverse
+        return frobenius_norm(sandwich - count * inverse)
+
+
+class WoodburyForm(WithinCovariance):
+    """Sigma_w = Q diag(d) Q^T + R^T R with d = beta lambda + eps > 0.
+
+    Q and lambda are the penalty's eigenbasis and eigenvalues, and R holds
+    n < p rows.  In the rotated basis every inverse is diag(1/d) less a
+    rank-n correction through the n x n capacitance K = I + V R~^T, with
+    R~ = R Q and V = R~ diag(1/d) (Woodbury identity), and
+    log det Sigma_w = sum(log d) + log det K (determinant lemma).
+    """
+
+    def __init__(self, root: np.ndarray, beta: float, eps: float, penalty: SmoothingPenalty):
+        self.root = root
+        self.beta = beta
+        self.eps = eps
+        self.penalty = penalty
+        self.p = root.shape[1]
+        self.basis = penalty.basis
+        self.rotated = self.basis.rotate(root)
+        self.d = beta * self.basis.eigenvalues + eps
+
+    @classmethod
+    def build(
+        cls, root: np.ndarray, beta: float, jitter_scale: float, penalty: SmoothingPenalty
+    ) -> "WoodburyForm | None":
+        """R^T R + beta Omega plus a jitter of ``jitter_scale`` times its mean
+        eigenvalue, or None when R has as many rows as columns or the
+        diagonal d has an entry <= 0."""
+        n, p = root.shape
+        if n >= p:
+            return None
+        eps = 0.0
+        if jitter_scale > 0:
+            trace = float(np.sum(root * root)) + beta * float(np.trace(penalty.matrix))
+            eps = jitter_scale * trace / p
+        if not np.all(beta * penalty.basis.eigenvalues + eps > 0):
+            return None
+        return cls(root, beta, eps, penalty)
+
+    def _capacitance(self, diagonal: np.ndarray):
+        # (V, K) for the diagonal; K = I + H H^T with H = R~ diag(d)^-1/2.
+        root_d = np.sqrt(diagonal)
+        half = self.rotated / root_d
+        capacitance = half @ half.T
+        capacitance[np.diag_indices_from(capacitance)] += 1.0
+        return half / root_d, capacitance
+
+    @functools.cached_property
+    def _unshifted(self):
+        return self._capacitance(self.d)
+
+    def _solve_rotated(self, rotated_rows, diagonal, scaled, capacitance):
+        solved = rotated_rows / diagonal
+        solved -= spd_solve(capacitance, scaled @ rotated_rows.T).T @ scaled
+        return solved
+
+    @functools.cached_property
+    def log_det(self) -> float:
+        factor = cholesky_factor(self._unshifted[1])[0]
+        return float(np.sum(np.log(self.d))) + 2.0 * float(np.sum(np.log(np.diag(factor))))
+
+    @functools.cached_property
+    def penalty_trace(self) -> float:
+        scaled, capacitance = self._unshifted
+        lam = self.basis.eigenvalues
+        inner = spd_solve(capacitance, (scaled * lam) @ scaled.T)
+        return float(np.sum(lam / self.d)) - float(np.trace(inner))
+
+    def dense(self) -> np.ndarray:
+        matrix = self.root.T @ self.root + self.beta * self.penalty.matrix
+        matrix[np.diag_indices(self.p)] += self.eps
+        return matrix
+
+    def is_finite(self) -> bool:
+        return bool(np.all(np.isfinite(self.d)) and np.all(np.isfinite(self.root)))
+
+    def solve(self, rows):
+        solved = self._solve_rotated(self.basis.rotate(rows), self.d, *self._unshifted)
+        return self.basis.unrotate(solved)
+
+    def blend(self, y, m, shift):
+        # (S + shift I)^-1 (S y + shift m) = y - shift (S + shift I)^-1 (y - m).
+        diagonal = self.d + shift
+        rotated = self._solve_rotated(
+            self.basis.rotate(y - m), diagonal, *self._capacitance(diagonal)
+        )
+        x = self.basis.unrotate(rotated)
+        x *= -shift
+        x += y
+        return x
+
+    def smooth_means(self, xbar, scales):
+        # In the basis, (G + a R~^T R~ Lambda) m = xbar with G = 1 + a d lambda,
+        # whose capacitance I + a R~ diag(lambda / G) R~^T is SPD.
+        lam = self.basis.eigenvalues
+        rotated = self.basis.rotate(xbar)
+        means = np.empty_like(rotated)
+        for i, scale in enumerate(scales):
+            g = 1.0 + scale * self.d * lam
+            base = rotated[i] / g
+            capacitance = np.eye(self.rotated.shape[0]) + scale * (
+                (self.rotated * (lam / g)) @ self.rotated.T
+            )
+            inner = spd_solve(capacitance, self.rotated @ (lam * base))
+            means[i] = base - scale * (inner @ self.rotated) / g
+        return self.basis.unrotate(means)
+
+    def gradient_norm(self, rows, weight, count):
+        # With A = inv(Sigma_w) = diag(1/d) - V^T P in the basis, P = K^-1 V,
+        # the gradient is diag(weight lambda / d^2 - count / d) + E^T E
+        # + Z^T P + P^T Z, where E = rows~ A and
+        # Z = count/2 V - weight V diag(lambda / d) + 1/2 (weight V Lambda V^T) P.
+        scaled, capacitance = self._unshifted
+        lam = self.basis.eigenvalues
+        projected = spd_solve(capacitance, scaled)
+        solved_rows = self._solve_rotated(self.basis.rotate(rows), self.d, scaled, capacitance)
+        z = (
+            (0.5 * count) * scaled
+            - weight * scaled * (lam / self.d)
+            + 0.5 * ((weight * (scaled * lam)) @ scaled.T) @ projected
+        )
+        cross = z.T @ projected
+        gradient = solved_rows.T @ solved_rows
+        gradient += cross
+        gradient += cross.T
+        gradient[np.diag_indices(self.p)] += weight * lam / self.d**2 - count / self.d
+        return frobenius_norm(gradient)
+
+    def _squared_norm(self) -> float:
+        gram = self.rotated @ self.rotated.T
+        return float(np.sum(self.d**2) + 2.0 * np.sum(self.d * np.sum(self.rotated**2, axis=0))
+                     + np.sum(gram * gram))
+
+    def relative_change(self, old):
+        if not (isinstance(old, WoodburyForm) and old.basis is self.basis
+                and old.rotated.shape == self.rotated.shape):
+            return super().relative_change(old)
+        # R_a^T R_a - R_b^T R_b = (P^T M + M^T P) / 2 with P = R_a + R_b and
+        # M = R_a - R_b; built from these, the norm has no cancellation of
+        # large terms when the two values are close.
+        total = self.rotated + old.rotated
+        diff = self.rotated - old.rotated
+        step = self.d - old.d
+        mixed = diff @ total.T
+        low_rank = 0.5 * (np.sum((total @ total.T) * (diff @ diff.T)) + np.sum(mixed * mixed.T))
+        squared = (np.sum(step**2) + 2.0 * np.sum(step * np.sum(total * diff, axis=0))
+                   + low_rank)
+        return math.sqrt(max(squared, 0.0)) / (1.0 + math.sqrt(old._squared_norm()))
+
+
+def within_covariance(sigma_w, penalty: SmoothingPenalty | None = None) -> WithinCovariance:
+    """The operator of a Sigma_w value.
+
+    An operator built on ``penalty`` (or any operator, when ``penalty`` is
+    None) is returned as it is; a dense matrix gets its Cholesky form.
+    """
+    if isinstance(sigma_w, WithinCovariance):
+        if penalty is None or sigma_w.penalty is penalty:
+            return sigma_w
+        sigma_w = sigma_w.dense()
+    return CholeskyForm(np.asarray(sigma_w, dtype=float), penalty)
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,8 +540,8 @@ def log_posterior_terms(
     _check_state_shapes(state, data, penalty)
     n, p, c = data.n, data.p, data.c
     omega = penalty.matrix
-    factor = cholesky_factor(state.sigma_w)
-    logdet_sw = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    within = within_covariance(state.sigma_w, penalty)
+    logdet_sw = within.log_det
     log_noise_prec = -math.log(state.sigma2)
 
     resid_y = data.y - state.x
@@ -283,14 +549,13 @@ def log_posterior_terms(
     obs_loglik = data_fidelity + n * p * log_noise_prec
 
     centered = state.x - state.mu[data.labels - 1]
-    solved = scipy.linalg.cho_solve(factor, centered.T, check_finite=False)
-    latent_quad = float(np.sum(centered * solved.T))
+    latent_quad = float(np.sum(centered * within.solve(centered)))
     latent_loglik = -latent_quad - n * logdet_sw
 
     mean_quad = float(np.sum(state.mu * (state.mu @ omega)))
     mean_prior = -state.alpha1 * mean_quad + c * math.log(state.alpha1)
 
-    trace_term = float(np.trace(scipy.linalg.cho_solve(factor, omega, check_finite=False)))
+    trace_term = within.penalty_trace
     nu = hyper.nu(p)
     cov_prior = (
         -state.alpha2 * trace_term

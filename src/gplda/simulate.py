@@ -256,7 +256,7 @@ def select_pda_alpha(data: LabeledFunctionalDataset, penalty, seed: int = 0) -> 
         shuffled = rng.permutation(rows)
         assignment[shuffled] = np.arange(shuffled.size) % folds
     mean_errors = []
-    with blas_threads_for(data.p):
+    with blas_threads_for():
         for alpha in DEFAULT_PDA_ALPHA_GRID:
             fold_errors = []
             for fold in range(folds):

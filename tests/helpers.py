@@ -7,7 +7,25 @@ import dataclasses
 import numpy as np
 import scipy.linalg
 
-from gplda import LabeledFunctionalDataset, PosteriorState, log_posterior
+from gplda import (
+    FIRST_DIFF,
+    FitConfig,
+    HyperParams,
+    LabeledFunctionalDataset,
+    PosteriorState,
+    build_penalty,
+    first_order_residuals,
+    initial_state,
+    log_posterior,
+    update_alpha1,
+    update_alpha2,
+    update_mu,
+    update_sigma2,
+    update_sigma_w,
+    update_x,
+)
+from gplda.estimator import FitTrace
+from gplda.linalg import frobenius_norm
 
 
 def sample_well_posed_dataset(rng: np.random.Generator) -> LabeledFunctionalDataset:
@@ -69,6 +87,80 @@ def dense_generalized_eig_top(between, within, k):
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
     return eigenvalues[order], directions
+
+
+def dense_fit(data, hyper=None, config=None, start=None):
+    """Reference backfitting loop that keeps the covariance a dense matrix.
+
+    The sweep loop ``fit`` ran before its covariance became an operator:
+    every update takes and returns a dense Sigma_w, so every covariance
+    operation goes through a p x p Cholesky factor.  The start and the
+    stopping rule are ``fit``'s; returns ``(state, FitTrace)`` as it does.
+    """
+    hyper = hyper if hyper is not None else HyperParams()
+    if config is None:
+        config = FitConfig(penalty=build_penalty(FIRST_DIFF, data.p))
+    penalty = config.penalty
+    if start is None:
+        start = initial_state(data, hyper, config)
+        start = dataclasses.replace(start, sigma_w=update_sigma_w(
+            start.x, start.mu, data, start.alpha2, penalty, hyper, config.jitter_scale
+        ))
+    state = dataclasses.replace(start, sigma_w=np.asarray(start.sigma_w))
+    x, mu, sigma_w = state.x, state.mu, state.sigma_w
+    alpha1, alpha2, sigma2 = state.alpha1, state.alpha2, state.sigma2
+
+    def relative_change(new, old):
+        if np.isscalar(new):
+            return abs(new - old) / (1.0 + abs(old))
+        return frobenius_norm(new - old) / (1.0 + frobenius_norm(old))
+
+    history = [log_posterior(state, data, hyper, penalty)]
+    converged = False
+    sweeps_run = 0
+    for sweep in range(1, config.max_sweeps + 1):
+        sweeps_run = sweep
+        prev = (alpha1, alpha2, sigma2, x, mu, sigma_w)
+        alpha1 = update_alpha1(mu, penalty, hyper)
+        alpha2 = update_alpha2(sigma_w, penalty, hyper)
+        sigma2 = update_sigma2(x, data, hyper)
+        x = update_x(data, mu, sigma_w, sigma2)
+        mu = update_mu(x, data, sigma_w, alpha1, penalty)
+        sigma_w = update_sigma_w(x, mu, data, alpha2, penalty, hyper, config.jitter_scale)
+        blocks = (alpha1, alpha2, sigma2, x, mu, sigma_w)
+        state = PosteriorState(
+            x=x, mu=mu, sigma_w=sigma_w, alpha1=alpha1, alpha2=alpha2, sigma2=sigma2
+        )
+        history.append(log_posterior(state, data, hyper, penalty))
+        if max(relative_change(b, pb) for b, pb in zip(blocks, prev)) < config.rel_tol:
+            converged = True
+            break
+    return state, FitTrace(
+        sweeps_run=sweeps_run,
+        converged=converged,
+        log_posterior_per_sweep=tuple(history),
+        final_residuals=first_order_residuals(state, data, hyper, penalty),
+    )
+
+
+def lap2d_image_set(rng: np.random.Generator, n: int, rows: int, cols: int):
+    """Two balanced classes of smooth random images plus unit white noise.
+
+    Each image mixes the nine lowest sine modes of the grid; class 1 adds
+    a centred Gaussian blob of height 3.
+    """
+    r = np.linspace(0.0, 1.0, rows)[:, None]
+    c = np.linspace(0.0, 1.0, cols)[None, :]
+    blob = np.exp(-((r - 0.5) ** 2 + (c - 0.5) ** 2) / (2 * 0.15**2)).ravel()
+    modes = np.array([
+        (np.sin(np.pi * (a + 1) * r) * np.sin(np.pi * (b + 1) * c)).ravel()
+        for a in range(3) for b in range(3)
+    ])
+    y = rng.standard_normal((n, modes.shape[0])) @ modes
+    y += rng.standard_normal((n, rows * cols))
+    y[: n // 2] += 3.0 * blob
+    labels = np.repeat([1, 2], [n // 2, n - n // 2])
+    return LabeledFunctionalDataset(y=y, labels=labels, label_names=(1, 2))
 
 
 def loop_difference_operator(p: int, order: int) -> np.ndarray:

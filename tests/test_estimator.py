@@ -30,9 +30,13 @@ from gplda import (
     update_x,
 )
 import gplda.estimator
+from gplda import LAPLACIAN_2D, SimSpec, generate, gplda_directions, predict
+from gplda.model import CholeskyForm, WoodburyForm
 
 from helpers import (
+    dense_fit,
     finite_difference_residuals,
+    lap2d_image_set,
     random_posterior_state,
     sample_well_posed_dataset,
 )
@@ -442,3 +446,84 @@ class TestFirstOrderResiduals:
         }
         assert residuals.max() == max(values.values())
         assert all(v >= 0 for v in values.values())
+
+
+def _state_gap(a, b) -> float:
+    """Largest relative change, in ``fit``'s own measure, between two states."""
+    gaps = []
+    for name in ("x", "mu", "sigma_w", "alpha1", "alpha2", "sigma2"):
+        new = np.atleast_1d(np.asarray(getattr(a, name)))
+        old = np.atleast_1d(np.asarray(getattr(b, name)))
+        gaps.append(np.linalg.norm(new - old) / (1.0 + np.linalg.norm(old)))
+    return max(gaps)
+
+
+class TestCovarianceRoute:
+    def test_more_curves_than_grid_points_take_the_cholesky_form(self):
+        data = sample_well_posed_dataset(np.random.default_rng(701))
+        assert data.n >= data.p
+        config = FitConfig(penalty=build_penalty(FIRST_DIFF, data.p))
+        assert isinstance(initial_state(data, HyperParams(), config).sigma_w, CholeskyForm)
+
+    def test_fewer_curves_than_grid_points_take_the_woodbury_form(self):
+        train, _ = generate(SimSpec("sim1", 50, 10, seed=0))
+        config = FitConfig(penalty=build_penalty(FIRST_DIFF, train.p))
+        assert isinstance(initial_state(train, HyperParams(), config).sigma_w, WoodburyForm)
+
+    def test_zero_jitter_on_a_singular_penalty_takes_the_cholesky_form(self):
+        # Constants are in the penalty's null space, so without jitter the
+        # diagonal d = beta lambda has a zero.
+        train, _ = generate(SimSpec("sim1", 50, 10, seed=0))
+        config = FitConfig(penalty=build_penalty(FIRST_DIFF, train.p), jitter_scale=0.0)
+        state = initial_state(train, HyperParams(), config)
+        assert isinstance(state.sigma_w, CholeskyForm)
+        expected = update_sigma_w(
+            state.x, state.mu, train, state.alpha2, config.penalty, HyperParams(), 0.0
+        )
+        np.testing.assert_array_equal(state.sigma_w.dense(), expected)
+
+    def test_dense_start_matches_the_dense_first_sweep(self):
+        rng = np.random.default_rng(703)
+        train, _ = generate(SimSpec("sim1", 50, 10, seed=3))
+        start = random_posterior_state(rng, train)
+        config = FitConfig(penalty=build_penalty(FIRST_DIFF, train.p), max_sweeps=1)
+        state, trace = fit(train, config=config, start=start)
+        expected, expected_trace = dense_fit(train, config=config, start=start)
+        assert isinstance(state.sigma_w, np.ndarray)
+        assert _state_gap(state, expected) <= 1e-12
+        np.testing.assert_allclose(
+            trace.log_posterior_per_sweep, expected_trace.log_posterior_per_sweep, rtol=1e-9
+        )
+        # The jitter leaves the covariance ill-conditioned, so its gradient
+        # cancels to about four digits whichever form computes it.
+        for name, value in expected_trace.final_residuals.as_dict().items():
+            assert getattr(trace.final_residuals, name) == pytest.approx(value, rel=1e-4), name
+
+
+class TestRouteAgreement:
+    """Low-rank fits against the dense loop, on n < p benchmark data."""
+
+    @staticmethod
+    def _check(train, test, config):
+        state, trace = fit(train, config=config)
+        expected, expected_trace = dense_fit(train, config=config)
+        assert trace.sweeps_run == expected_trace.sweeps_run
+        assert _state_gap(state, expected) <= 1e-5
+        np.testing.assert_allclose(
+            trace.log_posterior_per_sweep, expected_trace.log_posterior_per_sweep, rtol=1e-5
+        )
+        labels = predict(gplda_directions(state, train.label_names), test.y)
+        expected_labels = predict(gplda_directions(expected, train.label_names), test.y)
+        np.testing.assert_array_equal(labels, expected_labels)
+
+    @pytest.mark.parametrize("which,n_train", [("sim1", 50), ("sim2", 20)])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_simulated_curves(self, which, n_train, seed):
+        train, test = generate(SimSpec(which, n_train, 200, seed=seed))
+        self._check(train, test, FitConfig(penalty=build_penalty(FIRST_DIFF, train.p)))
+
+    def test_lap2d_images(self):
+        rng = np.random.default_rng(705)
+        train = lap2d_image_set(rng, 100, 40, 40)
+        test = lap2d_image_set(rng, 400, 40, 40)
+        self._check(train, test, FitConfig(penalty=build_penalty(LAPLACIAN_2D, (40, 40))))

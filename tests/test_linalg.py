@@ -24,7 +24,7 @@ from gplda import discriminant as discriminant_module
 from gplda import estimator as estimator_module
 from gplda import linalg as linalg_module
 from gplda import simulate as simulate_module
-from gplda.linalg import blas_threads_for, frobenius_norm
+from gplda.linalg import PenaltyBasis, SmoothingPenalty, blas_threads_for, frobenius_norm
 
 from helpers import (
     dense_generalized_eig_top,
@@ -127,6 +127,71 @@ class TestPenaltyMatrices:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DimensionError, match="unknown penalty kind"):
             build_penalty("d3", 8)
+
+
+def _dense_basis(basis: PenaltyBasis, p: int) -> np.ndarray:
+    """The basis as a p x p matrix Q, its columns the eigenvectors."""
+    return basis.rotate(np.eye(p))
+
+
+def _dct_matrix(m: int) -> np.ndarray:
+    """Orthonormal DCT-II vectors as columns, from their defining formula."""
+    j, k = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    q = np.cos(np.pi * k * (2 * j + 1) / (2 * m)) * np.sqrt(2.0 / m)
+    q[:, 0] /= np.sqrt(2.0)
+    return q
+
+
+class TestPenaltyBasis:
+    CASES = [(FIRST_DIFF, p) for p in (2, 3, 4, 101, 400)] + [
+        (LAPLACIAN_2D, dims) for dims in ((2, 2), (3, 5), (7, 4), (40, 40))
+    ] + [(SECOND_DIFF, p) for p in (3, 10, 101)]
+
+    @pytest.mark.parametrize("kind,dims", CASES)
+    def test_basis_reproduces_the_matrix(self, kind, dims):
+        penalty = build_penalty(kind, dims)
+        q = _dense_basis(penalty.basis, penalty.p)
+        rebuilt = (q * penalty.basis.eigenvalues) @ q.T
+        scale = np.abs(penalty.matrix).max()
+        assert np.abs(rebuilt - penalty.matrix).max() <= 1e-12 * scale
+        assert np.abs(q.T @ q - np.eye(penalty.p)).max() <= 1e-12
+        np.testing.assert_allclose(
+            penalty.basis.unrotate(q), np.eye(penalty.p), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("kind,dims", CASES)
+    def test_large_closed_forms_hold_no_dense_basis(self, kind, dims):
+        penalty = build_penalty(kind, dims)
+        fast = kind != SECOND_DIFF and penalty.p >= linalg_module.DENSE_DCT_BELOW_P
+        assert (penalty.basis.vectors is None) == fast
+
+    @pytest.mark.parametrize("dims", [7, 64, 160, 401, (3, 5), (8, 6), (13, 12), (20, 31)])
+    def test_dct_rotation_equals_dense_product(self, dims):
+        rng = np.random.default_rng(211)
+        if isinstance(dims, tuple):
+            q = np.kron(_dct_matrix(dims[0]), _dct_matrix(dims[1]))
+            penalty = build_penalty(LAPLACIAN_2D, dims)
+        else:
+            q = _dct_matrix(dims)
+            penalty = build_penalty(FIRST_DIFF, dims)
+        rows = rng.standard_normal((5, q.shape[0]))
+        np.testing.assert_allclose(penalty.basis.rotate(rows), rows @ q, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(penalty.basis.unrotate(rows), rows @ q.T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [2, 6, 30])
+    def test_hand_built_penalty_gets_its_own_eigenbasis(self, p):
+        # The basis follows the matrix, not the kind: this "d1" penalty is
+        # the identity, which the first-difference eigenvalues do not fit.
+        penalty = SmoothingPenalty(matrix=np.eye(p), kind=FIRST_DIFF)
+        assert penalty.basis.vectors is not None
+        q = _dense_basis(penalty.basis, p)
+        np.testing.assert_allclose(
+            (q * penalty.basis.eigenvalues) @ q.T, np.eye(p), rtol=0, atol=1e-12
+        )
+
+    def test_basis_is_computed_once(self):
+        penalty = SmoothingPenalty(matrix=build_penalty(SECOND_DIFF, 12).matrix, kind=SECOND_DIFF)
+        assert penalty.basis is penalty.basis
 
 
 class TestLaplacianStencil:
@@ -463,33 +528,32 @@ class TestBlasThreadPolicy:
         assert seen and all(counts == [1] * len(counts) for counts in seen)
         assert _blas_threads() == [2] * len(seen[0])
 
-    def test_long_grid_keeps_the_count(self, two_blas_threads):
+    def test_long_grid_runs_on_one_thread_too(self, two_blas_threads):
         seen = []
-        p = linalg_module.ONE_BLAS_THREAD_BELOW_P
-        gplda.predict(_line_model(p), _Curves(np.zeros((3, p)), seen))
-        assert seen == [_blas_threads()]
-        assert set(seen[0]) == {2}
+        gplda.predict(_line_model(1600), _Curves(np.zeros((3, 1600)), seen))
+        assert seen and set(seen[0]) == {1}
+        assert set(_blas_threads()) == {2}
 
     def test_count_restored_after_return_and_exception(self, two_blas_threads):
         before = _blas_threads()
-        with blas_threads_for(101):
+        with blas_threads_for():
             assert set(_blas_threads()) == {1}
         assert _blas_threads() == before
         with pytest.raises(DimensionError):
             gplda.predict(_line_model(101), np.zeros(5))
         assert _blas_threads() == before
         with pytest.raises(RuntimeError):
-            with blas_threads_for(101):
+            with blas_threads_for():
                 raise RuntimeError("inside")
         assert _blas_threads() == before
 
     def test_nested_managers_restore_once_and_never_raise(self, two_blas_threads):
         before = _blas_threads()
-        with blas_threads_for(101):
-            with blas_threads_for(101):
+        with blas_threads_for():
+            with blas_threads_for():
                 assert set(_blas_threads()) == {1}
             assert set(_blas_threads()) == {1}
-            with blas_threads_for(linalg_module.ONE_BLAS_THREAD_BELOW_P):
+            with blas_threads_for():
                 assert set(_blas_threads()) == {1}
             assert set(_blas_threads()) == {1}
         assert _blas_threads() == before
@@ -497,7 +561,7 @@ class TestBlasThreadPolicy:
     def test_without_openblas_the_manager_is_a_no_op(self, two_blas_threads, monkeypatch):
         controls = linalg_module._openblas_controls()
         monkeypatch.setattr(linalg_module, "_openblas_controls", lambda: ())
-        with blas_threads_for(101):
+        with blas_threads_for():
             assert [get() for get, _ in controls] == [2] * len(controls)
 
 

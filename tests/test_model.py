@@ -8,6 +8,8 @@ import pytest
 
 from gplda import (
     FIRST_DIFF,
+    LAPLACIAN_2D,
+    SECOND_DIFF,
     DimensionError,
     FitConfig,
     HyperParameterError,
@@ -16,11 +18,15 @@ from gplda import (
     PosteriorState,
     ValidationError,
     build_penalty,
+    first_order_residuals,
+    initial_state,
     log_posterior,
     log_posterior_terms,
     pooled_within_scatter,
+    update_sigma_w,
     validate_dataset,
 )
+from gplda.model import CholeskyForm, WoodburyForm, within_covariance
 
 from helpers import random_posterior_state, sample_well_posed_dataset
 
@@ -209,6 +215,120 @@ class TestLogPosterior:
             bad = dataclasses.replace(state, **{name: 0.0})
             with pytest.raises(ValidationError, match=name):
                 log_posterior_terms(bad, data, HyperParams(), penalty)
+
+
+def _low_rank_case(rng, case):
+    """An n < p dataset, its penalty, and a well-conditioned covariance.
+
+    The covariance is the initial state's, with a prior mean alpha2 that
+    makes beta = rho alpha2 / n near 1 and a jitter of 5 % of the mean
+    eigenvalue.  Returns (data, penalty, hyper, jitter, state).
+    """
+    if case < 2:
+        # 13 x 12 is past DENSE_DCT_BELOW_P, so it rotates by fast transforms.
+        penalty = build_penalty(LAPLACIAN_2D, ((6, 7), (13, 12))[case])
+    else:
+        kind = (FIRST_DIFF, SECOND_DIFF)[case % 2]
+        penalty = build_penalty(kind, int(rng.integers(12, 121)))
+    p = penalty.p
+    c = int(rng.integers(2, 5))
+    n = int(rng.integers(c + 1, p))
+    labels = np.concatenate([np.arange(1, c + 1), rng.integers(1, c + 1, size=n - c)])
+    data = LabeledFunctionalDataset(
+        y=rng.standard_normal((n, p)) + labels[:, None] * 0.5,
+        labels=labels,
+        label_names=tuple(range(1, c + 1)),
+    )
+    # n + nu + p + 1 under the default delta = 2, so beta = alpha2 / nu_total.
+    nu_total = n + 2.0 + p - 1 + p + 1.0
+    hyper = HyperParams(b2=1.0 / (float(rng.uniform(0.5, 2.0)) * nu_total))
+    jitter = 0.05
+    state = initial_state(data, hyper, FitConfig(penalty=penalty, jitter_scale=jitter))
+    return data, penalty, hyper, jitter, state
+
+
+def _rel(a, b) -> float:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+class TestWithinCovariance:
+    """The low-rank form against the Cholesky form of the same matrix."""
+
+    CASES = range(12)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_woodbury_operations_match_cholesky(self, case):
+        rng = np.random.default_rng(300 + case)
+        data, penalty, hyper, jitter, state = _low_rank_case(rng, case)
+        low_rank = state.sigma_w
+        assert isinstance(low_rank, WoodburyForm)
+        dense = update_sigma_w(
+            state.x, state.mu, data, state.alpha2, penalty, hyper, jitter
+        )
+        full = CholeskyForm(dense, penalty)
+        assert _rel(low_rank.dense(), dense) <= 1e-12
+        np.testing.assert_array_equal(np.asarray(low_rank), low_rank.dense())
+
+        rows = rng.standard_normal((5, data.p))
+        means = rng.standard_normal((5, data.p))
+        assert _rel(low_rank.solve(rows), full.solve(rows)) <= 1e-8
+        for shift in (0.0, 1e-3, 0.7):
+            assert _rel(low_rank.blend(rows, means, shift), full.blend(rows, means, shift)) <= 1e-8
+        assert _rel(low_rank.log_det, full.log_det) <= 1e-8
+        assert _rel(low_rank.penalty_trace, full.penalty_trace) <= 1e-8
+        scales = rng.uniform(0.01, 3.0, size=data.c)
+        xbar = rng.standard_normal((data.c, data.p))
+        assert _rel(low_rank.smooth_means(xbar, scales), full.smooth_means(xbar, scales)) <= 1e-8
+        weight, count = float(rng.uniform(0.1, 2.0)), float(rng.uniform(1.0, 50.0))
+        assert _rel(
+            low_rank.gradient_norm(rows, weight, count), full.gradient_norm(rows, weight, count)
+        ) <= 1e-8
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_relative_change_matches_dense(self, case):
+        rng = np.random.default_rng(400 + case)
+        data, penalty, hyper, jitter, state = _low_rank_case(rng, case)
+        old = state.sigma_w
+        for step in (1e-9, 1e-4, 0.3):
+            root = old.root + step * rng.standard_normal(old.root.shape)
+            new = WoodburyForm.build(root, old.beta * (1.0 + step), jitter, penalty)
+            dense_change = (np.linalg.norm(new.dense() - old.dense())
+                            / (1.0 + np.linalg.norm(old.dense())))
+            assert new.relative_change(old) == pytest.approx(dense_change, rel=1e-6)
+            assert CholeskyForm(new.dense()).relative_change(old) == pytest.approx(
+                dense_change, rel=1e-12
+            )
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_objective_and_residuals_read_either_form(self, case):
+        rng = np.random.default_rng(500 + case)
+        data, penalty, hyper, jitter, state = _low_rank_case(rng, case)
+        state = dataclasses.replace(
+            state, x=state.x + 0.1 * rng.standard_normal(state.x.shape),
+            mu=rng.standard_normal(state.mu.shape), sigma2=0.3,
+        )
+        dense = dataclasses.replace(state, sigma_w=state.sigma_w.dense())
+        low = log_posterior_terms(state, data, hyper, penalty)
+        full = log_posterior_terms(dense, data, hyper, penalty)
+        for name in ("latent_loglik", "cov_prior"):
+            assert getattr(low, name) == pytest.approx(getattr(full, name), rel=1e-8), name
+        low = first_order_residuals(state, data, hyper, penalty).as_dict()
+        full = first_order_residuals(dense, data, hyper, penalty).as_dict()
+        for name, value in full.items():
+            assert low[name] == pytest.approx(value, rel=1e-8, abs=1e-9), name
+
+    def test_within_covariance_passes_operators_through(self):
+        rng = np.random.default_rng(600)
+        data, penalty, hyper, jitter, state = _low_rank_case(rng, 2)
+        assert within_covariance(state.sigma_w, penalty) is state.sigma_w
+        assert within_covariance(state.sigma_w) is state.sigma_w
+        other = build_penalty(penalty.kind, penalty.p)
+        rebuilt = within_covariance(state.sigma_w, other)
+        assert isinstance(rebuilt, CholeskyForm) and rebuilt.penalty is other
+        np.testing.assert_array_equal(rebuilt.matrix, state.sigma_w.dense())
+        dense = within_covariance(np.eye(3))
+        assert isinstance(dense, CholeskyForm) and dense.shape == (3, 3)
 
 
 class TestDatasetDirect:
