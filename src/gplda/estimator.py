@@ -242,8 +242,8 @@ def initial_state(
     x0 = data.y.copy()
     alpha1 = hyper.a1 / hyper.b1
     alpha2 = hyper.a2 / hyper.b2
-    scatter = pooled_within_scatter(data.y, data.labels, mu0)
-    sigma2 = float(np.trace(scatter)) / data.p
+    centered = data.y - mu0[data.labels - 1]
+    sigma2 = float(np.sum(centered * centered)) / (data.n * data.p)
     sigma_w = _within_update(
         x0, mu0, data, alpha2, config.penalty, hyper, config.jitter_scale
     )

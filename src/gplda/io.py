@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -29,13 +30,16 @@ from .model import FitConfig, HyperParams, LabeledFunctionalDataset, validate_da
 MODEL_FORMAT = "gplda-model-v1"
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write the whole file or nothing: temp file plus atomic rename."""
+def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write the whole file or nothing: temp file plus atomic rename.
+
+    ``text`` is the file's text, or an iterable of pieces written in order.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     handle, temp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(handle, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(temp_path, path)
     except BaseException:
         if os.path.exists(temp_path):
@@ -43,50 +47,108 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+# How NumPy's C reader splits the labeled-curve CSV: cells separated by
+# commas and quoted as the csv module quotes them, with "#" as data.
+_CSV_CELLS = {"delimiter": ",", "quotechar": '"', "comments": None}
+
+
+def _csv_rows(lines: list[str]):
+    """``(first line, end line, cells)`` of each row of ``lines`` that has a
+    cell other than whitespace, split by the csv module.
+    """
+    reader = csv.reader(lines)
+    begin = 0
+    for cells in reader:
+        if any(cell.strip() for cell in cells):
+            yield begin, reader.line_num, cells
+        begin = reader.line_num
+
+
 def read_labeled_csv(path: str, has_header: bool = False):
     """Read a labeled-curve CSV into raw labels and a float matrix.
 
     Returns ``(labels, values)`` without dataset-level validation, so it
-    is usable for prediction inputs of any size.  Parse failures carry
-    one-based row and column positions, counting data rows only.
+    is usable for prediction inputs of any size.  Rows whose cells are all
+    empty or whitespace are skipped; with ``has_header`` so is the first
+    other row.  Cells may be quoted as the csv module quotes them, labels
+    are stripped, and values are parsed by NumPy's C reader (``loadtxt``).
+    Parse failures carry one-based row and column positions, counting
+    data rows only.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            raw_rows = [
-                row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)
-            ]
+            lines = fh.readlines()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
-    if has_header and raw_rows:
-        raw_rows = raw_rows[1:]
-    if not raw_rows:
+    rows = _csv_rows(lines)
+    if has_header:
+        next(rows, None)
+    first = next(rows, None)
+    if first is None:
         raise ParseError(f"{path}: no data rows")
-    labels = []
-    values = []
-    expected = len(raw_rows[0])
-    if expected < 2:
+    begin, _, cells = first
+    if len(cells) < 2:
         raise ParseError(f"{path}: row 1 has no value columns", row=1)
-    for r, row in enumerate(raw_rows, start=1):
-        if len(row) != expected:
+    columns = np.dtype([("label", object), ("values", float, (len(cells) - 1,))])
+    data_lines = lines[begin:]
+    try:
+        table = np.loadtxt(data_lines, dtype=columns, ndmin=1, **_CSV_CELLS)
+    except ValueError:
+        # A row of blank cells, a ragged row or a cell that is no number.
+        table = _read_data_rows(path, data_lines, columns)
+    labels = [label.strip() for label in table["label"]]
+    return labels, np.ascontiguousarray(table["values"])
+
+
+def _read_data_rows(path: str, lines: list[str], columns: np.dtype) -> np.ndarray:
+    """Read the data rows in ``lines`` again, split into rows by the csv module.
+
+    The csv module drops the blank rows and finds a ragged one; the values
+    still come from ``loadtxt``, which the first cell it cannot parse stops.
+    """
+    expected = 1 + columns["values"].shape[0]
+    spans = []
+    for r, (begin, end, cells) in enumerate(_csv_rows(lines), start=1):
+        if len(cells) != expected:
+            _raise_on_bad_cell(path, lines, spans, expected)
             raise ParseError(
-                f"{path}: row {r} has {len(row)} columns, expected {expected}",
-                row=r,
+                f"{path}: row {r} has {len(cells)} columns, expected {expected}", row=r
             )
-        labels.append(row[0].strip())
-        parsed = []
-        for c, cell in enumerate(row[1:], start=2):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {r} column {c}: cannot parse {cell.strip()!r} as a number",
-                    row=r,
-                    column=c,
-                ) from None
-        values.append(parsed)
-    return labels, np.asarray(values, dtype=float)
+        spans.append((begin, end))
+    kept = [line for begin, end in spans for line in lines[begin:end]]
+    try:
+        return np.loadtxt(kept, dtype=columns, ndmin=1, **_CSV_CELLS)
+    except ValueError as exc:
+        _raise_on_bad_cell(path, lines, spans, expected)
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _raise_on_bad_cell(path: str, lines: list[str], spans: list, expected: int) -> None:
+    """Raise a ParseError at the first value cell, in the rows that
+    ``spans`` delimit in ``lines``, that ``loadtxt`` cannot parse.
+    """
+    for r, (begin, end) in enumerate(spans, start=1):
+        row = lines[begin:end]
+        if _parses(row, range(1, expected)):
+            continue
+        c = next((c for c in range(1, expected) if not _parses(row, c)), None)
+        if c is not None:
+            cell = next(csv.reader(row))[c]
+            raise ParseError(
+                f"{path}: row {r} column {c + 1}: cannot parse {cell.strip()!r} as a number",
+                row=r,
+                column=c + 1,
+            )
+
+
+def _parses(row: list[str], columns) -> bool:
+    try:
+        np.loadtxt(row, usecols=columns, **_CSV_CELLS)
+    except ValueError:
+        return False
+    return True
 
 
 def load_csv(path: str, has_header: bool = False) -> LabeledFunctionalDataset:
@@ -95,15 +157,38 @@ def load_csv(path: str, has_header: bool = False) -> LabeledFunctionalDataset:
     return validate_dataset(values, labels)
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as the csv module writes a cell: quoted, with its quotes
+    doubled, if it holds a comma, a double quote or a line break.
+    """
+    if any(char in text for char in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+# Rows formatted per write: bounds the text held in memory at once.
+_ROWS_PER_WRITE = 1000
+
+
 def save_dataset_csv(path: str, dataset: LabeledFunctionalDataset) -> None:
-    """Write a dataset in the labeled-curve CSV format."""
-    lines = []
-    names = list(dataset.label_names)
-    for i in range(dataset.n):
-        label = names[dataset.labels[i] - 1]
-        values = ",".join(repr(float(v)) for v in dataset.y[i])
-        lines.append(f"{label},{values}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write a dataset in the labeled-curve CSV format.
+
+    Values are written in Python's shortest round-trip form, so reading
+    the file back gives the same floats.
+    """
+    names = [_csv_cell(f"{name}") for name in dataset.label_names]
+
+    def pieces():
+        for start in range(0, dataset.n, _ROWS_PER_WRITE):
+            stop = start + _ROWS_PER_WRITE
+            yield "".join(
+                f"{names[label - 1]},{','.join(map(repr, row))}\n"
+                for label, row in zip(
+                    dataset.labels[start:stop].tolist(), dataset.y[start:stop].tolist()
+                )
+            )
+
+    atomic_write_text(path, pieces())
 
 
 def save_model(path: str, model: DiscriminantModel) -> None:

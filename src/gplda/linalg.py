@@ -22,6 +22,10 @@ eigendecomposition.
 ``blas_threads_for`` is the package's one BLAS thread policy: the public
 fit and predict functions run on one BLAS thread, because at the sizes
 they work with a second thread costs more in hand-offs than it saves.
+
+SciPy is imported on first use, not with the package: ``scipy.linalg``
+adds about 0.3 s to the start of every process, and neither generating
+data nor predicting needs it.  ``scipy_linalg`` is the one way in.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     DegenerateBetweenCovarianceError,
@@ -223,14 +226,31 @@ def _fill_basis(penalty: SmoothingPenalty, basis: PenaltyBasis) -> None:
     penalty.__dict__["basis"] = basis
 
 
+@functools.cache
+def scipy_linalg():
+    """The ``scipy.linalg`` module, imported on the first call.
+
+    SciPy loads its own OpenBLAS, which the thread controls looked up
+    before it was mapped do not reach.  So the first call looks them up
+    again and, inside a ``blas_threads_for`` block, lowers the new library
+    to one thread too; the outermost block puts its count back.
+    """
+    import scipy.linalg
+
+    _openblas_controls.cache_clear()
+    if _active_blocks:
+        _lower_to_one_thread(_active_blocks[0])
+    return scipy.linalg
+
+
 def cholesky_factor(a: np.ndarray):
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
     Returns the scipy ``(factor, lower)`` pair that ``cho_solve`` takes.
     """
     try:
-        return scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        return scipy_linalg().cho_factor(a, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"matrix is not positive definite: {exc}") from exc
 
 
@@ -253,7 +273,7 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"right-hand side of length {b.shape[0]} does not match matrix of size {a.shape[0]}"
         )
-    return scipy.linalg.cho_solve(cholesky_factor(a), b, check_finite=False)
+    return scipy_linalg().cho_solve(cholesky_factor(a), b, check_finite=False)
 
 
 def generalized_eig_top(
@@ -318,21 +338,22 @@ def generalized_eig_top(
         )
     # The triangular solves read only the lower triangle of the factor.
     chol = cholesky_factor(within)[0]
+    sla = scipy_linalg()
     # between = R^T R with R = U[:r] P^T, from P^T between P = U^T U.
-    factor, piv, rank, _ = scipy.linalg.lapack.dpstrf(between, lower=0)
+    factor, piv, rank, _ = sla.lapack.dpstrf(between, lower=0)
     root_t = np.empty((p, rank))
     root_t[piv - 1] = np.triu(factor[:rank]).T
     # Whiten the r factor columns only; A A^T is the whitened between matrix.
-    whitened_root = scipy.linalg.solve_triangular(
+    whitened_root = sla.solve_triangular(
         chol, root_t, lower=True, check_finite=False
     )
-    vectors, singular, _ = scipy.linalg.svd(
+    vectors, singular, _ = sla.svd(
         whitened_root, full_matrices=k > rank, check_finite=False
     )
     top_values = np.zeros(k)
     top_values[: min(k, rank)] = singular[:k] ** 2
     # Map back; whitened orthonormality turns into within-orthonormality.
-    directions = scipy.linalg.solve_triangular(
+    directions = sla.solve_triangular(
         chol.T, vectors[:, :k], lower=False, check_finite=False
     ).T
     for row in directions:
@@ -377,6 +398,20 @@ def _openblas_controls() -> tuple:
     return tuple(controls)
 
 
+# What each active ``blas_threads_for`` block lowered, as (set, count)
+# pairs, outermost block first.  A library that ``scipy_linalg`` maps in
+# during a block is recorded in the outermost one, which restores it.
+_active_blocks: list[list] = []
+
+
+def _lower_to_one_thread(lowered: list) -> None:
+    for get, set_ in _openblas_controls():
+        count = get()
+        if count > 1:
+            set_(1)
+            lowered.append((set_, count))
+
+
 @contextlib.contextmanager
 def blas_threads_for():
     """Run the body on one BLAS thread.
@@ -387,7 +422,9 @@ def blas_threads_for():
     2-thread time at 1 thread for grids of p = 101 to 1600 (README, "BLAS
     threads").  The manager only lowers counts, never raises
     them, so it does nothing under ``OPENBLAS_NUM_THREADS=1``, and nested
-    managers leave the restoring to the outermost one that lowered.
+    managers leave the restoring to the outermost one that lowered.  An
+    OpenBLAS that SciPy loads during the body is lowered when it loads
+    and restored by the outermost manager.
     Without ``/proc`` or without OpenBLAS it does nothing.
 
     The count is process-global while the manager is active: BLAS calls
@@ -397,13 +434,11 @@ def blas_threads_for():
     any change of BLAS thread count, results may differ in the last bits.
     """
     lowered = []
+    _active_blocks.append(lowered)
     try:
-        for get, set_ in _openblas_controls():
-            count = get()
-            if count > 1:
-                set_(1)
-                lowered.append((set_, count))
+        _lower_to_one_thread(lowered)
         yield
     finally:
+        _active_blocks[:] = [block for block in _active_blocks if block is not lowered]
         for set_, count in reversed(lowered):
             set_(count)

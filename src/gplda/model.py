@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     DimensionError,
@@ -40,7 +39,7 @@ from .exceptions import (
     SingularMatrixError,
     ValidationError,
 )
-from .linalg import SmoothingPenalty, cholesky_factor, frobenius_norm, spd_solve
+from .linalg import SmoothingPenalty, cholesky_factor, frobenius_norm, scipy_linalg, spd_solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,7 +258,7 @@ class CholeskyForm(WithinCovariance):
 
     @functools.cached_property
     def penalty_trace(self) -> float:
-        solved = scipy.linalg.cho_solve(self.factor, self.penalty.matrix, check_finite=False)
+        solved = scipy_linalg().cho_solve(self.factor, self.penalty.matrix, check_finite=False)
         return float(np.trace(solved))
 
     def dense(self) -> np.ndarray:
@@ -269,7 +268,7 @@ class CholeskyForm(WithinCovariance):
         return bool(np.all(np.isfinite(self.matrix)))
 
     def solve(self, rows: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve(self.factor, rows.T, check_finite=False).T
+        return scipy_linalg().cho_solve(self.factor, rows.T, check_finite=False).T
 
     def blend(self, y, m, shift):
         shifted = self.matrix + shift * np.eye(self.p)
@@ -279,17 +278,18 @@ class CholeskyForm(WithinCovariance):
         eye = np.eye(self.p)
         smoothing = self.matrix @ self.penalty.matrix
         means = np.zeros_like(xbar)
+        solve = scipy_linalg().solve
         for i, scale in enumerate(scales):
             try:
-                means[i] = scipy.linalg.solve(eye + scale * smoothing, xbar[i], check_finite=False)
-            except scipy.linalg.LinAlgError as exc:
+                means[i] = solve(eye + scale * smoothing, xbar[i], check_finite=False)
+            except np.linalg.LinAlgError as exc:
                 raise SingularMatrixError(
                     f"mean smoothing system for class {i + 1} is singular: {exc}"
                 ) from exc
         return means
 
     def gradient_norm(self, rows, weight, count):
-        inverse = scipy.linalg.cho_solve(self.factor, np.eye(self.p), check_finite=False)
+        inverse = scipy_linalg().cho_solve(self.factor, np.eye(self.p), check_finite=False)
         sandwich = inverse @ (rows.T @ rows + weight * self.penalty.matrix) @ inverse
         return frobenius_norm(sandwich - count * inverse)
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 
 import numpy as np
 import scipy.linalg
@@ -12,6 +14,7 @@ from gplda import (
     FitConfig,
     HyperParams,
     LabeledFunctionalDataset,
+    ParseError,
     PosteriorState,
     build_penalty,
     first_order_residuals,
@@ -266,3 +269,68 @@ def two_class_separable(n_per_class: int, p: int, gap: float, seed: int = 0):
     y = np.vstack([y1, y2])
     labels = np.repeat([1, 2], n_per_class)
     return LabeledFunctionalDataset(y=y, labels=labels, label_names=(1, 2))
+
+
+def csv_module_read(path: str, has_header: bool = False):
+    """Reference labeled-curve CSV reader: the csv module and ``float`` per cell.
+
+    ``read_labeled_csv`` before its values came from NumPy's C reader;
+    returns ``(labels, values)`` and raises the same ``ParseError``s.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            raw_rows = [
+                row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)
+            ]
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    if has_header and raw_rows:
+        raw_rows = raw_rows[1:]
+    if not raw_rows:
+        raise ParseError(f"{path}: no data rows")
+    labels = []
+    values = []
+    expected = len(raw_rows[0])
+    if expected < 2:
+        raise ParseError(f"{path}: row 1 has no value columns", row=1)
+    for r, row in enumerate(raw_rows, start=1):
+        if len(row) != expected:
+            raise ParseError(
+                f"{path}: row {r} has {len(row)} columns, expected {expected}",
+                row=r,
+            )
+        labels.append(row[0].strip())
+        parsed = []
+        for c, cell in enumerate(row[1:], start=2):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise ParseError(
+                    f"{path}: row {r} column {c}: cannot parse {cell.strip()!r} as a number",
+                    row=r,
+                    column=c,
+                ) from None
+        values.append(parsed)
+    return labels, np.asarray(values, dtype=float)
+
+
+def csv_module_text(dataset: LabeledFunctionalDataset) -> str:
+    """Reference labeled-curve CSV text: ``repr`` of each value, and labels
+    quoted as ``csv.QUOTE_MINIMAL`` quotes them.
+
+    ``save_dataset_csv`` before it streamed its rows, with the label
+    quoting added.
+    """
+    lines = []
+    names = list(dataset.label_names)
+    for i in range(dataset.n):
+        label = names[dataset.labels[i] - 1]
+        cells = [f"{label}", *(repr(float(v)) for v in dataset.y[i])]
+        text = io.StringIO()
+        # The default dialect: its "\r\n" terminator makes a carriage
+        # return in a cell as much a reason to quote as a line feed.
+        csv.writer(text).writerow(cells)
+        lines.append(text.getvalue().removesuffix("\r\n") + "\n")
+    return "".join(lines)

@@ -12,9 +12,11 @@ from gplda import (
     METHOD_PDA,
     ParseError,
     RunConfig,
+    SimSpec,
     ValidationError,
     default_run_config,
     format_config,
+    generate,
     load_config,
     load_csv,
     load_model,
@@ -28,7 +30,12 @@ from gplda import (
 )
 from gplda.io import atomic_write_text
 
-from helpers import sample_well_posed_dataset, two_class_separable
+from helpers import (
+    csv_module_read,
+    csv_module_text,
+    sample_well_posed_dataset,
+    two_class_separable,
+)
 
 
 class TestAtomicWrite:
@@ -43,6 +50,26 @@ class TestAtomicWrite:
         path = str(tmp_path / "out.txt")
         atomic_write_text(path, "content\n")
         assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_writes_pieces_in_order(self, tmp_path):
+        path = str(tmp_path / "out.txt")
+        atomic_write_text(path, (f"{i}\n" for i in range(3)))
+        with open(path) as fh:
+            assert fh.read() == "0\n1\n2\n"
+
+    def test_failed_piece_leaves_the_old_file(self, tmp_path):
+        path = str(tmp_path / "out.txt")
+        atomic_write_text(path, "old\n")
+
+        def pieces():
+            yield "new\n"
+            raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError):
+            atomic_write_text(path, pieces())
+        assert os.listdir(tmp_path) == ["out.txt"]
+        with open(path) as fh:
+            assert fh.read() == "old\n"
 
 
 class TestLabeledCsv:
@@ -103,6 +130,99 @@ class TestLabeledCsv:
             fh.write("a\nb\n")
         with pytest.raises(ParseError, match="no value columns"):
             read_labeled_csv(path)
+
+
+# (file contents, has_header): the reader must give what the csv module
+# and float() give, or the same ParseError.
+CSV_CASES = {
+    "header": ("label,t1,t2\na,1.0,2.0\nb,3,4\n", True),
+    "header after blank rows": ("\n \n,,\nlabel,x,y\na,1,2\nb,3,4\n", True),
+    "blank rows": ('a,1,2\n\n   \n,,\n , ,\t\n"",""\n" ",\na,3,4\n\n', False),
+    "crlf": ("a,1,2\r\n\r\nb,3,4\r\n", False),
+    "carriage returns only": ("a,1,2\rb,3,4\r", False),
+    "quoted labels": ('"a,b",1,2\n"say ""hi""",3,4\n"two\nlines",5,6\n" c ",7,8\n', False),
+    "quoted numbers": ('a,"1.5"," 2"\nb,"-3e-5",4\n', False),
+    "hash labels": ("#x,1,2\n# y,3,4\n#,5,6\n", False),
+    "nan and inf": ("a,nan,inf\nb,-Infinity,NaN\nc,+inf,-nan\n", False),
+    "padded cells": (" a , 1.5 ,\t2 \n b,3 , 4\n", False),
+    "number forms": ("a,1e-320,.5\nb,5.,-0\nc,1E+308,4.9e-324\n", False),
+    "one value column": ("a,1\nb,2\n", False),
+    "no final line break": ("a,1,2\nb,3,4", False),
+    "empty file": ("", False),
+    "only a header": ("label,x\n", True),
+    "only blank rows": ("\n ,\n", False),
+    "value-free rows": ("a\nb\n", False),
+    "not UTF-8": (b"a,1,2\n\xff,3,4\n", False),
+    "short row": ("a,1,2\nb,1\n", False),
+    "long row": ("a,1,2\nb,1,2,3\n", False),
+    "unparsable cell": ("a,1.0,2.0\nb,oops,4.0\n", False),
+    "empty cell": ("a,1,\nb,2,3\n", False),
+    "unparsable cell after blank rows": ("a,1,2\n,,\n\nb,3,x\n", False),
+    "unparsable cell after a header": ("h,x,y\na,1,2\nb,3,x\n", True),
+    "unparsable cell before a short row": ("a,1,2\nb,x,2\nc,1\n", False),
+    "short row before an unparsable cell": ("a,1,2\nc,1\nb,x,2\n", False),
+    "comment after a value": ("a,1,2 # note\n", False),
+    "quoted comma in a value": ('a,"1,5",2\n', False),
+}
+
+
+def _read_both(path, has_header):
+    outcomes = []
+    for reader in (read_labeled_csv, csv_module_read):
+        try:
+            outcomes.append(reader(path, has_header=has_header))
+        except ParseError as exc:
+            outcomes.append((str(exc), exc.row, exc.column))
+    return outcomes
+
+
+class TestCsvAgainstTheCsvModule:
+    @pytest.mark.parametrize("case", sorted(CSV_CASES))
+    def test_same_rows_values_and_errors(self, case, tmp_path):
+        content, has_header = CSV_CASES[case]
+        path = str(tmp_path / "curves.csv")
+        with open(path, "wb") as fh:
+            fh.write(content if isinstance(content, bytes) else content.encode("utf-8"))
+        got, want = _read_both(path, has_header)
+        if isinstance(want[1], np.ndarray):
+            assert got[0] == want[0]
+            assert got[1].dtype == want[1].dtype and got[1].flags.c_contiguous
+            assert got[1].shape == want[1].shape
+            assert got[1].tobytes() == want[1].tobytes()
+        else:
+            assert got == want
+
+    def test_generated_dataset_round_trips_bit_for_bit(self, tmp_path):
+        _, data = generate(SimSpec(which="sim1", n_train=20, n_test=2000, seed=4))
+        path = str(tmp_path / "curves.csv")
+        save_dataset_csv(path, data)
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == csv_module_text(data)
+        labels, values = read_labeled_csv(path)
+        want_labels, want_values = csv_module_read(path)
+        assert labels == want_labels
+        assert values.tobytes() == want_values.tobytes() == data.y.tobytes()
+
+    @pytest.mark.parametrize("label", ["a,b", 'say "hi"', "#x", "two\nlines", "cr\rhere"])
+    def test_labels_that_need_quoting_round_trip(self, label, tmp_path):
+        base = two_class_separable(3, 4, gap=2.0, seed=1)
+        data = validate_dataset(base.y, [label] * 3 + ["plain"] * 3)
+        path = str(tmp_path / "curves.csv")
+        save_dataset_csv(path, data)
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == csv_module_text(data)
+        loaded = load_csv(path)
+        assert loaded.label_names == (label, "plain")
+        np.testing.assert_array_equal(loaded.y, data.y)
+
+    def test_digit_underscores_are_not_numbers(self, tmp_path):
+        # float() reads "1_0" as 10; NumPy's reader, and so this format, does not.
+        path = str(tmp_path / "curves.csv")
+        with open(path, "w") as fh:
+            fh.write("a,1,2\nb,1_0,3\n")
+        with pytest.raises(ParseError, match="row 2 column 2: cannot parse '1_0'") as info:
+            read_labeled_csv(path)
+        assert (info.value.row, info.value.column) == (2, 2)
 
 
 class TestModelFiles:

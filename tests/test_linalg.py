@@ -2,7 +2,10 @@
 
 import ast
 import glob
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -619,3 +622,110 @@ def test_spd_factorization_stays_in_cholesky_factor():
             if called in ("cholesky", "cho_factor", "dpotrf"):
                 offenders.append(f"{name}:{node.lineno}")
     assert allowed and offenders == []
+
+
+def _run_fresh(script: str, **env) -> str:
+    """Run ``script`` in a new interpreter that imports this gplda; return stdout."""
+    source_root = os.path.dirname(os.path.dirname(gplda.__file__))
+    environment = {
+        key: value for key, value in os.environ.items()
+        if key not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    }
+    environment.update(env, PYTHONPATH=os.pathsep.join(
+        [source_root, *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=environment, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("module", ["gplda", "gplda.cli"])
+def test_import_loads_no_scipy(module):
+    loaded = _run_fresh(
+        f"import sys, {module}\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert loaded.strip() == "[]"
+
+
+def test_scipy_linalg_has_one_first_use_import():
+    # No module imports scipy when it loads, and only linalg.scipy_linalg
+    # imports scipy.linalg, so it alone decides when SciPy's OpenBLAS loads.
+    offenders = []
+    accessors = []
+    package = os.path.dirname(gplda.__file__)
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        name = os.path.basename(path)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        functions = [
+            node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        inside = {id(node): f.name for f in functions for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for module in modules:
+                if module.split(".")[0] != "scipy":
+                    continue
+                if id(node) not in inside:
+                    offenders.append(f"{name}:{node.lineno} imports {module} at load")
+                elif module.startswith("scipy.linalg"):
+                    accessors.append(f"{name}:{inside[id(node)]}")
+    assert offenders == []
+    assert accessors == ["linalg.py:scipy_linalg"]
+
+
+_LOAD_SCIPY_INSIDE_A_FIT = """
+import json, sys
+import numpy as np
+import gplda
+from gplda import estimator, linalg
+
+def counts():
+    # Every OpenBLAS mapped now, not the cached lookup.
+    return [get() for get, _ in linalg._openblas_controls.__wrapped__()]
+
+train, _ = gplda.generate(gplda.SimSpec(which="sim1", n_train=20, n_test=2, seed=0))
+model = gplda.DiscriminantModel(
+    method_tag="MLE_LDA", directions=np.ones((1, train.p)) / train.p,
+    projected_centroids=np.array([[0.0], [1.0]]), class_labels=(1, 2),
+)
+gplda.predict(model, train.y)
+cached_before_scipy = (
+    linalg._openblas_controls.cache_info().currsize == 1 and "scipy" not in sys.modules
+)
+seen = []
+log_posterior = estimator.log_posterior
+
+def spy(*args, **kwargs):
+    seen.append(["scipy.linalg" in sys.modules, counts()])
+    return log_posterior(*args, **kwargs)
+
+estimator.log_posterior = spy
+gplda.fit(train)
+print(json.dumps({"cached_before_scipy": cached_before_scipy, "seen": seen, "after": counts()}))
+"""
+
+
+def test_openblas_that_scipy_loads_inside_a_fit_runs_on_one_thread():
+    # predict looks up the thread controls before SciPy is imported; the
+    # fit that follows imports it inside its blas_threads_for block.
+    report = json.loads(_run_fresh(_LOAD_SCIPY_INSIDE_A_FIT, OPENBLAS_NUM_THREADS="2"))
+    assert report["cached_before_scipy"]
+    after = report["after"]
+    if max(after, default=1) < 2:
+        pytest.skip("OpenBLAS does not run 2 threads on this host")
+    with_scipy = [counts for loaded, counts in report["seen"] if loaded]
+    assert with_scipy
+    for counts in with_scipy:
+        assert len(counts) == len(after) and set(counts) == {1}
+    assert set(after) == {2}
