@@ -26,7 +26,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DimensionError, ValidationError
-from .linalg import SmoothingPenalty, blas_threads_for, generalized_eig_top
+from .linalg import (
+    SmoothingPenalty,
+    blas_threads_for,
+    check_between_scale,
+    cholesky_factor,
+    frobenius_norm,
+    generalized_eig_top,
+    whitened_eig_top,
+)
 from .model import (
     FitConfig,
     HyperParams,
@@ -206,6 +214,20 @@ def gplda_fit(
     return model, trace
 
 
+def _check_penalty_grid(penalty: SmoothingPenalty, data: LabeledFunctionalDataset) -> None:
+    if penalty.p != data.p:
+        raise DimensionError(
+            f"penalty is built for grid length {penalty.p}, data has p={data.p}"
+        )
+
+
+def _pda_within(scatter: np.ndarray, penalty: SmoothingPenalty, alpha: float) -> np.ndarray:
+    """PDA's within matrix: the pooled scatter plus ``alpha`` times the
+    penalty, symmetrized."""
+    within = scatter + alpha * penalty.matrix
+    return 0.5 * (within + within.T)
+
+
 def pda_fit(
     data: LabeledFunctionalDataset,
     penalty: SmoothingPenalty,
@@ -225,17 +247,67 @@ def pda_fit(
     """
     if alpha < 0:
         raise ValidationError(f"alpha must be non-negative, got {alpha}")
-    if penalty.p != data.p:
-        raise DimensionError(
-            f"penalty is built for grid length {penalty.p}, data has p={data.p}"
-        )
+    _check_penalty_grid(penalty, data)
     with blas_threads_for():
         mu = data.class_means()
-        within = pooled_within_scatter(data.y, data.labels, mu) + alpha * penalty.matrix
-        within = 0.5 * (within + within.T)
+        within = _pda_within(pooled_within_scatter(data.y, data.labels, mu), penalty, alpha)
         return _assemble(
             METHOD_PDA, mu, within, data.label_names, k,
             penalty_descriptor=penalty.descriptor,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class PdaPath:
+    """``pda_fit`` at many penalty weights on one dataset.
+
+    Holds what does not depend on alpha: the class means, the pooled
+    scatter, and the centred class means as the (p, c) between factor,
+    with the Frobenius norm of their c x c Gram matrix, which equals that
+    of ``between_covariance``.  Each ``fit`` then costs one Cholesky
+    factor and the whitening of c columns, with no p x p between matrix.
+    Its model has ``pda_fit``'s directions up to rounding, normalized
+    against the same within matrix, and raises the same errors.  Callers
+    hold the one-thread BLAS policy themselves.
+    """
+
+    mu: np.ndarray
+    scatter: np.ndarray
+    between_root_t: np.ndarray
+    between_norm: float
+    penalty: SmoothingPenalty
+    class_labels: tuple
+
+    @classmethod
+    def of(cls, data: LabeledFunctionalDataset, penalty: SmoothingPenalty) -> "PdaPath":
+        _check_penalty_grid(penalty, data)
+        mu = data.class_means()
+        centered = mu - mu.mean(axis=0)
+        return cls(
+            mu=mu,
+            scatter=pooled_within_scatter(data.y, data.labels, mu),
+            between_root_t=centered.T,
+            between_norm=frobenius_norm(centered @ centered.T),
+            penalty=penalty,
+            class_labels=data.label_names,
+        )
+
+    def fit(self, alpha: float) -> DiscriminantModel:
+        """The model ``pda_fit(data, penalty, alpha)`` would give, default k."""
+        within = _pda_within(self.scatter, self.penalty, alpha)
+        check_between_scale(self.between_norm, within)
+        c, p = self.mu.shape
+        eigenvalues, directions = whitened_eig_top(
+            cholesky_factor(within)[0], self.between_root_t, _resolve_k(None, c, p)[0]
+        )
+        return DiscriminantModel(
+            method_tag=METHOD_PDA,
+            directions=directions,
+            projected_centroids=self.mu @ directions.T,
+            class_labels=self.class_labels,
+            within_cov_used=within,
+            eigenvalues=eigenvalues,
+            penalty=self.penalty.descriptor,
         )
 
 

@@ -237,13 +237,23 @@ def initial_state(
     variance at the average observed within-class variance per grid point,
     and the covariance at its own update formula evaluated at these
     starting values, as a ``WithinCovariance`` operator.
+
+    Raises ``ValidationError`` when the curves have no within-class
+    variation, which would start the noise variance at zero.
     """
     mu0 = data.class_means()
     x0 = data.y.copy()
     alpha1 = hyper.a1 / hyper.b1
     alpha2 = hyper.a2 / hyper.b2
     centered = data.y - mu0[data.labels - 1]
-    sigma2 = float(np.sum(centered * centered)) / (data.n * data.p)
+    within_ss = float(np.sum(centered * centered))
+    # The class means carry a rounding error of up to about n ulps, so
+    # variation below that cannot be told from none.
+    if within_ss <= (data.n * np.finfo(float).eps) ** 2 * float(np.sum(data.y * data.y)):
+        raise ValidationError(
+            "no within-class variation: every curve equals its class mean"
+        )
+    sigma2 = within_ss / (data.n * data.p)
     sigma_w = _within_update(
         x0, mu0, data, alpha2, config.penalty, hyper, config.jitter_scale
     )

@@ -17,7 +17,9 @@ scatter of rank at most c - 1, so the solver factors it with a pivoted
 Cholesky decomposition and works on its r = numerical-rank factor rows:
 beyond the Cholesky factor of the denominator, a solve for k directions
 costs O(p^2 (r + k)) instead of the O(p^3) of a dense whitened
-eigendecomposition.
+eigendecomposition.  The steps after the pivoted factor are one kernel,
+``whitened_eig_top``, which a caller that already holds a factor of the
+numerator (the cross-validation's centred class means) calls directly.
 
 ``blas_threads_for`` is the package's one BLAS thread policy: the public
 fit and predict functions run on one BLAS thread, because at the sizes
@@ -332,17 +334,42 @@ def generalized_eig_top(
     p = between.shape[0]
     if not 1 <= k <= p:
         raise DimensionError(f"k={k} is outside the valid range 1..{p}")
-    if frobenius_norm(between) <= 1e-12 * frobenius_norm(within):
+    check_between_scale(frobenius_norm(between), within)
+    # The triangular solves read only the lower triangle of the factor.
+    chol = cholesky_factor(within)[0]
+    # between = R^T R with R = U[:r] P^T, from P^T between P = U^T U.
+    factor, piv, rank, _ = scipy_linalg().lapack.dpstrf(between, lower=0)
+    root_t = np.empty((p, rank))
+    root_t[piv - 1] = np.triu(factor[:rank]).T
+    return whitened_eig_top(chol, root_t, k)
+
+
+def check_between_scale(between_norm: float, within: np.ndarray) -> None:
+    """Raise unless the between matrix, given by its Frobenius norm, is
+    numerically nonzero against ``within``."""
+    if between_norm <= 1e-12 * frobenius_norm(within):
         raise DegenerateBetweenCovarianceError(
             "between-class covariance is numerically zero; class means coincide"
         )
-    # The triangular solves read only the lower triangle of the factor.
-    chol = cholesky_factor(within)[0]
+
+
+def whitened_eig_top(
+    chol: np.ndarray, root_t: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``generalized_eig_top`` from a factor of each matrix.
+
+    ``chol`` is the lower Cholesky factor L of ``within`` (only its lower
+    triangle is read) and ``root_t`` (p, r) a factor of ``between =
+    root_t @ root_t.T``: the pivoted Cholesky root, or the r = c centred
+    class means as columns.  The r columns are whitened, ``A = L^{-1}
+    root_t``, and the thin SVD ``A = U S V^T`` gives the values ``S**2``
+    and the directions ``(L^{-T} U[:, :k])^T``, with the largest-magnitude
+    entry of each made positive.  Values past r are zero, and when k > r
+    the extra directions span the rest of the ``within``-orthogonal
+    complement.
+    """
     sla = scipy_linalg()
-    # between = R^T R with R = U[:r] P^T, from P^T between P = U^T U.
-    factor, piv, rank, _ = sla.lapack.dpstrf(between, lower=0)
-    root_t = np.empty((p, rank))
-    root_t[piv - 1] = np.triu(factor[:rank]).T
+    rank = root_t.shape[1]
     # Whiten the r factor columns only; A A^T is the whitened between matrix.
     whitened_root = sla.solve_triangular(
         chol, root_t, lower=True, check_finite=False

@@ -25,6 +25,7 @@ from .discriminant import (
     METHOD_MLE_LDA,
     METHOD_PCA_LDA,
     METHOD_PDA,
+    PdaPath,
     error_rate,
     gplda_fit,
     mle_lda_fit,
@@ -235,11 +236,30 @@ DEFAULT_PDA_ALPHA_GRID = (1e-2, 1e-1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
 def select_pda_alpha(data: LabeledFunctionalDataset, penalty, seed: int = 0) -> float:
     """Pick the penalty weight by stratified cross-validation.
 
-    The candidates are ``DEFAULT_PDA_ALPHA_GRID``.  Folds are assigned
-    round-robin within each class after a seeded shuffle.  Ties resolve
-    to the smallest candidate.  Five folds are used, fewer if some class
-    has fewer than five curves.  Every class needs at least two curves, so
-    that each fold trains and tests on every class.
+    The candidate with the least mean fold error in ``pda_cv_errors``;
+    ties resolve to the smallest candidate.
+    """
+    # argmin takes the first minimum: the smallest tied candidate.
+    return float(DEFAULT_PDA_ALPHA_GRID[int(np.argmin(pda_cv_errors(data, penalty, seed)))])
+
+
+def pda_cv_errors(
+    data: LabeledFunctionalDataset, penalty, seed: int = 0
+) -> tuple[float, ...]:
+    """Mean cross-validated PDA test error of each penalty weight.
+
+    One entry per candidate of ``DEFAULT_PDA_ALPHA_GRID``, the mean over
+    the folds of each fold's held-out error rate.  Folds are assigned
+    round-robin within each class after a seeded shuffle.  Five folds are
+    used, fewer if some class has fewer than five curves.  Every class
+    needs at least two curves, so that each fold trains and tests on every
+    class.
+
+    Each fold's class means and pooled scatter are computed once
+    (``PdaPath``); each candidate then costs a Cholesky factor and the
+    whitening of c centred means.  Every fold model goes through
+    ``predict``, and a fold whose fit raises a ``NumericError`` scores an
+    error of 1.
     """
     counts = data.class_counts
     if counts.min() < 2:
@@ -257,26 +277,30 @@ def select_pda_alpha(data: LabeledFunctionalDataset, penalty, seed: int = 0) -> 
         assignment[shuffled] = np.arange(shuffled.size) % folds
     mean_errors = []
     with blas_threads_for():
+        # Per fold, once: the training part's alpha-free fit inputs, and
+        # the held-out rows with their true labels.
+        splits = []
+        for fold in range(folds):
+            holdout = assignment == fold
+            train = LabeledFunctionalDataset(
+                y=data.y[~holdout],
+                labels=data.labels[~holdout],
+                label_names=data.label_names,
+            )
+            truth = np.asarray(data.label_names)[data.labels[holdout] - 1]
+            splits.append((PdaPath.of(train, penalty), data.y[holdout], truth))
         for alpha in DEFAULT_PDA_ALPHA_GRID:
             fold_errors = []
-            for fold in range(folds):
-                holdout = assignment == fold
-                train = LabeledFunctionalDataset(
-                    y=data.y[~holdout],
-                    labels=data.labels[~holdout],
-                    label_names=data.label_names,
-                )
+            for path, held_out, truth in splits:
                 try:
-                    model = pda_fit(train, penalty, alpha)
-                    predicted = predict(model, data.y[holdout])
+                    model = path.fit(alpha)
+                    predicted = predict(model, held_out)
                 except NumericError:
                     fold_errors.append(1.0)
                     continue
-                truth = np.asarray(data.label_names)[data.labels[holdout] - 1]
                 fold_errors.append(error_rate(predicted, truth))
             mean_errors.append(float(np.mean(fold_errors)))
-    # argmin takes the first minimum: the smallest tied candidate.
-    return float(DEFAULT_PDA_ALPHA_GRID[int(np.argmin(mean_errors))])
+    return tuple(mean_errors)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from gplda import (
     LabeledFunctionalDataset,
     ParseError,
     PosteriorState,
+    ValidationError,
     build_penalty,
     first_order_residuals,
     initial_state,
@@ -27,8 +28,11 @@ from gplda import (
     update_sigma_w,
     update_x,
 )
+from gplda import simulate
+from gplda.discriminant import error_rate, pda_fit, predict
 from gplda.estimator import FitTrace
-from gplda.linalg import frobenius_norm
+from gplda.exceptions import DegenerateBetweenCovarianceError, NumericError
+from gplda.linalg import blas_threads_for, frobenius_norm
 
 
 def sample_well_posed_dataset(rng: np.random.Generator) -> LabeledFunctionalDataset:
@@ -92,6 +96,33 @@ def dense_generalized_eig_top(between, within, k):
     return eigenvalues[order], directions
 
 
+def one_piece_generalized_eig_top(between, within, k):
+    """``generalized_eig_top`` as one function, before the steps after its
+    pivoted Cholesky factor became ``whitened_eig_top``.  Validation is
+    left out: callers pass valid shapes."""
+    if frobenius_norm(between) <= 1e-12 * frobenius_norm(within):
+        raise DegenerateBetweenCovarianceError("class means coincide")
+    chol = scipy.linalg.cho_factor(within, lower=True, check_finite=False)[0]
+    p = between.shape[0]
+    factor, piv, rank, _ = scipy.linalg.lapack.dpstrf(between, lower=0)
+    root_t = np.empty((p, rank))
+    root_t[piv - 1] = np.triu(factor[:rank]).T
+    whitened_root = scipy.linalg.solve_triangular(chol, root_t, lower=True, check_finite=False)
+    vectors, singular, _ = scipy.linalg.svd(
+        whitened_root, full_matrices=k > rank, check_finite=False
+    )
+    top_values = np.zeros(k)
+    top_values[: min(k, rank)] = singular[:k] ** 2
+    directions = scipy.linalg.solve_triangular(
+        chol.T, vectors[:, :k], lower=False, check_finite=False
+    ).T
+    for row in directions:
+        pivot = np.argmax(np.abs(row))
+        if row[pivot] < 0:
+            row *= -1.0
+    return top_values, directions
+
+
 def dense_fit(data, hyper=None, config=None, start=None):
     """Reference backfitting loop that keeps the covariance a dense matrix.
 
@@ -144,6 +175,52 @@ def dense_fit(data, hyper=None, config=None, start=None):
         log_posterior_per_sweep=tuple(history),
         final_residuals=first_order_residuals(state, data, hyper, penalty),
     )
+
+
+def reference_pda_cv(data, penalty, seed=0):
+    """Reference penalty-weight cross-validation: a full ``pda_fit`` and
+    ``predict`` for every (candidate, fold) pair, candidates outermost.
+
+    ``select_pda_alpha`` before each fold's scatter was computed once and
+    each candidate whitened only the centred class means.  Returns
+    ``(alpha, mean_errors)``: the chosen weight and the mean fold error
+    of each candidate of ``DEFAULT_PDA_ALPHA_GRID``.
+    """
+    counts = data.class_counts
+    if counts.min() < 2:
+        name = data.label_names[int(np.argmin(counts))]
+        raise ValidationError(
+            f"class {name!r} has {int(counts.min())} curve(s); cross-validating the "
+            "penalty weight needs at least 2 curves per class (pass --alpha)"
+        )
+    folds = min(5, int(counts.min()))
+    rng = simulate._stream(seed, 2)
+    assignment = np.zeros(data.n, dtype=int)
+    for i in range(1, data.c + 1):
+        shuffled = rng.permutation(data.class_rows(i))
+        assignment[shuffled] = np.arange(shuffled.size) % folds
+    mean_errors = []
+    with blas_threads_for():
+        for alpha in simulate.DEFAULT_PDA_ALPHA_GRID:
+            fold_errors = []
+            for fold in range(folds):
+                holdout = assignment == fold
+                train = LabeledFunctionalDataset(
+                    y=data.y[~holdout],
+                    labels=data.labels[~holdout],
+                    label_names=data.label_names,
+                )
+                try:
+                    model = pda_fit(train, penalty, alpha)
+                    predicted = predict(model, data.y[holdout])
+                except NumericError:
+                    fold_errors.append(1.0)
+                    continue
+                truth = np.asarray(data.label_names)[data.labels[holdout] - 1]
+                fold_errors.append(error_rate(predicted, truth))
+            mean_errors.append(float(np.mean(fold_errors)))
+    alpha = float(simulate.DEFAULT_PDA_ALPHA_GRID[int(np.argmin(mean_errors))])
+    return alpha, tuple(mean_errors)
 
 
 def lap2d_image_set(rng: np.random.Generator, n: int, rows: int, cols: int):

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import gplda
 import gplda.cli
 from gplda import DEFAULT_PDA_ALPHA_GRID, METHODS, parse_config, save_dataset_csv
 from gplda.cli import _FLAG_KEYS, cli_dispatch
@@ -339,6 +340,21 @@ class TestExitCodes:
         )
         assert code == 2
         assert "numeric failure:" in capsys.readouterr().err
+
+    def test_gplda_on_curves_without_within_class_variation(self, tmp_path, capsys):
+        labels = np.repeat([1, 2], 5)
+        data = gplda.LabeledFunctionalDataset(
+            y=np.repeat([[0.0], [1.0]], 5, axis=0) * np.ones(8),
+            labels=labels, label_names=(1, 2),
+        )
+        train = str(tmp_path / "train.csv")
+        save_dataset_csv(train, data)
+        code = cli_dispatch(
+            ["fit", "--method", "gplda", "--data", train, "--out", str(tmp_path / "m.json")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "no within-class variation" in err and "state." not in err
 
     def test_unreadable_data_file(self, tmp_path, capsys):
         code = cli_dispatch(

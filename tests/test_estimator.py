@@ -253,6 +253,35 @@ class TestInitialState:
         np.testing.assert_allclose(state.sigma_w, expected_sw)
 
 
+def _no_within_variation(kind: str, per_class: int = 7, p: int = 20):
+    labels = np.repeat([1, 2], per_class)
+    if kind == "zeros":
+        y = np.zeros((labels.size, p))
+    else:  # one constant curve per class, at levels whose means round
+        y = np.repeat([[1.0 / 3.0], [-2.0 / 7.0]], per_class, axis=0) * np.ones(p)
+    return LabeledFunctionalDataset(y=y, labels=labels, label_names=(1, 2))
+
+
+class TestNoWithinClassVariation:
+    @pytest.mark.parametrize("kind", ["zeros", "constant"])
+    def test_fit_names_the_data(self, kind):
+        with pytest.raises(ValidationError, match="no within-class variation"):
+            fit(_no_within_variation(kind))
+
+    @pytest.mark.parametrize("per_class", [3, 7, 50, 999])
+    def test_rounded_class_means_count_as_no_variation(self, per_class):
+        # the class means of these constants round, so the centred sum of
+        # squares is a few ulps rather than zero
+        with pytest.raises(ValidationError, match="no within-class variation"):
+            fit(_no_within_variation("constant", per_class=per_class))
+
+    def test_small_real_variation_still_fits(self):
+        data = _no_within_variation("constant")
+        noise = 1e-9 * np.random.default_rng(5).standard_normal(data.y.shape)
+        state, _ = fit(dataclasses.replace(data, y=data.y + noise))
+        assert state.sigma2 > 0
+
+
 class TestBlockAscent:
     def test_single_updates_never_decrease_objective(self):
         # every block update is an exact conditional maximizer, so the

@@ -26,13 +26,21 @@ from gplda import (
 from gplda import discriminant as discriminant_module
 from gplda import estimator as estimator_module
 from gplda import linalg as linalg_module
-from gplda import simulate as simulate_module
-from gplda.linalg import PenaltyBasis, SmoothingPenalty, blas_threads_for, frobenius_norm
+from gplda.linalg import (
+    PenaltyBasis,
+    SmoothingPenalty,
+    blas_threads_for,
+    check_between_scale,
+    cholesky_factor,
+    frobenius_norm,
+    whitened_eig_top,
+)
 
 from helpers import (
     dense_generalized_eig_top,
     loop_difference_operator,
     loop_laplacian_stencil,
+    one_piece_generalized_eig_top,
     random_spd_matrix,
 )
 
@@ -374,20 +382,8 @@ class TestGeneralizedEigTop:
 
     def test_matches_dense_whitened_eigendecomposition(self):
         """The low-rank route agrees with the dense oracle on 120 random cases."""
-        rng = np.random.default_rng(31)
         worst_values = worst_directions = 0.0
-        for case in range(120):
-            p = int(rng.integers(2, 121))
-            within = random_spd_matrix(rng, p)
-            if case % 6 == 5:  # full-rank numerator
-                root = rng.standard_normal((p, p))
-                between = root @ root.T
-                k = min(3, p)
-            else:  # rank c - 1 scatter of class means at scales 0.01..10
-                c = int(rng.integers(2, 6))
-                scale = float(10.0 ** rng.uniform(-2.0, 1.0))
-                between = between_covariance(scale * rng.standard_normal((c, p)))
-                k = min(c - 1, p)
+        for between, within, k in _eig_oracle_cases():
             values, directions = generalized_eig_top(between, within, k)
             ref_values, ref_directions = dense_generalized_eig_top(between, within, k)
             worst_values = max(
@@ -403,6 +399,79 @@ class TestGeneralizedEigTop:
             )
         assert worst_values <= 1e-10
         assert worst_directions <= 1e-10
+
+    def test_bit_identical_to_the_one_piece_solver(self):
+        for between, within, k in _eig_oracle_cases():
+            values, directions = generalized_eig_top(between, within, k)
+            ref_values, ref_directions = one_piece_generalized_eig_top(between, within, k)
+            np.testing.assert_array_equal(values, ref_values)
+            np.testing.assert_array_equal(directions, ref_directions)
+
+
+def _eig_oracle_cases():
+    """120 seeded (between, within, k) cases: one in six with a full-rank
+    numerator, the rest the rank c - 1 scatter of c = 2..5 class means."""
+    rng = np.random.default_rng(31)
+    for case in range(120):
+        p = int(rng.integers(2, 121))
+        within = random_spd_matrix(rng, p)
+        if case % 6 == 5:  # full-rank numerator
+            root = rng.standard_normal((p, p))
+            between = root @ root.T
+            k = min(3, p)
+        else:  # rank c - 1 scatter of class means at scales 0.01..10
+            c = int(rng.integers(2, 6))
+            scale = float(10.0 ** rng.uniform(-2.0, 1.0))
+            between = between_covariance(scale * rng.standard_normal((c, p)))
+            k = min(c - 1, p)
+        yield between, within, k
+
+
+def _centred_means_route(mu, within, k):
+    """The cross-validation's solve: the c centred means as the between factor."""
+    centered = mu - mu.mean(axis=0)
+    check_between_scale(frobenius_norm(centered @ centered.T), within)
+    return whitened_eig_top(cholesky_factor(within)[0], centered.T, k)
+
+
+class TestCentredMeansRoute:
+    def test_agrees_with_the_pivoted_root(self):
+        rng = np.random.default_rng(59)
+        for _ in range(60):
+            p = int(rng.integers(2, 121))
+            c = int(rng.integers(2, 6))
+            k = min(c - 1, p)
+            within = random_spd_matrix(rng, p)
+            mu = float(10.0 ** rng.uniform(-2.0, 1.0)) * rng.standard_normal((c, p))
+            values, directions = _centred_means_route(mu, within, k)
+            ref_values, ref_directions = generalized_eig_top(
+                between_covariance(mu), within, k
+            )
+            np.testing.assert_allclose(values, ref_values, rtol=1e-10, atol=0.0)
+            np.testing.assert_allclose(
+                directions, ref_directions, rtol=0.0,
+                atol=1e-10 * float(np.max(np.abs(ref_directions))),
+            )
+            np.testing.assert_allclose(
+                directions @ within @ directions.T, np.eye(k), rtol=0.0, atol=1e-10
+            )
+
+    def test_coincident_means_are_degenerate_on_both_routes(self):
+        mu = np.tile(np.random.default_rng(61).standard_normal(7), (3, 1))
+        within = random_spd_matrix(np.random.default_rng(62), 7)
+        with pytest.raises(DegenerateBetweenCovarianceError):
+            generalized_eig_top(between_covariance(mu), within, 2)
+        with pytest.raises(DegenerateBetweenCovarianceError):
+            _centred_means_route(mu, within, 2)
+
+    def test_non_positive_definite_within_fails_on_both_routes(self):
+        mu = np.random.default_rng(63).standard_normal((3, 7))
+        within = random_spd_matrix(np.random.default_rng(64), 7)
+        within[0, 0] = -1.0
+        with pytest.raises(SingularMatrixError):
+            generalized_eig_top(between_covariance(mu), within, 2)
+        with pytest.raises(SingularMatrixError):
+            _centred_means_route(mu, within, 2)
 
 
 class TestMatrixNorms:
@@ -502,7 +571,8 @@ def _entry_point_calls(seen):
             None, None, lambda: gplda.predict(_line_model(train.p), _Curves(train.y, seen))
         ),
         "select_pda_alpha": (
-            simulate_module, "pda_fit", lambda: gplda.select_pda_alpha(train, d2)
+            discriminant_module, "pooled_within_scatter",
+            lambda: gplda.select_pda_alpha(train, d2),
         ),
     }
 

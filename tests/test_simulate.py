@@ -7,6 +7,7 @@ import pytest
 
 from gplda import (
     DEFAULT_PDA_ALPHA_GRID,
+    DimensionError,
     LabeledFunctionalDataset,
     METHOD_MLE_LDA,
     METHOD_PCA_LDA,
@@ -33,7 +34,7 @@ from gplda import (
 )
 from gplda import simulate as simulate_module
 
-from helpers import two_class_separable
+from helpers import reference_pda_cv, two_class_separable
 
 
 class TestGrids:
@@ -151,6 +152,10 @@ class TestSelectPdaAlpha:
         data = two_class_separable(10, 8, gap=50.0, seed=17)
         penalty = build_penalty(SECOND_DIFF, 8)
         assert select_pda_alpha(data, penalty) == DEFAULT_PDA_ALPHA_GRID[0]
+        alpha, errors = reference_pda_cv(data, penalty)
+        assert errors == (0.0,) * len(DEFAULT_PDA_ALPHA_GRID)
+        assert simulate_module.pda_cv_errors(data, penalty) == errors
+        assert alpha == DEFAULT_PDA_ALPHA_GRID[0]
 
     @pytest.mark.parametrize(
         "sizes, named", [((1, 1), "a"), ((6, 1), "b")], ids=["one-each", "six-and-one"]
@@ -163,8 +168,48 @@ class TestSelectPdaAlpha:
             labels=labels,
             label_names=("a", "b"),
         )
-        with pytest.raises(ValidationError, match=f"class '{named}' has 1 curve.*--alpha"):
-            select_pda_alpha(data, build_penalty(SECOND_DIFF, 6))
+        penalty = build_penalty(SECOND_DIFF, 6)
+        message = f"class '{named}' has 1 curve.*--alpha"
+        with pytest.raises(ValidationError, match=message) as raised:
+            select_pda_alpha(data, penalty)
+        with pytest.raises(ValidationError) as expected:
+            reference_pda_cv(data, penalty)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "which, n_train", [("sim1", 50), ("sim1", 200), ("sim2", 20)]
+    )
+    def test_matches_the_fit_per_fold_reference(self, which, n_train):
+        for seed in range(20):
+            train, _ = generate(SimSpec(which, n_train, 2, seed=seed))
+            penalty = build_penalty(SECOND_DIFF, train.p)
+            alpha, errors = reference_pda_cv(train, penalty, seed)
+            assert simulate_module.pda_cv_errors(train, penalty, seed) == errors
+            if seed == 0:
+                assert select_pda_alpha(train, penalty, seed) == alpha
+
+    def test_failing_candidates_score_one_as_in_the_reference(self):
+        # an indefinite "penalty" makes S + alpha * Omega indefinite once
+        # alpha is large, so those candidates' fold fits raise
+        data = two_class_separable(20, 6, gap=0.7, seed=3)
+        matrix = build_penalty(SECOND_DIFF, 6).matrix - 0.5 * np.eye(6)
+        penalty = SmoothingPenalty(matrix=matrix, kind=SECOND_DIFF)
+        alpha, errors = reference_pda_cv(data, penalty)
+        assert errors[0] < 1.0 and errors[-1] == 1.0
+        assert simulate_module.pda_cv_errors(data, penalty) == errors
+        assert select_pda_alpha(data, penalty) == alpha
+
+    def test_mismatched_penalty_fails_once_before_any_fold_model(self, monkeypatch):
+        data = two_class_separable(10, 8, gap=1.0, seed=13)
+        penalty = build_penalty(SECOND_DIFF, 9)
+        with pytest.raises(DimensionError) as expected:
+            reference_pda_cv(data, penalty)
+        seen = []
+        monkeypatch.setattr(simulate_module, "predict", lambda *args: seen.append(args))
+        with pytest.raises(DimensionError) as raised:
+            select_pda_alpha(data, penalty)
+        assert str(raised.value) == str(expected.value)
+        assert seen == []
 
     def test_default_grid_is_increasing_and_positive(self):
         grid = np.asarray(DEFAULT_PDA_ALPHA_GRID)
