@@ -2,7 +2,9 @@
 
 Every method here reduces to the same two-matrix eigenproblem: maximize
 the between-class quadratic form against a within-class covariance
-estimate.  The methods differ only in how the class means and the within
+estimate, and every fit builds its model in ``_assemble``, which hands
+``generalized_eig_top`` the centred class means as the between factor.
+The methods differ only in how the class means and the within
 covariance are estimated:
 
 * ``gplda_directions`` uses the posterior estimates from the backfitting
@@ -26,15 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DimensionError, ValidationError
-from .linalg import (
-    SmoothingPenalty,
-    blas_threads_for,
-    check_between_scale,
-    cholesky_factor,
-    frobenius_norm,
-    generalized_eig_top,
-    whitened_eig_top,
-)
+from .linalg import Gram, SmoothingPenalty, blas_threads_for, generalized_eig_top
 from .model import (
     FitConfig,
     HyperParams,
@@ -111,13 +105,17 @@ def between_covariance(mu: np.ndarray) -> np.ndarray:
         Sum over classes of the outer product of each centered mean; rank
         at most c - 1.
     """
+    centered = _centred_means(mu)
+    return centered.T @ centered
+
+
+def _centred_means(mu: np.ndarray) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 2 or mu.shape[0] < 2:
         raise ValidationError(
             f"between-class covariance needs at least 2 class means, got shape {mu.shape}"
         )
-    centered = mu - mu.mean(axis=0)
-    return centered.T @ centered
+    return mu - mu.mean(axis=0)
 
 
 def _resolve_k(k: int | None, c: int, p: int) -> tuple[int, tuple[str, ...]]:
@@ -140,21 +138,25 @@ def _assemble(
     class_labels: tuple,
     k: int | None,
     penalty_descriptor: str | None = None,
-    extra_warnings: tuple[str, ...] = (),
+    between: Gram | None = None,
 ) -> DiscriminantModel:
+    """The one model builder: solve for the directions with the centred
+    class means as the between factor (``between``, when the caller
+    already holds it) and project the class means onto them."""
     c, p = mu.shape
     k_used, warnings = _resolve_k(k, c, p)
-    eigenvalues, directions = generalized_eig_top(between_covariance(mu), within, k_used)
-    centroids = mu @ directions.T
+    if between is None:
+        between = Gram(_centred_means(mu).T)
+    eigenvalues, directions = generalized_eig_top(between, within, k_used)
     return DiscriminantModel(
         method_tag=method_tag,
         directions=directions,
-        projected_centroids=centroids,
+        projected_centroids=mu @ directions.T,
         class_labels=class_labels,
         within_cov_used=within,
         eigenvalues=eigenvalues,
         penalty=penalty_descriptor,
-        warnings=extra_warnings + warnings,
+        warnings=warnings,
     )
 
 
@@ -206,26 +208,12 @@ def gplda_fit(
     """
     from .estimator import fit
 
+    config = config if config is not None else FitConfig.default(data.p)
     state, trace = fit(data, hyper=hyper, config=config)
-    descriptor = config.penalty.descriptor if config is not None else "d1"
     model = gplda_directions(
-        state, data.label_names, k, penalty_descriptor=descriptor
+        state, data.label_names, k, penalty_descriptor=config.penalty.descriptor
     )
     return model, trace
-
-
-def _check_penalty_grid(penalty: SmoothingPenalty, data: LabeledFunctionalDataset) -> None:
-    if penalty.p != data.p:
-        raise DimensionError(
-            f"penalty is built for grid length {penalty.p}, data has p={data.p}"
-        )
-
-
-def _pda_within(scatter: np.ndarray, penalty: SmoothingPenalty, alpha: float) -> np.ndarray:
-    """PDA's within matrix: the pooled scatter plus ``alpha`` times the
-    penalty, symmetrized."""
-    within = scatter + alpha * penalty.matrix
-    return 0.5 * (within + within.T)
 
 
 def pda_fit(
@@ -245,16 +233,8 @@ def pda_fit(
         Non-negative penalty weight; 0 recovers the plain pooled-scatter
         discriminant.
     """
-    if alpha < 0:
-        raise ValidationError(f"alpha must be non-negative, got {alpha}")
-    _check_penalty_grid(penalty, data)
     with blas_threads_for():
-        mu = data.class_means()
-        within = _pda_within(pooled_within_scatter(data.y, data.labels, mu), penalty, alpha)
-        return _assemble(
-            METHOD_PDA, mu, within, data.label_names, k,
-            penalty_descriptor=penalty.descriptor,
-        )
+        return PdaPath.of(data, penalty).fit(alpha, k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,52 +242,39 @@ class PdaPath:
     """``pda_fit`` at many penalty weights on one dataset.
 
     Holds what does not depend on alpha: the class means, the pooled
-    scatter, and the centred class means as the (p, c) between factor,
-    with the Frobenius norm of their c x c Gram matrix, which equals that
-    of ``between_covariance``.  Each ``fit`` then costs one Cholesky
-    factor and the whitening of c columns, with no p x p between matrix.
-    Its model has ``pda_fit``'s directions up to rounding, normalized
-    against the same within matrix, and raises the same errors.  Callers
-    hold the one-thread BLAS policy themselves.
+    scatter, and the centred class means as the between factor, whose
+    norm is computed once.  Each ``fit`` then costs one Cholesky factor
+    and the whitening of c columns.  Callers hold the one-thread BLAS
+    policy themselves.
     """
 
     mu: np.ndarray
     scatter: np.ndarray
-    between_root_t: np.ndarray
-    between_norm: float
+    between: Gram
     penalty: SmoothingPenalty
     class_labels: tuple
 
     @classmethod
     def of(cls, data: LabeledFunctionalDataset, penalty: SmoothingPenalty) -> "PdaPath":
-        _check_penalty_grid(penalty, data)
+        penalty.check_grid(data.p)
         mu = data.class_means()
-        centered = mu - mu.mean(axis=0)
         return cls(
             mu=mu,
             scatter=pooled_within_scatter(data.y, data.labels, mu),
-            between_root_t=centered.T,
-            between_norm=frobenius_norm(centered @ centered.T),
+            between=Gram(_centred_means(mu).T),
             penalty=penalty,
             class_labels=data.label_names,
         )
 
-    def fit(self, alpha: float) -> DiscriminantModel:
-        """The model ``pda_fit(data, penalty, alpha)`` would give, default k."""
-        within = _pda_within(self.scatter, self.penalty, alpha)
-        check_between_scale(self.between_norm, within)
-        c, p = self.mu.shape
-        eigenvalues, directions = whitened_eig_top(
-            cholesky_factor(within)[0], self.between_root_t, _resolve_k(None, c, p)[0]
-        )
-        return DiscriminantModel(
-            method_tag=METHOD_PDA,
-            directions=directions,
-            projected_centroids=self.mu @ directions.T,
-            class_labels=self.class_labels,
-            within_cov_used=within,
-            eigenvalues=eigenvalues,
-            penalty=self.penalty.descriptor,
+    def fit(self, alpha: float, k: int | None = None) -> DiscriminantModel:
+        """The PDA model at weight ``alpha``: the within matrix is the
+        pooled scatter plus ``alpha`` times the penalty, symmetrized."""
+        if alpha < 0:
+            raise ValidationError(f"alpha must be non-negative, got {alpha}")
+        within = self.scatter + alpha * self.penalty.matrix
+        return _assemble(
+            METHOD_PDA, self.mu, 0.5 * (within + within.T), self.class_labels, k,
+            penalty_descriptor=self.penalty.descriptor, between=self.between,
         )
 
 

@@ -30,9 +30,7 @@ from .exceptions import (
     NumericFailureError,
     ValidationError,
 )
-from .linalg import (
-    FIRST_DIFF, SmoothingPenalty, blas_threads_for, build_penalty, frobenius_norm,
-)
+from .linalg import SmoothingPenalty, blas_threads_for, frobenius_norm
 from .model import (
     CholeskyForm,
     FitConfig,
@@ -305,15 +303,12 @@ def fit(
     """
     hyper = hyper if hyper is not None else HyperParams()
     if config is None:
-        config = FitConfig(penalty=build_penalty(FIRST_DIFF, data.p))
+        config = FitConfig.default(data.p)
     if data.n < data.c + 1:
         raise ValidationError(
             f"need at least c + 1 = {data.c + 1} curves, got n={data.n}"
         )
-    if config.penalty.p != data.p:
-        raise DimensionError(
-            f"penalty is built for grid length {config.penalty.p}, data has p={data.p}"
-        )
+    config.penalty.check_grid(data.p)
     with blas_threads_for():
         penalty = config.penalty
         state = start if start is not None else initial_state(data, hyper, config)

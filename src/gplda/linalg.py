@@ -13,13 +13,12 @@ matrix; any other penalty takes its basis from ``eigh``.
 The kernel routines solve symmetric positive definite systems and the
 two-matrix symmetric eigenproblem that every discriminant method in this
 package reduces to.  The eigenproblem's numerator is a between-class
-scatter of rank at most c - 1, so the solver factors it with a pivoted
-Cholesky decomposition and works on its r = numerical-rank factor rows:
-beyond the Cholesky factor of the denominator, a solve for k directions
+scatter of rank at most c - 1, so the solver works on a (p, r) factor of
+it: the c centred class means that every fit passes as a ``Gram``, or
+the numerical-rank rows of a pivoted Cholesky factor of a p x p matrix.
+Beyond the Cholesky factor of the denominator, a solve for k directions
 costs O(p^2 (r + k)) instead of the O(p^3) of a dense whitened
-eigendecomposition.  The steps after the pivoted factor are one kernel,
-``whitened_eig_top``, which a caller that already holds a factor of the
-numerator (the cross-validation's centred class means) calls directly.
+eigendecomposition.
 
 ``blas_threads_for`` is the package's one BLAS thread policy: the public
 fit and predict functions run on one BLAS thread, because at the sizes
@@ -148,6 +147,11 @@ class SmoothingPenalty:
         and filled in its closed DCT-II form.
         """
         return PenaltyBasis.from_matrix(self.matrix)
+
+    def check_grid(self, p: int) -> None:
+        """Raise ``DimensionError`` unless the penalty is built for p points."""
+        if self.p != p:
+            raise DimensionError(f"penalty is built for grid length {self.p}, data has p={p}")
 
     @property
     def descriptor(self) -> str:
@@ -278,8 +282,25 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy_linalg().cho_solve(cholesky_factor(a), b, check_finite=False)
 
 
+@dataclass(frozen=True, eq=False)
+class Gram:
+    """A between matrix given by a (p, r) factor: ``between = root_t @ root_t.T``.
+
+    ``generalized_eig_top`` whitens the r factor columns and never forms
+    the p x p matrix.  ``norm`` is the Frobenius norm of ``between``,
+    taken as that of the r x r matrix ``root_t.T @ root_t`` (the two share
+    their nonzero eigenvalues) and computed once.
+    """
+
+    root_t: np.ndarray
+
+    @functools.cached_property
+    def norm(self) -> float:
+        return frobenius_norm(self.root_t.T @ self.root_t)
+
+
 def generalized_eig_top(
-    between: np.ndarray, within: np.ndarray, k: int
+    between: np.ndarray | Gram, within: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top directions of the two-matrix symmetric eigenproblem.
 
@@ -288,21 +309,22 @@ def generalized_eig_top(
     solutions of ``between @ beta = value * within @ beta``.
 
     The route exploits the low rank of ``between`` (a scatter of c class
-    means has rank at most c - 1).  With ``within = L L^T`` and the
-    pivoted Cholesky factor ``between = R^T R`` (R has r = numerical-rank
-    rows), the whitened problem is ``A A^T`` with ``A = L^{-1} R^T`` of
-    shape (p, r).  The thin SVD ``A = U S V^T`` gives ``values = S**2`` and
-    ``directions = (L^{-T} U[:, :k])^T``.  Beyond the Cholesky factor of
-    ``within`` the cost is O(p^2 (r + k)), not O(p^3).  When k > r the missing
-    values are zero and the extra directions span the rest of the
-    ``within``-orthogonal complement.
+    means has rank at most c - 1).  With ``within = L L^T`` and a factor
+    ``between = F F^T`` (F of shape (p, r)), the whitened problem is
+    ``A A^T`` with ``A = L^{-1} F``.  The thin SVD ``A = U S V^T`` gives
+    ``values = S**2`` and ``directions = (L^{-T} U[:, :k])^T``.  Beyond the
+    Cholesky factor of ``within`` the cost is O(p^2 (r + k)), not O(p^3).
+    When k > r the missing values are zero and the extra directions span
+    the rest of the ``within``-orthogonal complement.
 
     Parameters
     ----------
-    between : ndarray of shape (p, p)
-        Symmetric positive semidefinite numerator matrix.  The pivoted
-        Cholesky factorization reads only its upper triangle and drops
-        any negative part.
+    between : ndarray of shape (p, p), or Gram
+        Symmetric positive semidefinite numerator.  A ``Gram`` gives its
+        factor F directly (the discriminant fits pass their c centred
+        class means).  A matrix is factored by pivoted Cholesky, which
+        reads only its upper triangle, drops any negative part and keeps
+        r = its numerical rank.
     within : ndarray of shape (p, p)
         Symmetric positive definite denominator matrix.
     k : int
@@ -323,57 +345,41 @@ def generalized_eig_top(
     SingularMatrixError
         If ``within`` cannot be Cholesky factorized.
     """
-    between = np.asarray(between, dtype=float)
+    if isinstance(between, Gram):
+        if np.ndim(between.root_t) != 2:
+            raise DimensionError(
+                f"between factor must be 2-D, got shape {np.shape(between.root_t)}"
+            )
+        p, between_norm = between.root_t.shape[0], between.norm
+    else:
+        between = np.asarray(between, dtype=float)
+        if between.ndim != 2 or between.shape[0] != between.shape[1]:
+            raise DimensionError(f"between matrix must be square, got shape {between.shape}")
+        p, between_norm = between.shape[0], frobenius_norm(between)
     within = np.asarray(within, dtype=float)
-    if between.ndim != 2 or between.shape[0] != between.shape[1]:
-        raise DimensionError(f"between matrix must be square, got shape {between.shape}")
-    if within.shape != between.shape:
+    if within.shape != (p, p):
         raise DimensionError(
-            f"within matrix shape {within.shape} does not match between shape {between.shape}"
+            f"within matrix shape {within.shape} does not match between shape {(p, p)}"
         )
-    p = between.shape[0]
     if not 1 <= k <= p:
         raise DimensionError(f"k={k} is outside the valid range 1..{p}")
-    check_between_scale(frobenius_norm(between), within)
-    # The triangular solves read only the lower triangle of the factor.
-    chol = cholesky_factor(within)[0]
-    # between = R^T R with R = U[:r] P^T, from P^T between P = U^T U.
-    factor, piv, rank, _ = scipy_linalg().lapack.dpstrf(between, lower=0)
-    root_t = np.empty((p, rank))
-    root_t[piv - 1] = np.triu(factor[:rank]).T
-    return whitened_eig_top(chol, root_t, k)
-
-
-def check_between_scale(between_norm: float, within: np.ndarray) -> None:
-    """Raise unless the between matrix, given by its Frobenius norm, is
-    numerically nonzero against ``within``."""
     if between_norm <= 1e-12 * frobenius_norm(within):
         raise DegenerateBetweenCovarianceError(
             "between-class covariance is numerically zero; class means coincide"
         )
-
-
-def whitened_eig_top(
-    chol: np.ndarray, root_t: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``generalized_eig_top`` from a factor of each matrix.
-
-    ``chol`` is the lower Cholesky factor L of ``within`` (only its lower
-    triangle is read) and ``root_t`` (p, r) a factor of ``between =
-    root_t @ root_t.T``: the pivoted Cholesky root, or the r = c centred
-    class means as columns.  The r columns are whitened, ``A = L^{-1}
-    root_t``, and the thin SVD ``A = U S V^T`` gives the values ``S**2``
-    and the directions ``(L^{-T} U[:, :k])^T``, with the largest-magnitude
-    entry of each made positive.  Values past r are zero, and when k > r
-    the extra directions span the rest of the ``within``-orthogonal
-    complement.
-    """
     sla = scipy_linalg()
+    # The triangular solves read only the lower triangle of the factor.
+    chol = cholesky_factor(within)[0]
+    if isinstance(between, Gram):
+        root_t = between.root_t
+    else:
+        # between = R^T R with R = U[:r] P^T, from P^T between P = U^T U.
+        factor, piv, rank, _ = sla.lapack.dpstrf(between, lower=0)
+        root_t = np.empty((p, rank))
+        root_t[piv - 1] = np.triu(factor[:rank]).T
     rank = root_t.shape[1]
     # Whiten the r factor columns only; A A^T is the whitened between matrix.
-    whitened_root = sla.solve_triangular(
-        chol, root_t, lower=True, check_finite=False
-    )
+    whitened_root = sla.solve_triangular(chol, root_t, lower=True, check_finite=False)
     vectors, singular, _ = sla.svd(
         whitened_root, full_matrices=k > rank, check_finite=False
     )

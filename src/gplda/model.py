@@ -39,7 +39,10 @@ from .exceptions import (
     SingularMatrixError,
     ValidationError,
 )
-from .linalg import SmoothingPenalty, cholesky_factor, frobenius_norm, scipy_linalg, spd_solve
+from .linalg import (
+    FIRST_DIFF, SmoothingPenalty, build_penalty, cholesky_factor, frobenius_norm, scipy_linalg,
+    spd_solve,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,6 +474,11 @@ class FitConfig:
     rel_tol: float = 1e-6
     jitter_scale: float = 1e-8
 
+    @classmethod
+    def default(cls, p: int) -> "FitConfig":
+        """The default settings on a p-point grid: a first-difference penalty."""
+        return cls(penalty=build_penalty(FIRST_DIFF, p))
+
 
 @dataclass(frozen=True)
 class LogPosteriorTerms:
@@ -513,10 +521,7 @@ def _check_state_shapes(
         raise DimensionError(
             f"sigma_w has shape {state.sigma_w.shape}, expected {(p, p)}"
         )
-    if penalty.p != p:
-        raise DimensionError(
-            f"penalty is built for grid length {penalty.p}, data has p={p}"
-        )
+    penalty.check_grid(p)
     for name in ("alpha1", "alpha2", "sigma2"):
         value = getattr(state, name)
         if not (np.isfinite(value) and value > 0):

@@ -255,11 +255,11 @@ def pda_cv_errors(
     needs at least two curves, so that each fold trains and tests on every
     class.
 
-    Each fold's class means and pooled scatter are computed once
-    (``PdaPath``); each candidate then costs a Cholesky factor and the
-    whitening of c centred means.  Every fold model goes through
-    ``predict``, and a fold whose fit raises a ``NumericError`` scores an
-    error of 1.
+    Each fold's class means, pooled scatter and between factor are
+    computed once (``PdaPath``, the path ``pda_fit`` takes); each candidate
+    then costs a Cholesky factor and the whitening of c centred means.
+    Every fold model goes through ``predict``, and a fold whose fit raises
+    a ``NumericError`` scores an error of 1.
     """
     counts = data.class_counts
     if counts.min() < 2:

@@ -29,7 +29,15 @@ from gplda import (
     update_x,
 )
 from gplda import simulate
-from gplda.discriminant import error_rate, pda_fit, predict
+from gplda.discriminant import (
+    METHOD_PDA,
+    DiscriminantModel,
+    between_covariance,
+    error_rate,
+    generalized_eig_top,
+    pooled_within_scatter,
+    predict,
+)
 from gplda.estimator import FitTrace
 from gplda.exceptions import DegenerateBetweenCovarianceError, NumericError
 from gplda.linalg import blas_threads_for, frobenius_norm
@@ -97,9 +105,9 @@ def dense_generalized_eig_top(between, within, k):
 
 
 def one_piece_generalized_eig_top(between, within, k):
-    """``generalized_eig_top`` as one function, before the steps after its
-    pivoted Cholesky factor became ``whitened_eig_top``.  Validation is
-    left out: callers pass valid shapes."""
+    """``generalized_eig_top`` on a p x p ``between``, written out as one
+    function with its own calls: pivoted Cholesky root, whitening, thin
+    SVD.  Validation is left out: callers pass valid shapes."""
     if frobenius_norm(between) <= 1e-12 * frobenius_norm(within):
         raise DegenerateBetweenCovarianceError("class means coincide")
     chol = scipy.linalg.cho_factor(within, lower=True, check_finite=False)[0]
@@ -177,9 +185,34 @@ def dense_fit(data, hyper=None, config=None, start=None):
     )
 
 
+def dense_pda_fit(data, penalty, alpha):
+    """PDA through the dense between matrix: class means, the within
+    matrix S + alpha * Omega symmetrized as ``pda_fit`` forms it, and
+    ``generalized_eig_top`` on ``between_covariance`` (the pivoted Cholesky
+    route), default k.  Independent of the centred-means path that
+    ``pda_fit`` and the cross-validation share."""
+    penalty.check_grid(data.p)
+    mu = data.class_means()
+    within = pooled_within_scatter(data.y, data.labels, mu) + alpha * penalty.matrix
+    within = 0.5 * (within + within.T)
+    values, directions = generalized_eig_top(
+        between_covariance(mu), within, min(data.c - 1, data.p)
+    )
+    return DiscriminantModel(
+        method_tag=METHOD_PDA,
+        directions=directions,
+        projected_centroids=mu @ directions.T,
+        class_labels=data.label_names,
+        within_cov_used=within,
+        eigenvalues=values,
+        penalty=penalty.descriptor,
+    )
+
+
 def reference_pda_cv(data, penalty, seed=0):
-    """Reference penalty-weight cross-validation: a full ``pda_fit`` and
-    ``predict`` for every (candidate, fold) pair, candidates outermost.
+    """Reference penalty-weight cross-validation: a full dense PDA fit
+    (``dense_pda_fit``) and ``predict`` for every (candidate, fold) pair,
+    candidates outermost.
 
     ``select_pda_alpha`` before each fold's scatter was computed once and
     each candidate whitened only the centred class means.  Returns
@@ -211,7 +244,7 @@ def reference_pda_cv(data, penalty, seed=0):
                     label_names=data.label_names,
                 )
                 try:
-                    model = pda_fit(train, penalty, alpha)
+                    model = dense_pda_fit(train, penalty, alpha)
                     predicted = predict(model, data.y[holdout])
                 except NumericError:
                     fold_errors.append(1.0)

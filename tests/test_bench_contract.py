@@ -62,6 +62,14 @@ def test_one_traced_cycle_passes_its_checks_and_fills_the_layer_table(
     assert _declared_layer_metrics() - set(table) == set()
 
 
+def test_every_fold_model_reaches_the_traced_solver(tmp_path):
+    # a cycle is 7 cells, 3 of them PDA with 5 folds x 9 candidates each
+    bench = workloads.SimBench()
+    _, table = _run_traced(bench, 0, str(tmp_path), bench.cycle)
+    folds = 5 * len(DEFAULT_PDA_ALPHA_GRID)
+    assert table["linalg.generalized_eig_top.calls"] == pytest.approx((7 + 3 * folds) / 7)
+
+
 def test_cross_validation_hands_every_fold_model_to_the_hook():
     bench = workloads.SimBench()
     bench.setup(0, "", in_process=True)

@@ -32,8 +32,12 @@ from gplda import (
     pda_fit,
     pooled_within_scatter,
     predict,
+    select_pda_alpha,
 )
+from gplda import discriminant as discriminant_module
+from gplda import estimator as estimator_module
 from gplda.estimator import fit
+from gplda.linalg import Gram
 
 from helpers import (
     random_posterior_state,
@@ -118,6 +122,55 @@ class TestGpldaFit:
         state, _ = fit(data, config=config)
         expected = gplda_directions(state, data.label_names)
         np.testing.assert_allclose(model.directions, expected.directions, atol=1e-10)
+
+    def test_default_config_is_built_once_and_named_in_the_model(self, monkeypatch):
+        train = two_class_separable(15, 8, gap=2.5, seed=0)
+        passed = []
+        original = estimator_module.fit
+
+        def spy(data, hyper=None, config=None):
+            passed.append(config)
+            return original(data, hyper=hyper, config=config)
+
+        monkeypatch.setattr(estimator_module, "fit", spy)
+        model, _ = gplda_fit(train)
+        assert passed[0] is not None
+        assert model.penalty == passed[0].penalty.descriptor == FIRST_DIFF
+
+
+def _fit_calls():
+    train, _ = generate(SimSpec(which="sim1", n_train=20, n_test=2, seed=0))
+    d2 = build_penalty(SECOND_DIFF, train.p)
+    return {
+        "gplda_fit": lambda: gplda_fit(train),
+        "pda_fit": lambda: pda_fit(train, d2, 1.0),
+        "mle_lda_fit": lambda: mle_lda_fit(train),
+        "pca_lda_fit": lambda: pca_lda_fit(train, q=3),
+        "select_pda_alpha": lambda: select_pda_alpha(train, d2),
+    }
+
+
+class TestOneEigensolverRoute:
+    @pytest.mark.parametrize(
+        "entry", ["gplda_fit", "pda_fit", "mle_lda_fit", "pca_lda_fit", "select_pda_alpha"]
+    )
+    def test_every_fit_hands_the_solver_its_centred_class_means(self, entry, monkeypatch):
+        seen = []
+        original = discriminant_module.generalized_eig_top
+
+        def spy(between, within, k):
+            seen.append(between)
+            return original(between, within, k)
+
+        def dense_between(mu):
+            raise AssertionError("a fit built the p x p between matrix")
+
+        monkeypatch.setattr(discriminant_module, "generalized_eig_top", spy)
+        monkeypatch.setattr(discriminant_module, "between_covariance", dense_between)
+        _fit_calls()[entry]()
+        assert seen and all(isinstance(between, Gram) for between in seen)
+        # one solve per fit; the cross-validation solves 9 candidates x 5 folds
+        assert len(seen) == (45 if entry == "select_pda_alpha" else 1)
 
 
 class TestPdaFit:

@@ -27,13 +27,11 @@ from gplda import discriminant as discriminant_module
 from gplda import estimator as estimator_module
 from gplda import linalg as linalg_module
 from gplda.linalg import (
+    Gram,
     PenaltyBasis,
     SmoothingPenalty,
     blas_threads_for,
-    check_between_scale,
-    cholesky_factor,
     frobenius_norm,
-    whitened_eig_top,
 )
 
 from helpers import (
@@ -428,10 +426,8 @@ def _eig_oracle_cases():
 
 
 def _centred_means_route(mu, within, k):
-    """The cross-validation's solve: the c centred means as the between factor."""
-    centered = mu - mu.mean(axis=0)
-    check_between_scale(frobenius_norm(centered @ centered.T), within)
-    return whitened_eig_top(cholesky_factor(within)[0], centered.T, k)
+    """The fits' solve: the c centred means as the between factor."""
+    return generalized_eig_top(Gram((mu - mu.mean(axis=0)).T), within, k)
 
 
 class TestCentredMeansRoute:
@@ -472,6 +468,32 @@ class TestCentredMeansRoute:
             generalized_eig_top(between_covariance(mu), within, 2)
         with pytest.raises(SingularMatrixError):
             _centred_means_route(mu, within, 2)
+
+    def test_rejects_k_out_of_range(self):
+        mu = np.random.default_rng(65).standard_normal((3, 4))
+        for k in (0, 5):
+            with pytest.raises(DimensionError, match=f"k={k}"):
+                _centred_means_route(mu, np.eye(4), k)
+
+    def test_rejects_within_of_the_wrong_shape(self):
+        mu = np.random.default_rng(66).standard_normal((3, 4))
+        for within in (np.eye(5), np.ones((4, 3)), np.ones(4)):
+            with pytest.raises(DimensionError, match="does not match"):
+                _centred_means_route(mu, within, 1)
+
+    def test_rejects_a_factor_that_is_not_2d(self):
+        with pytest.raises(DimensionError, match="2-D"):
+            generalized_eig_top(Gram(np.ones(4)), np.eye(4), 1)
+
+    def test_zero_factor_is_degenerate(self):
+        with pytest.raises(DegenerateBetweenCovarianceError):
+            generalized_eig_top(Gram(np.zeros((4, 3))), np.eye(4), 1)
+
+    def test_norm_is_that_of_the_between_matrix(self):
+        root_t = np.random.default_rng(67).standard_normal((9, 3))
+        gram = Gram(root_t)
+        assert gram.norm == pytest.approx(frobenius_norm(root_t @ root_t.T), rel=1e-12)
+        assert gram.__dict__["norm"] == gram.norm  # computed once, then cached
 
 
 class TestMatrixNorms:

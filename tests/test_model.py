@@ -105,6 +105,11 @@ class TestFitConfig:
         assert config.rel_tol == 1e-6
         assert config.jitter_scale == 1e-8
 
+    def test_default_builds_the_first_difference_penalty_on_the_grid(self):
+        config = FitConfig.default(7)
+        assert config.penalty.descriptor == FIRST_DIFF
+        np.testing.assert_array_equal(config.penalty.matrix, build_penalty(FIRST_DIFF, 7).matrix)
+
 
 class TestPooledWithinScatter:
     def test_matches_direct_computation(self):
@@ -205,6 +210,15 @@ class TestLogPosterior:
         bad = dataclasses.replace(state, mu=state.mu[:-1])
         with pytest.raises(DimensionError, match="mu has shape"):
             log_posterior_terms(bad, data, HyperParams(), penalty)
+
+    def test_penalty_grid_mismatch_rejected(self):
+        rng = np.random.default_rng(61)
+        data = sample_well_posed_dataset(rng)
+        state = random_posterior_state(rng, data)
+        penalty = build_penalty(FIRST_DIFF, data.p + 1)
+        message = f"penalty is built for grid length {data.p + 1}, data has p={data.p}"
+        with pytest.raises(DimensionError, match=message):
+            log_posterior(state, data, HyperParams(), penalty)
 
     def test_nonpositive_scalars_rejected(self):
         rng = np.random.default_rng(59)
