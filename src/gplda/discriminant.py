@@ -268,12 +268,12 @@ class PdaPath:
 
     def fit(self, alpha: float, k: int | None = None) -> DiscriminantModel:
         """The PDA model at weight ``alpha``: the within matrix is the
-        pooled scatter plus ``alpha`` times the penalty, symmetrized."""
+        pooled scatter plus ``alpha`` times the penalty."""
         if alpha < 0:
             raise ValidationError(f"alpha must be non-negative, got {alpha}")
         within = self.scatter + alpha * self.penalty.matrix
         return _assemble(
-            METHOD_PDA, self.mu, 0.5 * (within + within.T), self.class_labels, k,
+            METHOD_PDA, self.mu, within, self.class_labels, k,
             penalty_descriptor=self.penalty.descriptor, between=self.between,
         )
 
@@ -292,10 +292,7 @@ def mle_lda_fit(
         defaults to 0 for n > p and to 1e-6 times the mean diagonal for
         p >= n, where the pooled scatter is singular.
     """
-    if data.n <= data.c:
-        raise ValidationError(
-            f"need more curves than classes, got n={data.n}, c={data.c}"
-        )
+    data.check_within_estimable()
     with blas_threads_for():
         mu = data.class_means()
         within = pooled_within_scatter(data.y, data.labels, mu)

@@ -11,11 +11,13 @@ Convergence is declared when the largest per-block relative change in a
 sweep falls below ``rel_tol``, where the relative change of a block is
 the norm of its change divided by one plus its norm.
 
-Inside ``fit`` each covariance value is a ``WithinCovariance`` operator:
-its low-rank form when there are fewer curves than grid points and the
-jitter keeps its diagonal positive, its Cholesky form otherwise.  A sweep
-then costs O(n p log p + p n^2) when n < p instead of O(p^3).  The update
-functions also accept a dense covariance matrix.
+``update_sigma_w`` builds every covariance value as a
+``WithinCovariance`` operator: its low-rank form when there are fewer
+curves than grid points and the jitter keeps its diagonal positive, its
+Cholesky form otherwise.  A sweep then costs O(n p log p + p n^2) when
+n < p instead of O(p^3), and ``fit`` returns the operator of its last
+sweep without forming the p x p matrix.  The update functions also accept
+a dense covariance matrix.
 """
 
 from __future__ import annotations
@@ -178,51 +180,28 @@ def update_sigma_w(
     penalty: SmoothingPenalty,
     hyper: HyperParams,
     jitter_scale: float = FitConfig.jitter_scale,
-) -> np.ndarray:
+) -> WithinCovariance:
     """Maximizing within-class covariance given everything else.
 
     With rho = n / (n + nu + p + 1), the maximizer is rho times the
     pooled within-class scatter of the latent curves plus (rho / n) times
-    alpha2 times the penalty.  The result is symmetrized and a relative
-    jitter proportional to its mean eigenvalue is added to the diagonal.
+    alpha2 times the penalty, and a relative jitter proportional to its
+    mean eigenvalue is added to the diagonal.  Returned as an operator:
+    the low-rank form R^T R + beta Omega + eps I, with
+    R = sqrt(rho / n) (x - mu), when it applies, otherwise the Cholesky
+    form of the dense matrix.
     """
     n, p = data.n, data.p
-    rho = _scatter_weight(data, hyper)
-    scatter = pooled_within_scatter(x, data.labels, mu)
-    sigma_w = rho * scatter + (rho / n) * alpha2 * penalty.matrix
-    sigma_w = 0.5 * (sigma_w + sigma_w.T)
+    rho = n / (n + hyper.nu(p) + p + 1.0)
+    beta = (rho / n) * alpha2
+    root = np.sqrt(rho / n) * (x - mu[data.labels - 1])
+    within = WoodburyForm.build(root, beta, jitter_scale, penalty)
+    if within is not None:
+        return within
+    sigma_w = rho * pooled_within_scatter(x, data.labels, mu) + beta * penalty.matrix
     if jitter_scale > 0:
         sigma_w[np.diag_indices(p)] += jitter_scale * (np.trace(sigma_w) / p)
-    return sigma_w
-
-
-def _scatter_weight(data: LabeledFunctionalDataset, hyper: HyperParams) -> float:
-    # rho of the covariance update, n / (n + nu + p + 1).
-    return data.n / (data.n + hyper.nu(data.p) + data.p + 1.0)
-
-
-def _within_update(
-    x: np.ndarray,
-    mu: np.ndarray,
-    data: LabeledFunctionalDataset,
-    alpha2: float,
-    penalty: SmoothingPenalty,
-    hyper: HyperParams,
-    jitter_scale: float,
-) -> WithinCovariance:
-    """``update_sigma_w``'s value as an operator.
-
-    The low-rank form R^T R + beta Omega + eps I, with
-    R = sqrt(rho / n) (x - mu), when it applies; otherwise the Cholesky
-    form of the dense update.
-    """
-    rho = _scatter_weight(data, hyper)
-    root = np.sqrt(rho / data.n) * (x - mu[data.labels - 1])
-    within = WoodburyForm.build(root, (rho / data.n) * alpha2, jitter_scale, penalty)
-    if within is None:
-        dense = update_sigma_w(x, mu, data, alpha2, penalty, hyper, jitter_scale)
-        within = CholeskyForm(dense, penalty)
-    return within
+    return CholeskyForm(sigma_w, penalty)
 
 
 def initial_state(
@@ -252,7 +231,7 @@ def initial_state(
             "no within-class variation: every curve equals its class mean"
         )
     sigma2 = within_ss / (data.n * data.p)
-    sigma_w = _within_update(
+    sigma_w = update_sigma_w(
         x0, mu0, data, alpha2, config.penalty, hyper, config.jitter_scale
     )
     return PosteriorState(
@@ -291,8 +270,9 @@ def fit(
     Returns
     -------
     (PosteriorState, FitTrace)
-        The final state, with the covariance as a dense matrix, and the
-        per-sweep diagnostics.
+        The final state, with the covariance as the ``WithinCovariance``
+        operator of the last sweep (``np.asarray`` gives its matrix), and
+        the per-sweep diagnostics.
 
     Raises
     ------
@@ -304,10 +284,7 @@ def fit(
     hyper = hyper if hyper is not None else HyperParams()
     if config is None:
         config = FitConfig.default(data.p)
-    if data.n < data.c + 1:
-        raise ValidationError(
-            f"need at least c + 1 = {data.c + 1} curves, got n={data.n}"
-        )
+    data.check_within_estimable()
     config.penalty.check_grid(data.p)
     with blas_threads_for():
         penalty = config.penalty
@@ -328,7 +305,7 @@ def fit(
             sigma2 = update_sigma2(x, data, hyper)
             x = update_x(data, mu, within, sigma2)
             mu = update_mu(x, data, within, alpha1, penalty)
-            within = _within_update(
+            within = update_sigma_w(
                 x, mu, data, alpha2, penalty, hyper, config.jitter_scale
             )
             blocks = (alpha1, alpha2, sigma2, x, mu, within)
@@ -346,19 +323,11 @@ def fit(
                 converged = True
                 break
 
-        residuals = first_order_residuals(state, data, hyper, penalty)
-        # The returned covariance is dense: the update of the last sweep's
-        # blocks, or the starting value when no sweep ran.
-        if sweeps_run:
-            sigma_w = update_sigma_w(x, mu, data, alpha2, penalty, hyper, config.jitter_scale)
-        else:
-            sigma_w = within.dense()
-        state = replace(state, sigma_w=sigma_w)
         trace = FitTrace(
             sweeps_run=sweeps_run,
             converged=converged,
             log_posterior_per_sweep=tuple(history),
-            final_residuals=residuals,
+            final_residuals=first_order_residuals(state, data, hyper, penalty),
         )
         return state, trace
 

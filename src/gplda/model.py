@@ -93,6 +93,15 @@ class LabeledFunctionalDataset:
             means[i - 1] = self.y[self.labels == i].mean(axis=0)
         return means
 
+    def check_within_estimable(self) -> None:
+        """Raise ``ValidationError`` unless there are at least c + 1 curves,
+        the fewest from which a within-class covariance is estimable."""
+        if self.n < self.c + 1:
+            raise ValidationError(
+                f"need at least c + 1 = {self.c + 1} curves, more curves than classes, to "
+                f"estimate a within-class covariance over {self.c} classes, got n={self.n}"
+            )
+
 
 def validate_dataset(rows, labels) -> LabeledFunctionalDataset:
     """Validate raw curves and labels and build a dataset.
@@ -139,16 +148,9 @@ def validate_dataset(rows, labels) -> LabeledFunctionalDataset:
         if name not in name_to_index:
             name_to_index[name] = len(name_to_index) + 1
         mapped[i] = name_to_index[name]
-    c = len(name_to_index)
-    n = y.shape[0]
-    if n < c + 1:
-        raise ValidationError(
-            f"need at least c + 1 = {c + 1} curves to estimate a within-class "
-            f"covariance over {c} classes, got n={n}"
-        )
-    return LabeledFunctionalDataset(
-        y=y, labels=mapped, label_names=tuple(name_to_index)
-    )
+    data = LabeledFunctionalDataset(y=y, labels=mapped, label_names=tuple(name_to_index))
+    data.check_within_estimable()
+    return data
 
 
 @dataclass(frozen=True)
@@ -196,7 +198,7 @@ class PosteriorState:
     sigma_w : ndarray of shape (p, p), or WithinCovariance
         Within-class covariance, symmetric positive definite: a dense
         matrix, or the operator of one (``np.asarray`` gives its matrix).
-        ``fit`` returns the dense matrix.
+        ``fit`` returns the operator that its last sweep built.
     alpha1, alpha2 : float
         Precision scalars for the mean prior and the covariance scale.
     sigma2 : float
@@ -205,7 +207,7 @@ class PosteriorState:
 
     x: np.ndarray
     mu: np.ndarray
-    sigma_w: np.ndarray
+    sigma_w: np.ndarray | WithinCovariance
     alpha1: float
     alpha2: float
     sigma2: float
@@ -225,7 +227,8 @@ class WithinCovariance:
     - ``gradient_norm(rows, weight, count)``: the Frobenius norm of
       S^-1 (rows^T rows + weight Omega) S^-1 - count S^-1;
     - ``relative_change(old)``: ||S - old||_F / (1 + ||old||_F);
-    - ``is_finite()``.
+    - ``is_finite()``;
+    - ``S - other``: the dense difference.
 
     ``within_covariance`` gives the operator of a value.
     """
@@ -238,6 +241,9 @@ class WithinCovariance:
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.dense(), dtype=dtype)
+
+    def __sub__(self, other) -> np.ndarray:
+        return self.dense() - np.asarray(other)
 
     def relative_change(self, old: "WithinCovariance") -> float:
         return frobenius_norm(self.dense() - old.dense()) / (1.0 + frobenius_norm(old.dense()))
@@ -466,13 +472,24 @@ class FitConfig:
     ``penalty`` must match the grid length of the data.  ``rel_tol`` is
     compared against the largest per-block relative change in a sweep,
     where the relative change of a block is its norm change divided by one
-    plus the block norm.
+    plus the block norm.  ``max_sweeps`` must be a non-negative integer,
+    and ``rel_tol`` and ``jitter_scale`` finite and non-negative.
     """
 
     penalty: SmoothingPenalty
     max_sweeps: int = 500
     rel_tol: float = 1e-6
     jitter_scale: float = 1e-8
+
+    def __post_init__(self):
+        if not (isinstance(self.max_sweeps, (int, np.integer)) and self.max_sweeps >= 0):
+            raise ValidationError(
+                f"max_sweeps must be a non-negative integer, got {self.max_sweeps!r}"
+            )
+        for name in ("rel_tol", "jitter_scale"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValidationError(f"{name} must be finite and non-negative, got {value}")
 
     @classmethod
     def default(cls, p: int) -> "FitConfig":

@@ -25,7 +25,6 @@ from gplda import (
     update_alpha2,
     update_mu,
     update_sigma2,
-    update_sigma_w,
     update_x,
 )
 from gplda import simulate
@@ -131,13 +130,29 @@ def one_piece_generalized_eig_top(between, within, k):
     return top_values, directions
 
 
+def dense_sigma_w(x, mu, data, alpha2, penalty, hyper, jitter_scale):
+    """Reference covariance update as a dense matrix, written out apart
+    from ``update_sigma_w``: rho times the pooled scatter plus
+    (rho / n) alpha2 times the penalty, symmetrized, plus the relative
+    jitter on the diagonal."""
+    n, p = data.n, data.p
+    rho = n / (n + hyper.nu(p) + p + 1.0)
+    scatter = pooled_within_scatter(x, data.labels, mu)
+    sigma_w = rho * scatter + (rho / n) * alpha2 * penalty.matrix
+    sigma_w = 0.5 * (sigma_w + sigma_w.T)
+    if jitter_scale > 0:
+        sigma_w[np.diag_indices(p)] += jitter_scale * (np.trace(sigma_w) / p)
+    return sigma_w
+
+
 def dense_fit(data, hyper=None, config=None, start=None):
     """Reference backfitting loop that keeps the covariance a dense matrix.
 
     The sweep loop ``fit`` ran before its covariance became an operator:
-    every update takes and returns a dense Sigma_w, so every covariance
-    operation goes through a p x p Cholesky factor.  The start and the
-    stopping rule are ``fit``'s; returns ``(state, FitTrace)`` as it does.
+    every update takes and returns a dense Sigma_w (``dense_sigma_w``), so
+    every covariance operation goes through a p x p Cholesky factor.  The
+    start and the stopping rule are ``fit``'s; returns
+    ``(state, FitTrace)`` as it does.
     """
     hyper = hyper if hyper is not None else HyperParams()
     if config is None:
@@ -145,7 +160,7 @@ def dense_fit(data, hyper=None, config=None, start=None):
     penalty = config.penalty
     if start is None:
         start = initial_state(data, hyper, config)
-        start = dataclasses.replace(start, sigma_w=update_sigma_w(
+        start = dataclasses.replace(start, sigma_w=dense_sigma_w(
             start.x, start.mu, data, start.alpha2, penalty, hyper, config.jitter_scale
         ))
     state = dataclasses.replace(start, sigma_w=np.asarray(start.sigma_w))
@@ -168,7 +183,7 @@ def dense_fit(data, hyper=None, config=None, start=None):
         sigma2 = update_sigma2(x, data, hyper)
         x = update_x(data, mu, sigma_w, sigma2)
         mu = update_mu(x, data, sigma_w, alpha1, penalty)
-        sigma_w = update_sigma_w(x, mu, data, alpha2, penalty, hyper, config.jitter_scale)
+        sigma_w = dense_sigma_w(x, mu, data, alpha2, penalty, hyper, config.jitter_scale)
         blocks = (alpha1, alpha2, sigma2, x, mu, sigma_w)
         state = PosteriorState(
             x=x, mu=mu, sigma_w=sigma_w, alpha1=alpha1, alpha2=alpha2, sigma2=sigma2

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import json
+import os
 import subprocess
 import sys
 
@@ -341,6 +342,21 @@ class TestExitCodes:
         assert code == 2
         assert "numeric failure:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "fit.rel_tol = nan", "fit.jitter_scale = nan", "fit.max_sweeps = -1",
+    ])
+    def test_out_of_range_fit_settings(self, tmp_path, capsys, line):
+        cfg = str(tmp_path / "run.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(line + "\n")
+        code = cli_dispatch([
+            "--config", cfg, "fit", "--method", "gplda",
+            "--data", _write_training_csv(tmp_path), "--out", str(tmp_path / "m.json"),
+        ])
+        assert code == 1
+        assert line.split("=")[0].strip().removeprefix("fit.") in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_gplda_on_curves_without_within_class_variation(self, tmp_path, capsys):
         labels = np.repeat([1, 2], 5)
         data = gplda.LabeledFunctionalDataset(
@@ -429,10 +445,15 @@ class TestExitCodes:
 
 class TestConsoleEntryPoint:
     def test_installed_script_prints_config(self):
+        # The child imports the package under test, also when pytest put
+        # it on the path and PYTHONPATH does not name it.
+        package_root = os.path.dirname(os.path.dirname(gplda.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "gplda.cli", "--print-config"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert "method = gplda" in result.stdout

@@ -7,6 +7,7 @@ import pytest
 
 from gplda import (
     FIRST_DIFF,
+    LAPLACIAN_2D,
     SECOND_DIFF,
     DimensionError,
     DiscriminantModel,
@@ -40,6 +41,7 @@ from gplda.estimator import fit
 from gplda.linalg import Gram
 
 from helpers import (
+    lap2d_image_set,
     random_posterior_state,
     sample_well_posed_dataset,
     two_class_separable,
@@ -221,6 +223,15 @@ class TestPdaFit:
         data = sample_well_posed_dataset(rng)
         with pytest.raises(DimensionError, match="penalty is built for"):
             pda_fit(data, build_penalty(SECOND_DIFF, data.p + 2), alpha=1.0)
+
+    @pytest.mark.parametrize("kind", [FIRST_DIFF, SECOND_DIFF, LAPLACIAN_2D])
+    def test_within_matrix_is_exactly_symmetric(self, kind):
+        # The pooled scatter plus a multiple of the penalty, unsymmetrized.
+        rng = np.random.default_rng(43)
+        data = lap2d_image_set(rng, 60, 20, 20)
+        dims = (20, 20) if kind == LAPLACIAN_2D else data.p
+        within = pda_fit(data, build_penalty(kind, dims), alpha=0.37).within_cov_used
+        assert np.array_equal(within, within.T)
 
     def test_singular_scatter_rescued_by_penalty(self):
         # more grid points than curves: the scatter alone is singular, the

@@ -31,7 +31,7 @@ from gplda import (
 )
 import gplda.estimator
 from gplda import LAPLACIAN_2D, SimSpec, generate, gplda_directions, predict
-from gplda.model import CholeskyForm, WoodburyForm
+from gplda.model import CholeskyForm, WithinCovariance, WoodburyForm
 
 from helpers import (
     dense_fit,
@@ -226,9 +226,9 @@ class TestUpdateSigmaW:
         data = sample_well_posed_dataset(rng)
         x = rng.standard_normal(data.y.shape)
         mu = rng.standard_normal((data.c, data.p))
-        sigma_w = update_sigma_w(
+        sigma_w = np.asarray(update_sigma_w(
             x, mu, data, 0.7, build_penalty(FIRST_DIFF, data.p), HyperParams()
-        )
+        ))
         np.testing.assert_allclose(sigma_w, sigma_w.T)
         assert np.linalg.eigvalsh(sigma_w).min() > 0
 
@@ -413,7 +413,7 @@ class TestFit:
             calls.append(None)
             if len(calls) == 1:  # leave the initializer's call intact
                 return real(*args, **kwargs)
-            return np.full((data.p, data.p), np.nan)
+            return CholeskyForm(np.full((data.p, data.p), np.nan))
 
         monkeypatch.setattr(gplda.estimator, "update_sigma_w", poisoned)
         with pytest.raises(NumericFailureError) as info:
@@ -518,7 +518,7 @@ class TestCovarianceRoute:
         config = FitConfig(penalty=build_penalty(FIRST_DIFF, train.p), max_sweeps=1)
         state, trace = fit(train, config=config, start=start)
         expected, expected_trace = dense_fit(train, config=config, start=start)
-        assert isinstance(state.sigma_w, np.ndarray)
+        assert isinstance(state.sigma_w, WithinCovariance)
         assert _state_gap(state, expected) <= 1e-12
         np.testing.assert_allclose(
             trace.log_posterior_per_sweep, expected_trace.log_posterior_per_sweep, rtol=1e-9
@@ -527,6 +527,39 @@ class TestCovarianceRoute:
         # cancels to about four digits whichever form computes it.
         for name, value in expected_trace.final_residuals.as_dict().items():
             assert getattr(trace.final_residuals, name) == pytest.approx(value, rel=1e-4), name
+
+
+class TestOneCovarianceBuilder:
+    """``update_sigma_w`` builds every covariance value ``fit`` reads and returns."""
+
+    @pytest.mark.parametrize("n_train", [50, 200])
+    def test_fit_returns_the_last_built_operator(self, monkeypatch, n_train):
+        train, _ = generate(SimSpec("sim1", n_train, 10, seed=0))
+        low_rank = train.n < train.p
+        real_update = gplda.estimator.update_sigma_w
+        real_scatter = gplda.estimator.pooled_within_scatter
+        built, scatters = [], []
+
+        def update(*args, **kwargs):
+            built.append(real_update(*args, **kwargs))
+            return built[-1]
+
+        def scatter(*args, **kwargs):
+            scatters.append(None)
+            return real_scatter(*args, **kwargs)
+
+        def dense(self):
+            raise AssertionError("fit formed a p x p low-rank covariance")
+
+        monkeypatch.setattr(gplda.estimator, "update_sigma_w", update)
+        monkeypatch.setattr(gplda.estimator, "pooled_within_scatter", scatter)
+        monkeypatch.setattr(WoodburyForm, "dense", dense)
+        state, trace = fit(train)
+        assert len(built) == 1 + trace.sweeps_run
+        assert state.sigma_w is built[-1]
+        assert isinstance(state.sigma_w, WoodburyForm if low_rank else CholeskyForm)
+        # n < p: no O(p^2 n) scatter; n >= p: one dense update per call.
+        assert len(scatters) == (0 if low_rank else len(built))
 
 
 class TestRouteAgreement:

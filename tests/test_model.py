@@ -110,6 +110,22 @@ class TestFitConfig:
         assert config.penalty.descriptor == FIRST_DIFF
         np.testing.assert_array_equal(config.penalty.matrix, build_penalty(FIRST_DIFF, 7).matrix)
 
+    def test_boundary_values_accepted(self):
+        config = FitConfig(
+            penalty=build_penalty(FIRST_DIFF, 5), max_sweeps=np.int64(0), rel_tol=0.0,
+            jitter_scale=0.0,
+        )
+        assert (config.max_sweeps, config.rel_tol, config.jitter_scale) == (0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("max_sweeps", -1), ("max_sweeps", 2.5), ("max_sweeps", "3"),
+        ("rel_tol", np.nan), ("rel_tol", -1e-6), ("rel_tol", np.inf),
+        ("jitter_scale", np.nan), ("jitter_scale", -1e-8), ("jitter_scale", np.inf),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            FitConfig(penalty=build_penalty(FIRST_DIFF, 5), **{field: value})
+
 
 class TestPooledWithinScatter:
     def test_matches_direct_computation(self):
@@ -127,6 +143,22 @@ class TestPooledWithinScatter:
         np.testing.assert_allclose(
             pooled_within_scatter(y, labels, means), 0.0, atol=1e-15
         )
+
+    @pytest.mark.parametrize("n,p,contiguous", [
+        (20, 101, True), (200, 101, True), (100, 1600, True), (60, 40, False),
+    ])
+    def test_exactly_symmetric(self, n, p, contiguous):
+        # The covariance update and PDA's within matrix add a multiple of
+        # the penalty to this scatter without symmetrizing the sum.
+        rng = np.random.default_rng(n + p)
+        y = rng.standard_normal((n, p if contiguous else 2 * p))
+        if not contiguous:
+            y = y[:, ::2]
+            assert not y.flags.c_contiguous
+        labels = np.arange(n) % 3 + 1
+        data = LabeledFunctionalDataset(y=y, labels=labels, label_names=(1, 2, 3))
+        scatter = pooled_within_scatter(y, labels, data.class_means())
+        assert np.array_equal(scatter, scatter.T)
 
 
 def _independent_terms(state, data, hyper, penalty):
