@@ -124,7 +124,12 @@ class SmoothingPenalty:
     Attributes
     ----------
     matrix : ndarray of shape (p, p)
-        The penalty Gram matrix.
+        The penalty Gram matrix.  It must be exactly symmetric
+        (``np.array_equal(matrix, matrix.T)``), as every ``build_penalty``
+        matrix is: the covariance update and PDA's within matrix add it to
+        an exactly symmetric scatter and do not symmetrize the sum, so a
+        hand-built matrix that is symmetric only to rounding passes its
+        asymmetry on to them.
     kind : str
         One of ``"d1"``, ``"d2"``, ``"lap2d"``.
     grid : tuple of (rows, cols), optional

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -482,14 +483,13 @@ class FitConfig:
     jitter_scale: float = 1e-8
 
     def __post_init__(self):
-        if not (isinstance(self.max_sweeps, (int, np.integer)) and self.max_sweeps >= 0):
-            raise ValidationError(
-                f"max_sweeps must be a non-negative integer, got {self.max_sweeps!r}"
-            )
+        sweeps = self.max_sweeps
+        if isinstance(sweeps, bool) or not (isinstance(sweeps, (int, np.integer)) and sweeps >= 0):
+            raise ValidationError(f"max_sweeps must be a non-negative integer, got {sweeps!r}")
         for name in ("rel_tol", "jitter_scale"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ValidationError(f"{name} must be finite and non-negative, got {value}")
+            if not (isinstance(value, numbers.Real) and np.isfinite(value) and value >= 0):
+                raise ValidationError(f"{name} must be finite and non-negative, got {value!r}")
 
     @classmethod
     def default(cls, p: int) -> "FitConfig":

@@ -35,6 +35,7 @@ from gplda.model import CholeskyForm, WithinCovariance, WoodburyForm
 
 from helpers import (
     dense_fit,
+    dense_sigma_w,
     finite_difference_residuals,
     lap2d_image_set,
     random_posterior_state,
@@ -246,11 +247,11 @@ class TestInitialState:
         assert state.alpha2 == pytest.approx(hyper.a2 / hyper.b2)
         scatter = pooled_within_scatter(data.y, data.labels, state.mu)
         assert state.sigma2 == pytest.approx(np.trace(scatter) / data.p)
-        expected_sw = update_sigma_w(
+        expected_sw = dense_sigma_w(
             data.y, state.mu, data, state.alpha2, config.penalty, hyper,
             config.jitter_scale,
         )
-        np.testing.assert_allclose(state.sigma_w, expected_sw)
+        np.testing.assert_allclose(np.asarray(state.sigma_w), expected_sw)
 
 
 def _no_within_variation(kind: str, per_class: int = 7, p: int = 20):
@@ -506,7 +507,7 @@ class TestCovarianceRoute:
         config = FitConfig(penalty=build_penalty(FIRST_DIFF, train.p), jitter_scale=0.0)
         state = initial_state(train, HyperParams(), config)
         assert isinstance(state.sigma_w, CholeskyForm)
-        expected = update_sigma_w(
+        expected = dense_sigma_w(
             state.x, state.mu, train, state.alpha2, config.penalty, HyperParams(), 0.0
         )
         np.testing.assert_array_equal(state.sigma_w.dense(), expected)

@@ -23,12 +23,11 @@ from gplda import (
     log_posterior,
     log_posterior_terms,
     pooled_within_scatter,
-    update_sigma_w,
     validate_dataset,
 )
 from gplda.model import CholeskyForm, WoodburyForm, within_covariance
 
-from helpers import random_posterior_state, sample_well_posed_dataset
+from helpers import dense_sigma_w, random_posterior_state, sample_well_posed_dataset
 
 
 class TestValidateDataset:
@@ -118,9 +117,10 @@ class TestFitConfig:
         assert (config.max_sweeps, config.rel_tol, config.jitter_scale) == (0, 0.0, 0.0)
 
     @pytest.mark.parametrize("field,value", [
-        ("max_sweeps", -1), ("max_sweeps", 2.5), ("max_sweeps", "3"),
-        ("rel_tol", np.nan), ("rel_tol", -1e-6), ("rel_tol", np.inf),
+        ("max_sweeps", -1), ("max_sweeps", 2.5), ("max_sweeps", "3"), ("max_sweeps", True),
+        ("rel_tol", np.nan), ("rel_tol", -1e-6), ("rel_tol", np.inf), ("rel_tol", "x"),
         ("jitter_scale", np.nan), ("jitter_scale", -1e-8), ("jitter_scale", np.inf),
+        ("jitter_scale", None),
     ])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
@@ -309,9 +309,7 @@ class TestWithinCovariance:
         data, penalty, hyper, jitter, state = _low_rank_case(rng, case)
         low_rank = state.sigma_w
         assert isinstance(low_rank, WoodburyForm)
-        dense = update_sigma_w(
-            state.x, state.mu, data, state.alpha2, penalty, hyper, jitter
-        )
+        dense = dense_sigma_w(state.x, state.mu, data, state.alpha2, penalty, hyper, jitter)
         full = CholeskyForm(dense, penalty)
         assert _rel(low_rank.dense(), dense) <= 1e-12
         np.testing.assert_array_equal(np.asarray(low_rank), low_rank.dense())
