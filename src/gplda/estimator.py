@@ -186,21 +186,21 @@ def update_sigma_w(
     With rho = n / (n + nu + p + 1), the maximizer is rho times the
     pooled within-class scatter of the latent curves plus (rho / n) times
     alpha2 times the penalty, and a relative jitter proportional to its
-    mean eigenvalue is added to the diagonal.  Returned as an operator:
-    the low-rank form R^T R + beta Omega + eps I, with
-    R = sqrt(rho / n) (x - mu), when it applies, otherwise the Cholesky
-    form of the dense matrix.
+    mean eigenvalue is added to the diagonal.  With R = sqrt(rho / n)
+    (x - mu) that is R^T R + beta Omega + eps I, and this is the one place
+    that picks its form: the low-rank ``WoodburyForm`` when n < p and
+    every beta lambda + eps > 0, otherwise the Cholesky form of the dense
+    matrix.
     """
     n, p = data.n, data.p
     rho = n / (n + hyper.nu(p) + p + 1.0)
     beta = (rho / n) * alpha2
     root = np.sqrt(rho / n) * (x - mu[data.labels - 1])
-    within = WoodburyForm.build(root, beta, jitter_scale, penalty)
-    if within is not None:
-        return within
+    eps = jitter_scale * (float(np.sum(root * root)) + beta * float(np.trace(penalty.matrix))) / p
+    if n < p and np.all(beta * penalty.basis.eigenvalues + eps > 0):
+        return WoodburyForm(root, beta, eps, penalty)
     sigma_w = rho * pooled_within_scatter(x, data.labels, mu) + beta * penalty.matrix
-    if jitter_scale > 0:
-        sigma_w[np.diag_indices(p)] += jitter_scale * (np.trace(sigma_w) / p)
+    sigma_w[np.diag_indices(p)] += eps
     return CholeskyForm(sigma_w, penalty)
 
 

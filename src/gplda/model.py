@@ -22,7 +22,9 @@ capacitance matrices: O(p n^2) per operation plus the rotation of n
 rows into the basis, O(n p log p) for the DCT-II bases.  The
 ``CholeskyForm`` factors the dense p x p matrix: it serves n >= p, a
 diagonal with a zero (no jitter on a singular penalty), and any dense
-matrix handed in.
+matrix handed in.  ``estimator.update_sigma_w`` picks the form and the
+jitter.  Each form implements one shifted solve, and ``solve`` and
+``blend`` are written once on top of it.
 """
 
 from __future__ import annotations
@@ -107,7 +109,8 @@ class LabeledFunctionalDataset:
 def validate_dataset(rows, labels) -> LabeledFunctionalDataset:
     """Validate raw curves and labels and build a dataset.
 
-    Checks rectangularity and finiteness of the value rows, remaps labels
+    Checks rectangularity and finiteness of the value rows (numbered from
+    1 in error messages, as the CSV reader numbers data rows), remaps labels
     to 1..c in order of first appearance, and requires at least c + 1
     curves so that a within-class covariance is estimable.
 
@@ -133,7 +136,7 @@ def validate_dataset(rows, labels) -> LabeledFunctionalDataset:
     expected = len(rows[0])
     if expected < 1:
         raise ValidationError("rows must contain at least one value")
-    for i, row in enumerate(rows):
+    for i, row in enumerate(rows, start=1):
         if len(row) != expected:
             raise ValidationError(
                 f"row {i} has {len(row)} values, expected {expected}"
@@ -141,7 +144,7 @@ def validate_dataset(rows, labels) -> LabeledFunctionalDataset:
     y = np.asarray(rows, dtype=float)
     finite = np.isfinite(y).all(axis=1)
     if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
+        bad = int(np.flatnonzero(~finite)[0]) + 1
         raise ValidationError(f"row {bad} contains a non-finite value")
     name_to_index: dict = {}
     mapped = np.zeros(len(labels), dtype=int)
@@ -221,8 +224,11 @@ class WithinCovariance:
 
     - ``dense()``: the p x p matrix S;
     - ``log_det`` and ``penalty_trace`` = tr(S^-1 Omega), computed once;
+    - ``shifted_solve(rows, shift)``: ``rows @ inv(S + shift I)``, the one
+      solve each form implements;
     - ``solve(rows)``: ``rows @ inv(S)``;
-    - ``blend(y, m, shift)``: rows x solving (S + shift I) x = S y + shift m;
+    - ``blend(y, m, shift)``: rows x solving (S + shift I) x = S y + shift m,
+      taken as y - shift (S + shift I)^-1 (y - m);
     - ``smooth_means(xbar, scales)``: row i solves
       (I + scales[i] S Omega) mu_i = xbar[i];
     - ``gradient_norm(rows, weight, count)``: the Frobenius norm of
@@ -245,6 +251,12 @@ class WithinCovariance:
 
     def __sub__(self, other) -> np.ndarray:
         return self.dense() - np.asarray(other)
+
+    def solve(self, rows: np.ndarray) -> np.ndarray:
+        return self.shifted_solve(rows, 0.0)
+
+    def blend(self, y: np.ndarray, m: np.ndarray, shift: float) -> np.ndarray:
+        return y - shift * self.shifted_solve(y - m, shift)
 
     def relative_change(self, old: "WithinCovariance") -> float:
         return frobenius_norm(self.dense() - old.dense()) / (1.0 + frobenius_norm(old.dense()))
@@ -277,12 +289,10 @@ class CholeskyForm(WithinCovariance):
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.matrix)))
 
-    def solve(self, rows: np.ndarray) -> np.ndarray:
-        return scipy_linalg().cho_solve(self.factor, rows.T, check_finite=False).T
-
-    def blend(self, y, m, shift):
-        shifted = self.matrix + shift * np.eye(self.p)
-        return spd_solve(shifted, self.matrix @ y.T + shift * m.T).T
+    def shifted_solve(self, rows, shift):
+        if shift == 0:
+            return scipy_linalg().cho_solve(self.factor, rows.T, check_finite=False).T
+        return spd_solve(self.matrix + shift * np.eye(self.p), rows.T).T
 
     def smooth_means(self, xbar, scales):
         eye = np.eye(self.p)
@@ -324,24 +334,6 @@ class WoodburyForm(WithinCovariance):
         self.rotated = self.basis.rotate(root)
         self.d = beta * self.basis.eigenvalues + eps
 
-    @classmethod
-    def build(
-        cls, root: np.ndarray, beta: float, jitter_scale: float, penalty: SmoothingPenalty
-    ) -> "WoodburyForm | None":
-        """R^T R + beta Omega plus a jitter of ``jitter_scale`` times its mean
-        eigenvalue, or None when R has as many rows as columns or the
-        diagonal d has an entry <= 0."""
-        n, p = root.shape
-        if n >= p:
-            return None
-        eps = 0.0
-        if jitter_scale > 0:
-            trace = float(np.sum(root * root)) + beta * float(np.trace(penalty.matrix))
-            eps = jitter_scale * trace / p
-        if not np.all(beta * penalty.basis.eigenvalues + eps > 0):
-            return None
-        return cls(root, beta, eps, penalty)
-
     def _capacitance(self, diagonal: np.ndarray):
         # (V, K) for the diagonal; K = I + H H^T with H = R~ diag(d)^-1/2.
         root_d = np.sqrt(diagonal)
@@ -354,7 +346,12 @@ class WoodburyForm(WithinCovariance):
     def _unshifted(self):
         return self._capacitance(self.d)
 
-    def _solve_rotated(self, rotated_rows, diagonal, scaled, capacitance):
+    def _solve_rotated(self, rotated_rows, shift=0.0):
+        if shift == 0:
+            diagonal, (scaled, capacitance) = self.d, self._unshifted
+        else:
+            diagonal = self.d + shift
+            scaled, capacitance = self._capacitance(diagonal)
         solved = rotated_rows / diagonal
         solved -= spd_solve(capacitance, scaled @ rotated_rows.T).T @ scaled
         return solved
@@ -379,20 +376,8 @@ class WoodburyForm(WithinCovariance):
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.d)) and np.all(np.isfinite(self.root)))
 
-    def solve(self, rows):
-        solved = self._solve_rotated(self.basis.rotate(rows), self.d, *self._unshifted)
-        return self.basis.unrotate(solved)
-
-    def blend(self, y, m, shift):
-        # (S + shift I)^-1 (S y + shift m) = y - shift (S + shift I)^-1 (y - m).
-        diagonal = self.d + shift
-        rotated = self._solve_rotated(
-            self.basis.rotate(y - m), diagonal, *self._capacitance(diagonal)
-        )
-        x = self.basis.unrotate(rotated)
-        x *= -shift
-        x += y
-        return x
+    def shifted_solve(self, rows, shift):
+        return self.basis.unrotate(self._solve_rotated(self.basis.rotate(rows), shift))
 
     def smooth_means(self, xbar, scales):
         # In the basis, (G + a R~^T R~ Lambda) m = xbar with G = 1 + a d lambda,
@@ -418,7 +403,7 @@ class WoodburyForm(WithinCovariance):
         scaled, capacitance = self._unshifted
         lam = self.basis.eigenvalues
         projected = spd_solve(capacitance, scaled)
-        solved_rows = self._solve_rotated(self.basis.rotate(rows), self.d, scaled, capacitance)
+        solved_rows = self._solve_rotated(self.basis.rotate(rows))
         z = (
             (0.5 * count) * scaled
             - weight * scaled * (lam / self.d)

@@ -230,6 +230,18 @@ class TestFitAndPredict:
             assert "error:" in captured.err and "row 2" in captured.err
             assert captured.out == ""
 
+    def test_fit_numbers_a_non_finite_row_from_one(self, tmp_path, capsys):
+        path = str(tmp_path / "nan.csv")
+        with open(path, "w") as fh:
+            for i, cell in enumerate(["0.5", "nan", "0.5", "0.5"]):
+                fh.write(f"{i % 2}," + ",".join(["0.5", "1.5", cell]) + "\n")
+        code = cli_dispatch(["fit", "--method", "mle", "--data", path,
+                             "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "row 2 " in captured.err
+        assert not (tmp_path / "m.json").exists()
+
     def test_predictions_to_file_without_truth(self, tmp_path, capsys):
         train = _write_training_csv(tmp_path)
         model_path = str(tmp_path / "model.json")

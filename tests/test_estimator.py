@@ -529,6 +529,29 @@ class TestCovarianceRoute:
         for name, value in expected_trace.final_residuals.as_dict().items():
             assert getattr(trace.final_residuals, name) == pytest.approx(value, rel=1e-4), name
 
+    @pytest.mark.parametrize("n,jitter_scale,form", [
+        (11, 1e-8, WoodburyForm), (12, 1e-8, CholeskyForm), (11, 0.0, CholeskyForm),
+    ])
+    def test_form_switches_at_n_equal_p(self, n, jitter_scale, form):
+        rng = np.random.default_rng(707)
+        data = LabeledFunctionalDataset(
+            y=rng.standard_normal((n, 12)), labels=np.arange(n) % 2 + 1, label_names=(1, 2)
+        )
+        args = (data.y, data.class_means(), data, 0.3, build_penalty(FIRST_DIFF, 12),
+                HyperParams(), jitter_scale)
+        within, expected = update_sigma_w(*args), dense_sigma_w(*args)
+        assert isinstance(within, form)
+        assert np.linalg.norm(within.dense() - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_dense_form_fit_leaves_the_x_block_stationary(self, seed):
+        # n = 200 >= p = 101.  The blend y - s (S + s I)^-1 (y - m) keeps the
+        # x gradient at rounding level; solving for S y + s m does not.
+        train, _ = generate(SimSpec("sim1", 200, 10, seed=seed))
+        state, trace = fit(train)
+        assert isinstance(state.sigma_w, CholeskyForm)
+        assert trace.final_residuals.x_max <= 1e-6
+
 
 class TestOneCovarianceBuilder:
     """``update_sigma_w`` builds every covariance value ``fit`` reads and returns."""

@@ -60,12 +60,12 @@ class TestValidateDataset:
             validate_dataset([[], []], [1, 2])
 
     def test_ragged_rows(self):
-        with pytest.raises(ValidationError, match="row 1 has 3 values, expected 2"):
+        with pytest.raises(ValidationError, match="row 2 has 3 values, expected 2"):
             validate_dataset([[1.0, 2.0], [1.0, 2.0, 3.0]], [1, 2])
 
     def test_non_finite_values(self):
         rows = [[1.0, 2.0], [np.nan, 0.0], [3.0, 4.0]]
-        with pytest.raises(ValidationError, match="row 1 contains a non-finite value"):
+        with pytest.raises(ValidationError, match="row 2 contains a non-finite value"):
             validate_dataset(rows, [1, 2, 1])
 
     def test_too_few_curves_for_covariance(self):
@@ -330,13 +330,31 @@ class TestWithinCovariance:
         ) <= 1e-8
 
     @pytest.mark.parametrize("case", CASES)
+    def test_solve_and_blend_match_the_written_out_systems(self, case):
+        # Both forms' solve and blend share one body over shifted_solve, so
+        # each is checked against np.linalg.solve on the formula's matrix.
+        rng = np.random.default_rng(350 + case)
+        data, penalty, hyper, jitter, state = _low_rank_case(rng, case)
+        dense = dense_sigma_w(state.x, state.mu, data, state.alpha2, penalty, hyper, jitter)
+        rows = rng.standard_normal((5, data.p))
+        means = rng.standard_normal((5, data.p))
+        eye = np.eye(data.p)
+        for form in (state.sigma_w, CholeskyForm(dense, penalty)):
+            assert _rel(form.solve(rows), np.linalg.solve(dense, rows.T).T) <= 1e-8
+            for shift in (1e-3, 0.7):
+                expected = np.linalg.solve(dense + shift * eye, dense @ rows.T + shift * means.T)
+                assert _rel(form.blend(rows, means, shift), expected.T) <= 1e-8
+
+    @pytest.mark.parametrize("case", CASES)
     def test_relative_change_matches_dense(self, case):
         rng = np.random.default_rng(400 + case)
         data, penalty, hyper, jitter, state = _low_rank_case(rng, case)
         old = state.sigma_w
         for step in (1e-9, 1e-4, 0.3):
             root = old.root + step * rng.standard_normal(old.root.shape)
-            new = WoodburyForm.build(root, old.beta * (1.0 + step), jitter, penalty)
+            beta = old.beta * (1.0 + step)
+            eps = jitter * (np.sum(root**2) + beta * np.trace(penalty.matrix)) / data.p
+            new = WoodburyForm(root, beta, eps, penalty)
             dense_change = (np.linalg.norm(new.dense() - old.dense())
                             / (1.0 + np.linalg.norm(old.dense())))
             assert new.relative_change(old) == pytest.approx(dense_change, rel=1e-6)
