@@ -3,7 +3,9 @@
 The package estimates discriminant directions for functional data
 observed on a common grid.  A joint posterior couples latent smooth
 curves, class means, a within-class covariance, and three precision
-scalars; blockwise closed-form updates maximize it by backfitting.
+scalars; blockwise closed-form updates ascend it by backfitting.  It has
+no maximum (shrinking the covariance toward zero raises it without
+bound), so a fit is the point where that ascent stops.
 Classical penalized, maximum-likelihood, and principal-component
 baselines share the same eigensolver kernel and prediction rule.
 """

@@ -187,7 +187,7 @@ def gplda_directions(
         return _assemble(
             METHOD_GPLDA,
             state.mu,
-            np.asarray(state.sigma_w),
+            state.sigma_w.dense(),
             tuple(class_labels),
             k,
             penalty_descriptor=penalty_descriptor,

@@ -1,11 +1,12 @@
-"""Blockwise maximum-a-posteriori estimation by backfitting.
+"""Blockwise ascent of the joint log-posterior by backfitting.
 
 Each update below is the exact maximizer of the joint log-posterior in
 one block of unknowns with all other blocks held fixed, so a full sweep
 never decreases the objective.  The sweep order is: the two precision
 scalars, the noise variance, the latent curves, the class means, and the
 within-class covariance, each update consuming the freshest values of the
-other blocks.
+other blocks.  The objective itself has no maximum (see ``fit``), so a
+fit is where the ascent stops, not a posterior mode.
 
 Convergence is declared when the largest per-block relative change in a
 sweep falls below ``rel_tol``, where the relative change of a block is
@@ -16,13 +17,14 @@ the norm of its change divided by one plus its norm.
 curves than grid points and the jitter keeps its diagonal positive, its
 Cholesky form otherwise.  A sweep then costs O(n p log p + p n^2) when
 n < p instead of O(p^3), and ``fit`` returns the operator of its last
-sweep without forming the p x p matrix.  The update functions also accept
-a dense covariance matrix.
+sweep without forming the p x p matrix.  Every function here reads a
+covariance value only as such an operator, built on the penalty it is
+given.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,9 +43,9 @@ from .model import (
     PosteriorState,
     WithinCovariance,
     WoodburyForm,
+    _check_state_shapes,
     log_posterior,
     pooled_within_scatter,
-    within_covariance,
 )
 
 
@@ -104,7 +106,7 @@ def update_alpha1(
 
 
 def update_alpha2(
-    sigma_w: np.ndarray | WithinCovariance, penalty: SmoothingPenalty, hyper: HyperParams
+    sigma_w: WithinCovariance, penalty: SmoothingPenalty, hyper: HyperParams
 ) -> float:
     """Maximizing value of the covariance scale scalar.
 
@@ -117,8 +119,8 @@ def update_alpha2(
         raise HyperParameterError(
             f"2*a2 + p - 2 = {numerator} must be positive (a2={hyper.a2}, p={p})"
         )
-    trace_term = within_covariance(sigma_w, penalty).penalty_trace
-    return numerator / (2.0 * hyper.b2 + trace_term)
+    sigma_w.check_penalty(penalty)
+    return numerator / (2.0 * hyper.b2 + sigma_w.penalty_trace)
 
 
 def update_sigma2(
@@ -144,7 +146,7 @@ def update_sigma2(
 def update_x(
     data: LabeledFunctionalDataset,
     mu: np.ndarray,
-    sigma_w: np.ndarray | WithinCovariance,
+    sigma_w: WithinCovariance,
     sigma2: float,
 ) -> np.ndarray:
     """Maximizing latent curves given everything else.
@@ -152,13 +154,13 @@ def update_x(
     Each curve is the matrix-weighted blend of its observation and its
     class mean that solves (sigma_w + sigma2 I) x = sigma_w y + sigma2 mu.
     """
-    return within_covariance(sigma_w).blend(data.y, mu[data.labels - 1], sigma2)
+    return sigma_w.blend(data.y, mu[data.labels - 1], sigma2)
 
 
 def update_mu(
     x: np.ndarray,
     data: LabeledFunctionalDataset,
-    sigma_w: np.ndarray | WithinCovariance,
+    sigma_w: WithinCovariance,
     alpha1: float,
     penalty: SmoothingPenalty,
 ) -> np.ndarray:
@@ -168,8 +170,9 @@ def update_mu(
     (I + (alpha1 / n_i) sigma_w omega) mu_i = xbar_i, a smoothing of the
     within-class average of the latent curves.
     """
+    sigma_w.check_penalty(penalty)
     xbar = np.array([x[data.class_rows(i)].mean(axis=0) for i in range(1, data.c + 1)])
-    return within_covariance(sigma_w, penalty).smooth_means(xbar, alpha1 / data.class_counts)
+    return sigma_w.smooth_means(xbar, alpha1 / data.class_counts)
 
 
 def update_sigma_w(
@@ -253,7 +256,14 @@ def fit(
     config: FitConfig | None = None,
     start: PosteriorState | None = None,
 ) -> tuple[PosteriorState, FitTrace]:
-    """Backfit all blocks to a joint maximum of the log-posterior.
+    """Backfit all blocks, ascending the joint log-posterior until a sweep
+    changes every block by less than ``rel_tol``.
+
+    The objective has no maximum.  Along Sigma_w -> t Sigma_w,
+    alpha2 -> t alpha2, x -> mu + sqrt(t) (x - mu) it rises by
+    p (nu + p) + n p per unit of log(1/t) as t -> 0, so the returned state
+    is where the ascent stopped (held back by the jitter, the noise
+    variance's prior floor and ``rel_tol``), not a posterior mode.
 
     Parameters
     ----------
@@ -265,7 +275,9 @@ def fit(
         Defaults to a first-difference penalty on the data grid with the
         standard sweep and tolerance settings.
     start : PosteriorState, optional
-        Resume from a given state instead of the standard initializer.
+        Resume from a given state instead of the standard initializer;
+        its covariance must be built on ``config.penalty`` (the same
+        object or an equal matrix).
 
     Returns
     -------
@@ -277,7 +289,8 @@ def fit(
     Raises
     ------
     ValidationError
-        If the dataset is too small to estimate a within-class covariance.
+        If the dataset is too small to estimate a within-class covariance,
+        or ``start`` was built on another penalty.
     NumericFailureError
         If any block becomes non-finite during a sweep.
     """
@@ -289,9 +302,7 @@ def fit(
     with blas_threads_for():
         penalty = config.penalty
         state = start if start is not None else initial_state(data, hyper, config)
-        within = within_covariance(state.sigma_w, penalty)
-        state = replace(state, sigma_w=within)
-        x, mu = state.x, state.mu
+        x, mu, within = state.x, state.mu, state.sigma_w
         alpha1, alpha2, sigma2 = state.alpha1, state.alpha2, state.sigma2
 
         history = [log_posterior(state, data, hyper, penalty)]
@@ -344,10 +355,12 @@ def first_order_residuals(
     ``log_posterior``: scalars with respect to the two precision scalars
     and the noise precision, row gradients for latent curves and class
     means, and the symmetric matrix gradient for the covariance block.
+    The state is checked as ``log_posterior`` checks it.
     """
+    _check_state_shapes(state, data, penalty)
     n, p, c = data.n, data.p, data.c
     omega = penalty.matrix
-    within = within_covariance(state.sigma_w, penalty)
+    within = state.sigma_w
 
     mean_quad = float(np.sum(state.mu * (state.mu @ omega)))
     g_alpha1 = -mean_quad + (2.0 * hyper.a1 + c - 2.0) / state.alpha1 - 2.0 * hyper.b1

@@ -368,7 +368,9 @@ def generalized_eig_top(
         )
     if not 1 <= k <= p:
         raise DimensionError(f"k={k} is outside the valid range 1..{p}")
-    if between_norm <= 1e-12 * frobenius_norm(within):
+    # sqrt(||B||_F) <= 1e-12 sqrt(||W||_F): a mean gap against a standard
+    # deviation, not a squared gap against a variance.
+    if between_norm <= 1e-24 * frobenius_norm(within):
         raise DegenerateBetweenCovarianceError(
             "between-class covariance is numerically zero; class means coincide"
         )

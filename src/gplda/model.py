@@ -11,7 +11,7 @@ scalars carry gamma hyperpriors.
 ``log_posterior`` evaluates twice the unnormalized joint log-density of
 all unknowns given the observations, with the additive constant fixed to
 zero.  All block updates in the estimator maximize exactly this quantity
-one block at a time.
+one block at a time.  It has no upper bound (see ``estimator.fit``).
 
 Every within-class covariance value is read through one operator,
 ``WithinCovariance``, in one of two forms.  The covariance update is
@@ -20,11 +20,11 @@ the penalty's eigenbasis that is a positive diagonal plus a term of rank
 at most n, so when n < p the ``WoodburyForm`` works with n x n
 capacitance matrices: O(p n^2) per operation plus the rotation of n
 rows into the basis, O(n p log p) for the DCT-II bases.  The
-``CholeskyForm`` factors the dense p x p matrix: it serves n >= p, a
-diagonal with a zero (no jitter on a singular penalty), and any dense
-matrix handed in.  ``estimator.update_sigma_w`` picks the form and the
-jitter.  Each form implements one shifted solve, and ``solve`` and
-``blend`` are written once on top of it.
+``CholeskyForm`` factors the dense p x p matrix: it serves n >= p and a
+diagonal with a zero (no jitter on a singular penalty).
+``estimator.update_sigma_w`` picks the form and the jitter.  Each form
+implements one shifted solve, and ``solve`` and ``blend`` are written
+once on top of it.
 """
 
 from __future__ import annotations
@@ -199,10 +199,12 @@ class PosteriorState:
         Latent smooth curves, one per observation.
     mu : ndarray of shape (c, p)
         Class mean curves.
-    sigma_w : ndarray of shape (p, p), or WithinCovariance
-        Within-class covariance, symmetric positive definite: a dense
-        matrix, or the operator of one (``np.asarray`` gives its matrix).
-        ``fit`` returns the operator that its last sweep built.
+    sigma_w : WithinCovariance
+        Within-class covariance, symmetric positive definite, as an
+        operator built on the fit's penalty (``np.asarray`` gives its
+        matrix).  A p x p matrix enters as ``CholeskyForm(matrix,
+        penalty)``.  ``fit`` returns the operator that its last sweep
+        built.
     alpha1, alpha2 : float
         Precision scalars for the mean prior and the covariance scale.
     sigma2 : float
@@ -211,7 +213,7 @@ class PosteriorState:
 
     x: np.ndarray
     mu: np.ndarray
-    sigma_w: np.ndarray | WithinCovariance
+    sigma_w: WithinCovariance
     alpha1: float
     alpha2: float
     sigma2: float
@@ -237,10 +239,11 @@ class WithinCovariance:
     - ``is_finite()``;
     - ``S - other``: the dense difference.
 
-    ``within_covariance`` gives the operator of a value.
+    Each value is built on one penalty, and ``check_penalty`` rejects
+    any other.
     """
 
-    penalty: SmoothingPenalty | None
+    penalty: SmoothingPenalty
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -251,6 +254,13 @@ class WithinCovariance:
 
     def __sub__(self, other) -> np.ndarray:
         return self.dense() - np.asarray(other)
+
+    def check_penalty(self, penalty: SmoothingPenalty) -> None:
+        """Raise unless ``penalty`` is built for this grid and is the one
+        this value was built on: the same object, or an equal matrix."""
+        penalty.check_grid(self.p)
+        if penalty is not self.penalty and not np.array_equal(penalty.matrix, self.penalty.matrix):
+            raise ValidationError("sigma_w was built on a different penalty than the one given")
 
     def solve(self, rows: np.ndarray) -> np.ndarray:
         return self.shifted_solve(rows, 0.0)
@@ -265,7 +275,7 @@ class WithinCovariance:
 class CholeskyForm(WithinCovariance):
     """A dense Sigma_w and its Cholesky factor; operations cost up to O(p^3)."""
 
-    def __init__(self, matrix: np.ndarray, penalty: SmoothingPenalty | None = None):
+    def __init__(self, matrix: np.ndarray, penalty: SmoothingPenalty):
         self.matrix = matrix
         self.penalty = penalty
         self.p = matrix.shape[0]
@@ -438,19 +448,6 @@ class WoodburyForm(WithinCovariance):
         return math.sqrt(max(squared, 0.0)) / (1.0 + math.sqrt(old._squared_norm()))
 
 
-def within_covariance(sigma_w, penalty: SmoothingPenalty | None = None) -> WithinCovariance:
-    """The operator of a Sigma_w value.
-
-    An operator built on ``penalty`` (or any operator, when ``penalty`` is
-    None) is returned as it is; a dense matrix gets its Cholesky form.
-    """
-    if isinstance(sigma_w, WithinCovariance):
-        if penalty is None or sigma_w.penalty is penalty:
-            return sigma_w
-        sigma_w = sigma_w.dense()
-    return CholeskyForm(np.asarray(sigma_w, dtype=float), penalty)
-
-
 @dataclass(frozen=True, eq=False)
 class FitConfig:
     """Settings for the backfitting estimator.
@@ -523,7 +520,7 @@ def _check_state_shapes(
         raise DimensionError(
             f"sigma_w has shape {state.sigma_w.shape}, expected {(p, p)}"
         )
-    penalty.check_grid(p)
+    state.sigma_w.check_penalty(penalty)
     for name in ("alpha1", "alpha2", "sigma2"):
         value = getattr(state, name)
         if not (np.isfinite(value) and value > 0):
@@ -541,13 +538,13 @@ def log_posterior_terms(
     Returns
     -------
     LogPosteriorTerms
-        Terms summing (via ``total``) to the objective maximized by the
+        Terms summing (via ``total``) to the objective ascended by the
         backfitting estimator.
     """
     _check_state_shapes(state, data, penalty)
     n, p, c = data.n, data.p, data.c
     omega = penalty.matrix
-    within = within_covariance(state.sigma_w, penalty)
+    within = state.sigma_w
     logdet_sw = within.log_det
     log_noise_prec = -math.log(state.sigma2)
 

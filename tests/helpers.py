@@ -40,6 +40,7 @@ from gplda.discriminant import (
 from gplda.estimator import FitTrace
 from gplda.exceptions import DegenerateBetweenCovarianceError, NumericError
 from gplda.linalg import blas_threads_for, frobenius_norm
+from gplda.model import CholeskyForm
 
 
 def sample_well_posed_dataset(rng: np.random.Generator) -> LabeledFunctionalDataset:
@@ -70,11 +71,12 @@ def random_spd_matrix(rng: np.random.Generator, p: int) -> np.ndarray:
 def random_posterior_state(
     rng: np.random.Generator, data: LabeledFunctionalDataset
 ) -> PosteriorState:
-    """A random strictly feasible state for a given dataset."""
+    """A random strictly feasible state for a given dataset; its covariance
+    is built on the first-difference penalty."""
     return PosteriorState(
         x=data.y + 0.1 * rng.standard_normal(data.y.shape),
         mu=rng.standard_normal((data.c, data.p)),
-        sigma_w=random_spd_matrix(rng, data.p),
+        sigma_w=CholeskyForm(random_spd_matrix(rng, data.p), build_penalty(FIRST_DIFF, data.p)),
         alpha1=float(rng.uniform(0.05, 2.0)),
         alpha2=float(rng.uniform(0.05, 2.0)),
         sigma2=float(rng.uniform(0.1, 2.0)),
@@ -107,7 +109,7 @@ def one_piece_generalized_eig_top(between, within, k):
     """``generalized_eig_top`` on a p x p ``between``, written out as one
     function with its own calls: pivoted Cholesky root, whitening, thin
     SVD.  Validation is left out: callers pass valid shapes."""
-    if frobenius_norm(between) <= 1e-12 * frobenius_norm(within):
+    if frobenius_norm(between) <= 1e-24 * frobenius_norm(within):
         raise DegenerateBetweenCovarianceError("class means coincide")
     chol = scipy.linalg.cho_factor(within, lower=True, check_finite=False)[0]
     p = between.shape[0]
@@ -149,10 +151,10 @@ def dense_fit(data, hyper=None, config=None, start=None):
     """Reference backfitting loop that keeps the covariance a dense matrix.
 
     The sweep loop ``fit`` ran before its covariance became an operator:
-    every update takes and returns a dense Sigma_w (``dense_sigma_w``), so
-    every covariance operation goes through a p x p Cholesky factor.  The
-    start and the stopping rule are ``fit``'s; returns
-    ``(state, FitTrace)`` as it does.
+    every Sigma_w is the dense ``dense_sigma_w``, wrapped in its Cholesky
+    form for each update, so every covariance operation goes through a
+    p x p Cholesky factor.  The start and the stopping rule are ``fit``'s;
+    returns ``(state, FitTrace)`` as it does.
     """
     hyper = hyper if hyper is not None else HyperParams()
     if config is None:
@@ -160,10 +162,10 @@ def dense_fit(data, hyper=None, config=None, start=None):
     penalty = config.penalty
     if start is None:
         start = initial_state(data, hyper, config)
-        start = dataclasses.replace(start, sigma_w=dense_sigma_w(
+        start = dataclasses.replace(start, sigma_w=CholeskyForm(dense_sigma_w(
             start.x, start.mu, data, start.alpha2, penalty, hyper, config.jitter_scale
-        ))
-    state = dataclasses.replace(start, sigma_w=np.asarray(start.sigma_w))
+        ), penalty))
+    state = dataclasses.replace(start, sigma_w=CholeskyForm(np.asarray(start.sigma_w), penalty))
     x, mu, sigma_w = state.x, state.mu, state.sigma_w
     alpha1, alpha2, sigma2 = state.alpha1, state.alpha2, state.sigma2
 
@@ -177,14 +179,16 @@ def dense_fit(data, hyper=None, config=None, start=None):
     sweeps_run = 0
     for sweep in range(1, config.max_sweeps + 1):
         sweeps_run = sweep
-        prev = (alpha1, alpha2, sigma2, x, mu, sigma_w)
+        prev = (alpha1, alpha2, sigma2, x, mu, sigma_w.matrix)
         alpha1 = update_alpha1(mu, penalty, hyper)
         alpha2 = update_alpha2(sigma_w, penalty, hyper)
         sigma2 = update_sigma2(x, data, hyper)
         x = update_x(data, mu, sigma_w, sigma2)
         mu = update_mu(x, data, sigma_w, alpha1, penalty)
-        sigma_w = dense_sigma_w(x, mu, data, alpha2, penalty, hyper, config.jitter_scale)
-        blocks = (alpha1, alpha2, sigma2, x, mu, sigma_w)
+        sigma_w = CholeskyForm(
+            dense_sigma_w(x, mu, data, alpha2, penalty, hyper, config.jitter_scale), penalty
+        )
+        blocks = (alpha1, alpha2, sigma2, x, mu, sigma_w.matrix)
         state = PosteriorState(
             x=x, mu=mu, sigma_w=sigma_w, alpha1=alpha1, alpha2=alpha2, sigma2=sigma2
         )
@@ -360,7 +364,7 @@ def finite_difference_residuals(state, data, hyper, penalty) -> dict:
         return grad
 
     def sigma_w_grad():
-        base = state.sigma_w
+        base = state.sigma_w.dense()
         p = base.shape[0]
         grad = np.zeros((p, p))
         for i in range(p):
@@ -368,7 +372,8 @@ def finite_difference_residuals(state, data, hyper, penalty) -> dict:
                 bump = np.zeros((p, p))
                 bump[i, j] = bump[j, i] = 1.0
                 derivative = _central_difference(
-                    lambda t: lp_at(dataclasses.replace(state, sigma_w=base + t * bump)),
+                    lambda t: lp_at(dataclasses.replace(
+                        state, sigma_w=CholeskyForm(base + t * bump, penalty))),
                     0.0,
                 )
                 # symmetric bump picks up both entries off the diagonal

@@ -348,6 +348,14 @@ class TestPcaLdaFit:
         )
         np.testing.assert_array_equal(predict(model, test.y), predict(oracle, test.y))
 
+    def test_one_component_with_close_projected_means_fits(self):
+        # The two projected class means differ by about 8e-6, far below
+        # the noise but well above rounding, so one direction exists.
+        train, _ = generate(SimSpec("sim2", 20, 200, seed=606000045))
+        model = pca_lda_fit(train, q=1)
+        assert model.directions.shape == (1, train.p)
+        assert np.all(np.isfinite(model.directions))
+
     def test_component_count_out_of_range_rejected(self):
         rng = np.random.default_rng(59)
         data = sample_well_posed_dataset(rng)

@@ -74,7 +74,7 @@ class TestUpdateAlpha2:
     def test_hand_value(self):
         # p=2, trace term 100: (2*1 + 2 - 2) / (2*100 + 100) = 2/300
         penalty = build_penalty(FIRST_DIFF, 2)  # trace of its matrix is 2
-        sigma_w = 0.02 * np.eye(2)  # trace(penalty @ inverse) = 2 / 0.02
+        sigma_w = CholeskyForm(0.02 * np.eye(2), penalty)  # trace(penalty @ inverse) = 2 / 0.02
         hyper = HyperParams(a2=1.0, b2=100.0)
         assert update_alpha2(sigma_w, penalty, hyper) == pytest.approx(2.0 / 300.0)
 
@@ -84,7 +84,8 @@ class TestUpdateAlpha2:
         expected = (2.0 * hyper.a2 + 8 - 2.0) / (
             2.0 * hyper.b2 + np.trace(penalty.matrix)
         )
-        assert update_alpha2(np.eye(8), penalty, hyper) == pytest.approx(expected)
+        sigma_w = CholeskyForm(np.eye(8), penalty)
+        assert update_alpha2(sigma_w, penalty, hyper) == pytest.approx(expected)
 
 
 class TestUpdateSigma2:
@@ -144,21 +145,22 @@ class TestUpdateX:
     def test_hand_blend(self):
         data = self._two_point_data(np.array([[2.0, 0.0]]))
         mu = np.zeros((1, 2))
-        x = update_x(data, mu, np.eye(2), 1.0)
+        x = update_x(data, mu, CholeskyForm(np.eye(2), _identity_penalty(2)), 1.0)
         np.testing.assert_allclose(x, [[1.0, 0.0]])
 
     def test_zero_noise_returns_observations(self):
         rng = np.random.default_rng(67)
         data = sample_well_posed_dataset(rng)
         mu = data.class_means()
-        x = update_x(data, mu, np.eye(data.p), 0.0)
+        x = update_x(data, mu, CholeskyForm(np.eye(data.p), _identity_penalty(data.p)), 0.0)
         np.testing.assert_allclose(x, data.y, atol=1e-12)
 
     def test_dominant_covariance_trusts_observations(self):
         rng = np.random.default_rng(71)
         data = sample_well_posed_dataset(rng)
         mu = data.class_means()
-        x = update_x(data, mu, 1e6 * np.eye(data.p), 1.0)
+        sigma_w = CholeskyForm(1e6 * np.eye(data.p), _identity_penalty(data.p))
+        x = update_x(data, mu, sigma_w, 1.0)
         np.testing.assert_allclose(x, data.y, atol=1e-5)
 
 
@@ -167,7 +169,8 @@ class TestUpdateMu:
         rng = np.random.default_rng(73)
         data = sample_well_posed_dataset(rng)
         x = rng.standard_normal(data.y.shape)
-        mu = update_mu(x, data, np.eye(data.p), 0.0, build_penalty(FIRST_DIFF, data.p))
+        penalty = build_penalty(FIRST_DIFF, data.p)
+        mu = update_mu(x, data, CholeskyForm(np.eye(data.p), penalty), 0.0, penalty)
         for i in range(1, data.c + 1):
             np.testing.assert_allclose(
                 mu[i - 1], x[data.class_rows(i)].mean(axis=0), atol=1e-12
@@ -179,7 +182,8 @@ class TestUpdateMu:
             y=np.array([[2.0, 2.0]]), labels=np.array([1]), label_names=(1,)
         )
         x = np.array([[2.0, 2.0]])
-        mu = update_mu(x, data, np.eye(2), 1.0, _identity_penalty(2))
+        penalty = _identity_penalty(2)
+        mu = update_mu(x, data, CholeskyForm(np.eye(2), penalty), 1.0, penalty)
         np.testing.assert_allclose(mu, [[1.0, 1.0]])
 
     def test_constant_average_passes_through_difference_penalty(self):
@@ -187,7 +191,8 @@ class TestUpdateMu:
             y=np.zeros((2, 5)), labels=np.array([1, 1]), label_names=(1,)
         )
         x = np.full((2, 5), 4.0)
-        mu = update_mu(x, data, np.eye(5), 3.0, build_penalty(FIRST_DIFF, 5))
+        penalty = build_penalty(FIRST_DIFF, 5)
+        mu = update_mu(x, data, CholeskyForm(np.eye(5), penalty), 3.0, penalty)
         np.testing.assert_allclose(mu, np.full((1, 5), 4.0), atol=1e-12)
 
 
@@ -414,7 +419,8 @@ class TestFit:
             calls.append(None)
             if len(calls) == 1:  # leave the initializer's call intact
                 return real(*args, **kwargs)
-            return CholeskyForm(np.full((data.p, data.p), np.nan))
+            nan = np.full((data.p, data.p), np.nan)
+            return CholeskyForm(nan, build_penalty(FIRST_DIFF, data.p))
 
         monkeypatch.setattr(gplda.estimator, "update_sigma_w", poisoned)
         with pytest.raises(NumericFailureError) as info:
@@ -462,6 +468,23 @@ class TestFirstOrderResiduals:
             for name, value in numeric.items():
                 scale = max(abs(value), abs(analytic[name]), 1e-8)
                 assert abs(analytic[name] - value) / scale <= 1e-4, name
+
+    @pytest.mark.parametrize("case", ["short_mu", "short_x", "zero_alpha2", "wider_penalty"])
+    def test_malformed_state_raises_a_typed_error(self, case):
+        rng = np.random.default_rng(53)
+        data = sample_well_posed_dataset(rng)
+        state = random_posterior_state(rng, data)
+        penalty = build_penalty(FIRST_DIFF, data.p)
+        if case == "short_mu":
+            state = dataclasses.replace(state, mu=state.mu[:-1])
+        elif case == "short_x":
+            state = dataclasses.replace(state, x=state.x[:-1])
+        elif case == "zero_alpha2":
+            state = dataclasses.replace(state, alpha2=0.0)
+        else:
+            penalty = build_penalty(FIRST_DIFF, data.p + 1)
+        with pytest.raises((DimensionError, ValidationError)):
+            first_order_residuals(state, data, HyperParams(), penalty)
 
     def test_as_dict_and_max(self):
         rng = np.random.default_rng(139)
@@ -584,6 +607,53 @@ class TestOneCovarianceBuilder:
         assert isinstance(state.sigma_w, WoodburyForm if low_rank else CholeskyForm)
         # n < p: no O(p^2 n) scatter; n >= p: one dense update per call.
         assert len(scatters) == (0 if low_rank else len(built))
+
+    @pytest.mark.parametrize("n_train", [50, 200])
+    def test_fit_never_compares_penalty_matrices_by_value(self, monkeypatch, n_train):
+        # Every value fit builds is on config.penalty itself, so the O(p^2)
+        # by-value branch of check_penalty is never reached.
+        train, _ = generate(SimSpec("sim1", n_train, 10, seed=0))
+        real, compared = np.array_equal, []
+
+        def array_equal(*args, **kwargs):
+            compared.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "array_equal", array_equal)
+        state, _ = fit(train)
+        monkeypatch.undo()
+        assert isinstance(state.sigma_w, WoodburyForm if train.n < train.p else CholeskyForm)
+        assert compared == []
+
+
+class TestUnboundedObjective:
+    """The joint log-posterior has no maximum, so a fit is a stop of the ascent."""
+
+    def test_shrinking_the_covariance_climbs_past_the_fit(self):
+        # Along Sigma_w -> t Sigma_w, alpha2 -> t alpha2, x -> mu + sqrt(t) (x - mu),
+        # with sigma2 re-taken, the objective rises by p (nu + p) + n p per
+        # unit of log(1/t).  A change that bounds the objective fails this.
+        train, _ = generate(SimSpec("sim1", 50, 10, seed=0))
+        hyper = HyperParams()
+        state, trace = fit(train, hyper)
+        within = state.sigma_w
+        assert isinstance(within, WoodburyForm)
+        means = state.mu[train.labels - 1]
+
+        def objective_at(t):
+            x = means + np.sqrt(t) * (state.x - means)
+            scaled = dataclasses.replace(
+                state, x=x, alpha2=t * state.alpha2, sigma2=update_sigma2(x, train, hyper),
+                sigma_w=WoodburyForm(
+                    np.sqrt(t) * within.root, t * within.beta, t * within.eps, within.penalty
+                ),
+            )
+            return log_posterior(scaled, train, hyper, within.penalty)
+
+        assert objective_at(1e-8) > trace.log_posterior_per_sweep[-1]
+        slope = (objective_at(1e-12) - objective_at(1e-8)) / np.log(1e4)
+        p, n = train.p, train.n
+        assert slope == pytest.approx(p * (hyper.nu(p) + p) + n * p, rel=1e-3)
 
 
 class TestRouteAgreement:

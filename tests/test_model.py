@@ -19,13 +19,16 @@ from gplda import (
     ValidationError,
     build_penalty,
     first_order_residuals,
+    fit,
     initial_state,
     log_posterior,
     log_posterior_terms,
     pooled_within_scatter,
+    update_alpha2,
+    update_mu,
     validate_dataset,
 )
-from gplda.model import CholeskyForm, WoodburyForm, within_covariance
+from gplda.model import CholeskyForm, WoodburyForm
 
 from helpers import dense_sigma_w, random_posterior_state, sample_well_posed_dataset
 
@@ -358,7 +361,7 @@ class TestWithinCovariance:
             dense_change = (np.linalg.norm(new.dense() - old.dense())
                             / (1.0 + np.linalg.norm(old.dense())))
             assert new.relative_change(old) == pytest.approx(dense_change, rel=1e-6)
-            assert CholeskyForm(new.dense()).relative_change(old) == pytest.approx(
+            assert CholeskyForm(new.dense(), penalty).relative_change(old) == pytest.approx(
                 dense_change, rel=1e-12
             )
 
@@ -370,7 +373,7 @@ class TestWithinCovariance:
             state, x=state.x + 0.1 * rng.standard_normal(state.x.shape),
             mu=rng.standard_normal(state.mu.shape), sigma2=0.3,
         )
-        dense = dataclasses.replace(state, sigma_w=state.sigma_w.dense())
+        dense = dataclasses.replace(state, sigma_w=CholeskyForm(state.sigma_w.dense(), penalty))
         low = log_posterior_terms(state, data, hyper, penalty)
         full = log_posterior_terms(dense, data, hyper, penalty)
         for name in ("latent_loglik", "cov_prior"):
@@ -380,17 +383,40 @@ class TestWithinCovariance:
         for name, value in full.items():
             assert low[name] == pytest.approx(value, rel=1e-8, abs=1e-9), name
 
-    def test_within_covariance_passes_operators_through(self):
+    def test_a_value_built_on_another_penalty_is_rejected(self):
         rng = np.random.default_rng(600)
         data, penalty, hyper, jitter, state = _low_rank_case(rng, 2)
-        assert within_covariance(state.sigma_w, penalty) is state.sigma_w
-        assert within_covariance(state.sigma_w) is state.sigma_w
-        other = build_penalty(penalty.kind, penalty.p)
-        rebuilt = within_covariance(state.sigma_w, other)
-        assert isinstance(rebuilt, CholeskyForm) and rebuilt.penalty is other
-        np.testing.assert_array_equal(rebuilt.matrix, state.sigma_w.dense())
-        dense = within_covariance(np.eye(3))
-        assert isinstance(dense, CholeskyForm) and dense.shape == (3, 3)
+        other = build_penalty(SECOND_DIFF, penalty.p)
+        sigma_w = state.sigma_w
+        calls = (
+            lambda: update_alpha2(sigma_w, other, hyper),
+            lambda: update_mu(state.x, data, sigma_w, state.alpha1, other),
+            lambda: log_posterior(state, data, hyper, other),
+            lambda: first_order_residuals(state, data, hyper, other),
+            lambda: fit(data, hyper, FitConfig(penalty=other, max_sweeps=1), start=state),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError, match="different penalty"):
+                call()
+
+    def test_an_equal_penalty_matrix_is_accepted(self):
+        rng = np.random.default_rng(601)
+        data, penalty, hyper, jitter, state = _low_rank_case(rng, 2)
+        twin = build_penalty(penalty.kind, penalty.p)
+        assert twin is not penalty
+        assert update_alpha2(state.sigma_w, twin, hyper) == update_alpha2(
+            state.sigma_w, penalty, hyper)
+        np.testing.assert_array_equal(
+            update_mu(state.x, data, state.sigma_w, state.alpha1, twin),
+            update_mu(state.x, data, state.sigma_w, state.alpha1, penalty),
+        )
+        assert log_posterior(state, data, hyper, twin) == log_posterior(
+            state, data, hyper, penalty)
+        assert first_order_residuals(state, data, hyper, twin) == first_order_residuals(
+            state, data, hyper, penalty)
+        config = FitConfig(penalty=twin, max_sweeps=1, jitter_scale=jitter)
+        _, trace = fit(data, hyper, config, start=state)
+        assert trace.sweeps_run == 1
 
 
 class TestDatasetDirect:
