@@ -8,9 +8,12 @@ within-class covariance, each update consuming the freshest values of the
 other blocks.  The objective itself has no maximum (see ``fit``), so a
 fit is where the ascent stops, not a posterior mode.
 
-Convergence is declared when the largest per-block relative change in a
-sweep falls below ``rel_tol``, where the relative change of a block is
-the norm of its change divided by one plus its norm.
+``fit`` works on whole states: each sweep builds a new
+``PosteriorState`` from the old one, ``PosteriorState.is_finite`` checks
+it, and convergence is declared when ``PosteriorState.relative_change``,
+the largest per-block relative change of the sweep (the norm of a
+block's change divided by one plus its old norm), falls below
+``rel_tol``.
 
 ``update_sigma_w`` builds every covariance value as a
 ``WithinCovariance`` operator: its low-rank form when there are fewer
@@ -19,12 +22,12 @@ Cholesky form otherwise.  A sweep then costs O(n p log p + p n^2) when
 n < p instead of O(p^3), and ``fit`` returns the operator of its last
 sweep without forming the p x p matrix.  Every function here reads a
 covariance value only as such an operator, built on the penalty it is
-given.
+given; a bare matrix raises ``ValidationError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .exceptions import (
     NumericFailureError,
     ValidationError,
 )
-from .linalg import SmoothingPenalty, blas_threads_for, frobenius_norm
+from .linalg import SmoothingPenalty, blas_threads_for
 from .model import (
     CholeskyForm,
     FitConfig,
@@ -43,7 +46,8 @@ from .model import (
     PosteriorState,
     WithinCovariance,
     WoodburyForm,
-    _check_state_shapes,
+    _state_terms,
+    check_within,
     log_posterior,
     pooled_within_scatter,
 )
@@ -119,7 +123,7 @@ def update_alpha2(
         raise HyperParameterError(
             f"2*a2 + p - 2 = {numerator} must be positive (a2={hyper.a2}, p={p})"
         )
-    sigma_w.check_penalty(penalty)
+    check_within(sigma_w, penalty)
     return numerator / (2.0 * hyper.b2 + sigma_w.penalty_trace)
 
 
@@ -154,6 +158,7 @@ def update_x(
     Each curve is the matrix-weighted blend of its observation and its
     class mean that solves (sigma_w + sigma2 I) x = sigma_w y + sigma2 mu.
     """
+    check_within(sigma_w)
     return sigma_w.blend(data.y, mu[data.labels - 1], sigma2)
 
 
@@ -170,9 +175,8 @@ def update_mu(
     (I + (alpha1 / n_i) sigma_w omega) mu_i = xbar_i, a smoothing of the
     within-class average of the latent curves.
     """
-    sigma_w.check_penalty(penalty)
-    xbar = np.array([x[data.class_rows(i)].mean(axis=0) for i in range(1, data.c + 1)])
-    return sigma_w.smooth_means(xbar, alpha1 / data.class_counts)
+    check_within(sigma_w, penalty)
+    return sigma_w.smooth_means(data.class_means(x), alpha1 / data.class_counts)
 
 
 def update_sigma_w(
@@ -242,14 +246,6 @@ def initial_state(
     )
 
 
-def _relative_change(new, old) -> float:
-    if isinstance(new, WithinCovariance):
-        return new.relative_change(old)
-    if np.isscalar(new):
-        return abs(new - old) / (1.0 + abs(old))
-    return frobenius_norm(new - old) / (1.0 + frobenius_norm(old))
-
-
 def fit(
     data: LabeledFunctionalDataset,
     hyper: HyperParams | None = None,
@@ -290,7 +286,8 @@ def fit(
     ------
     ValidationError
         If the dataset is too small to estimate a within-class covariance,
-        or ``start`` was built on another penalty.
+        or ``start``'s covariance is a bare matrix or was built on another
+        penalty.
     NumericFailureError
         If any block becomes non-finite during a sweep.
     """
@@ -302,35 +299,27 @@ def fit(
     with blas_threads_for():
         penalty = config.penalty
         state = start if start is not None else initial_state(data, hyper, config)
-        x, mu, within = state.x, state.mu, state.sigma_w
-        alpha1, alpha2, sigma2 = state.alpha1, state.alpha2, state.sigma2
-
         history = [log_posterior(state, data, hyper, penalty)]
         converged = False
         sweeps_run = 0
         for sweep in range(1, config.max_sweeps + 1):
             sweeps_run = sweep
-            prev = (alpha1, alpha2, sigma2, x, mu, within)
-            alpha1 = update_alpha1(mu, penalty, hyper)
-            alpha2 = update_alpha2(within, penalty, hyper)
-            sigma2 = update_sigma2(x, data, hyper)
-            x = update_x(data, mu, within, sigma2)
-            mu = update_mu(x, data, within, alpha1, penalty)
-            within = update_sigma_w(
-                x, mu, data, alpha2, penalty, hyper, config.jitter_scale
-            )
-            blocks = (alpha1, alpha2, sigma2, x, mu, within)
-            if not (np.all(np.isfinite((alpha1, alpha2, sigma2))) and np.all(np.isfinite(x))
-                    and np.all(np.isfinite(mu)) and within.is_finite()):
+            old = state
+            # Each update reads the freshest value of every other block.
+            state = replace(old, alpha1=update_alpha1(old.mu, penalty, hyper),
+                            alpha2=update_alpha2(old.sigma_w, penalty, hyper),
+                            sigma2=update_sigma2(old.x, data, hyper))
+            state = replace(state, x=update_x(data, state.mu, state.sigma_w, state.sigma2))
+            state = replace(state, mu=update_mu(
+                state.x, data, state.sigma_w, state.alpha1, penalty))
+            state = replace(state, sigma_w=update_sigma_w(
+                state.x, state.mu, data, state.alpha2, penalty, hyper, config.jitter_scale))
+            if not state.is_finite():
                 raise NumericFailureError(
                     f"estimate became non-finite during sweep {sweep}", sweep=sweep
                 )
-            state = PosteriorState(
-                x=x, mu=mu, sigma_w=within, alpha1=alpha1, alpha2=alpha2, sigma2=sigma2
-            )
             history.append(log_posterior(state, data, hyper, penalty))
-            change = max(_relative_change(b, pb) for b, pb in zip(blocks, prev))
-            if change < config.rel_tol:
+            if state.relative_change(old) < config.rel_tol:
                 converged = True
                 break
 
@@ -357,12 +346,10 @@ def first_order_residuals(
     means, and the symmetric matrix gradient for the covariance block.
     The state is checked as ``log_posterior`` checks it.
     """
-    _check_state_shapes(state, data, penalty)
+    resid_y, centered, solved, mean_quad = _state_terms(state, data, penalty)
     n, p, c = data.n, data.p, data.c
-    omega = penalty.matrix
     within = state.sigma_w
 
-    mean_quad = float(np.sum(state.mu * (state.mu @ omega)))
     g_alpha1 = -mean_quad + (2.0 * hyper.a1 + c - 2.0) / state.alpha1 - 2.0 * hyper.b1
 
     g_alpha2 = (
@@ -371,22 +358,19 @@ def first_order_residuals(
         - 2.0 * hyper.b2
     )
 
-    resid_y = data.y - state.x
     g_noise_prec = (
         -float(np.sum(resid_y * resid_y))
         + (n * p + 2.0 * hyper.a3 - 2.0) * state.sigma2
         - 2.0 * hyper.b3
     )
 
-    centered = state.x - state.mu[data.labels - 1]
-    solved = within.solve(centered)
     grad_x = 2.0 * resid_y / state.sigma2 - 2.0 * solved
     x_max = float(np.max(np.linalg.norm(grad_x, axis=1))) if n else 0.0
 
     # Class i: 2 inv(sigma_w) sum_{j in i} (x_j - mu_i) - 2 alpha1 omega mu_i.
     solved_sums = np.zeros((c, p))
     np.add.at(solved_sums, data.labels - 1, solved)
-    grad_mu = 2.0 * solved_sums - 2.0 * state.alpha1 * (state.mu @ omega)
+    grad_mu = 2.0 * solved_sums - 2.0 * state.alpha1 * (state.mu @ penalty.matrix)
     mu_max = float(np.max(np.linalg.norm(grad_mu, axis=1)))
 
     # inv(sigma_w) (scatter + alpha2 omega) inv(sigma_w) - (n + nu + p + 1) inv(sigma_w).

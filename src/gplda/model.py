@@ -12,6 +12,9 @@ scalars carry gamma hyperpriors.
 all unknowns given the observations, with the additive constant fixed to
 zero.  All block updates in the estimator maximize exactly this quantity
 one block at a time.  It has no upper bound (see ``estimator.fit``).
+It and ``estimator.first_order_residuals`` check a state and take the
+pieces they share (y - x, the centred latent curves and their Sigma_w
+solve, the class means' penalty quadratic) from one evaluation.
 
 Every within-class covariance value is read through one operator,
 ``WithinCovariance``, in one of two forms.  The covariance update is
@@ -89,11 +92,16 @@ class LabeledFunctionalDataset:
         """Row positions of class ``index`` (1-based class indexing)."""
         return np.flatnonzero(self.labels == index)
 
-    def class_means(self) -> np.ndarray:
-        """Per-class mean curves, shape (c, p)."""
-        means = np.zeros((self.c, self.p))
+    def class_means(self, values: np.ndarray | None = None) -> np.ndarray:
+        """Per-class averages of the rows of ``values``, shape (c, p).
+
+        ``values`` holds one row per curve, in the order of ``y``, and
+        defaults to ``y`` itself, which gives the observed class means.
+        """
+        values = self.y if values is None else values
+        means = np.zeros((self.c, values.shape[1]))
         for i in range(1, self.c + 1):
-            means[i - 1] = self.y[self.labels == i].mean(axis=0)
+            means[i - 1] = values[self.labels == i].mean(axis=0)
         return means
 
     def check_within_estimable(self) -> None:
@@ -217,6 +225,26 @@ class PosteriorState:
     alpha1: float
     alpha2: float
     sigma2: float
+
+    def is_finite(self) -> bool:
+        """Whether every one of the six blocks holds only finite values."""
+        return bool(np.all(np.isfinite((self.alpha1, self.alpha2, self.sigma2)))
+                    and np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.mu))
+                    and self.sigma_w.is_finite())
+
+    def relative_change(self, old: "PosteriorState") -> float:
+        """The largest relative change of a block from ``old``.
+
+        A block's change is the norm of its difference divided by one plus
+        the norm of its old value: the absolute value for the three
+        scalars, the Frobenius norm for ``x`` and ``mu``, and the
+        covariance's own ``relative_change`` for ``sigma_w``.
+        """
+        scalars = (abs(getattr(self, name) - getattr(old, name)) / (1.0 + abs(getattr(old, name)))
+                   for name in ("alpha1", "alpha2", "sigma2"))
+        arrays = (frobenius_norm(new - prev) / (1.0 + frobenius_norm(prev))
+                  for new, prev in ((self.x, old.x), (self.mu, old.mu)))
+        return max(*scalars, *arrays, self.sigma_w.relative_change(old.sigma_w))
 
 
 class WithinCovariance:
@@ -508,23 +536,40 @@ class LogPosteriorTerms:
         return total
 
 
-def _check_state_shapes(
+def check_within(sigma_w, penalty: SmoothingPenalty | None = None) -> None:
+    """Raise ``ValidationError`` unless ``sigma_w`` is a ``WithinCovariance``
+    and, when ``penalty`` is given, one built on it (``check_penalty``)."""
+    if not isinstance(sigma_w, WithinCovariance):
+        raise ValidationError(
+            f"sigma_w must be a WithinCovariance, got {type(sigma_w).__name__}; "
+            "wrap a matrix in CholeskyForm(matrix, penalty)"
+        )
+    if penalty is not None:
+        sigma_w.check_penalty(penalty)
+
+
+def _state_terms(
     state: PosteriorState, data: LabeledFunctionalDataset, penalty: SmoothingPenalty
-) -> None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Check ``state`` against the data and the penalty, and return the
+    pieces the objective and its gradients share: y - x, the latent curves
+    centred at their class means, those rows solved against Sigma_w, and
+    the class means' penalty quadratic sum_i mu_i^T Omega mu_i."""
     n, p, c = data.n, data.p, data.c
     if state.x.shape != (n, p):
         raise DimensionError(f"x has shape {state.x.shape}, expected {(n, p)}")
     if state.mu.shape != (c, p):
         raise DimensionError(f"mu has shape {state.mu.shape}, expected {(c, p)}")
     if state.sigma_w.shape != (p, p):
-        raise DimensionError(
-            f"sigma_w has shape {state.sigma_w.shape}, expected {(p, p)}"
-        )
-    state.sigma_w.check_penalty(penalty)
+        raise DimensionError(f"sigma_w has shape {state.sigma_w.shape}, expected {(p, p)}")
+    check_within(state.sigma_w, penalty)
     for name in ("alpha1", "alpha2", "sigma2"):
         value = getattr(state, name)
         if not (np.isfinite(value) and value > 0):
             raise ValidationError(f"state.{name} must be strictly positive, got {value}")
+    centered = state.x - state.mu[data.labels - 1]
+    mean_quad = float(np.sum(state.mu * (state.mu @ penalty.matrix)))
+    return data.y - state.x, centered, state.sigma_w.solve(centered), mean_quad
 
 
 def log_posterior_terms(
@@ -541,22 +586,18 @@ def log_posterior_terms(
         Terms summing (via ``total``) to the objective ascended by the
         backfitting estimator.
     """
-    _check_state_shapes(state, data, penalty)
+    resid_y, centered, solved, mean_quad = _state_terms(state, data, penalty)
     n, p, c = data.n, data.p, data.c
-    omega = penalty.matrix
     within = state.sigma_w
     logdet_sw = within.log_det
     log_noise_prec = -math.log(state.sigma2)
 
-    resid_y = data.y - state.x
     data_fidelity = -float(np.sum(resid_y * resid_y)) / state.sigma2
     obs_loglik = data_fidelity + n * p * log_noise_prec
 
-    centered = state.x - state.mu[data.labels - 1]
-    latent_quad = float(np.sum(centered * within.solve(centered)))
+    latent_quad = float(np.sum(centered * solved))
     latent_loglik = -latent_quad - n * logdet_sw
 
-    mean_quad = float(np.sum(state.mu * (state.mu @ omega)))
     mean_prior = -state.alpha1 * mean_quad + c * math.log(state.alpha1)
 
     trace_term = within.penalty_trace

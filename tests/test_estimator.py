@@ -408,21 +408,30 @@ class TestFit:
         with pytest.raises(DimensionError, match="penalty is built for"):
             fit(data, config=config)
 
-    def test_non_finite_sweep_raises_with_sweep_index(self, monkeypatch):
+    # A NaN smoothing weight makes SciPy warn of an ill-conditioned system.
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.parametrize("update", [
+        "update_alpha1", "update_alpha2", "update_sigma2", "update_x", "update_mu",
+        "update_sigma_w",
+    ])
+    def test_non_finite_sweep_raises_with_sweep_index(self, monkeypatch, update):
+        # One block of the first sweep comes back all NaN; the check after
+        # the sweep must catch it whichever block it is.
         rng = np.random.default_rng(127)
         data = sample_well_posed_dataset(rng)
-
-        real = gplda.estimator.update_sigma_w
+        real = getattr(gplda.estimator, update)
         calls = []
 
         def poisoned(*args, **kwargs):
+            value = real(*args, **kwargs)
             calls.append(None)
-            if len(calls) == 1:  # leave the initializer's call intact
-                return real(*args, **kwargs)
-            nan = np.full((data.p, data.p), np.nan)
-            return CholeskyForm(nan, build_penalty(FIRST_DIFF, data.p))
+            if update == "update_sigma_w" and len(calls) == 1:
+                return value  # leave the initializer's call intact
+            if isinstance(value, CholeskyForm):
+                return CholeskyForm(np.full(value.shape, np.nan), value.penalty)
+            return np.full_like(value, np.nan) if isinstance(value, np.ndarray) else np.nan
 
-        monkeypatch.setattr(gplda.estimator, "update_sigma_w", poisoned)
+        monkeypatch.setattr(gplda.estimator, update, poisoned)
         with pytest.raises(NumericFailureError) as info:
             gplda.estimator.fit(data)
         assert info.value.sweep == 1
@@ -624,6 +633,41 @@ class TestOneCovarianceBuilder:
         monkeypatch.undo()
         assert isinstance(state.sigma_w, WoodburyForm if train.n < train.p else CholeskyForm)
         assert compared == []
+
+
+class TestJitterResidual:
+    """Sigma_w is the last block of a sweep, so a fitted state's Sigma_w is
+    its own update: scatter + alpha2 Omega = k (Sigma_w - eps I) with
+    k = n + nu + p + 1, and the Sigma_w gradient is exactly -k eps Sigma_w^-2.
+    The Sigma_w residual a fit reports measures the jitter eps alone."""
+
+    @pytest.mark.parametrize("n_train,form", [(50, WoodburyForm), (200, CholeskyForm)])
+    def test_sigma_w_residual_is_the_jitter_term(self, n_train, form):
+        train, _ = generate(SimSpec("sim1", n_train, 2, seed=0))
+        hyper, config = HyperParams(), FitConfig.default(train.p)
+        state, trace = fit(train, hyper, config)
+        assert isinstance(state.sigma_w, form)
+        n, p = train.n, train.p
+        k = n + hyper.nu(p) + p + 1.0
+        # eps as update_sigma_w takes it from R = sqrt(rho / n) (x - mu), rho = n / k.
+        root = np.sqrt(1.0 / k) * (state.x - state.mu[train.labels - 1])
+        beta = state.alpha2 / k
+        eps = config.jitter_scale * (np.sum(root**2) + beta * np.trace(config.penalty.matrix)) / p
+        eigenvalues = np.linalg.eigvalsh(np.asarray(state.sigma_w))
+        expected = k * eps * np.sqrt(np.sum(eigenvalues**-4.0))
+        assert trace.final_residuals.sigma_w == pytest.approx(expected, rel=1e-6)
+
+    def test_zero_jitter_leaves_no_sigma_w_residual(self):
+        rng = np.random.default_rng(0)
+        labels = np.repeat([1, 2], 40)
+        data = LabeledFunctionalDataset(
+            y=rng.standard_normal((80, 10)) + 0.5 * labels[:, None], labels=labels,
+            label_names=(1, 2),
+        )
+        config = FitConfig(penalty=build_penalty(FIRST_DIFF, 10), jitter_scale=0.0)
+        state, trace = fit(data, config=config)
+        assert isinstance(state.sigma_w, CholeskyForm)
+        assert trace.final_residuals.sigma_w <= 1e-10
 
 
 class TestUnboundedObjective:

@@ -16,16 +16,19 @@ from gplda import (
     HyperParams,
     LabeledFunctionalDataset,
     PosteriorState,
+    SimSpec,
     ValidationError,
     build_penalty,
     first_order_residuals,
     fit,
+    generate,
     initial_state,
     log_posterior,
     log_posterior_terms,
     pooled_within_scatter,
     update_alpha2,
     update_mu,
+    update_x,
     validate_dataset,
 )
 from gplda.model import CholeskyForm, WoodburyForm
@@ -49,6 +52,16 @@ class TestValidateDataset:
         np.testing.assert_allclose(
             data.class_means()[0], rows[[0, 1, 5]].mean(axis=0)
         )
+
+    def test_class_means_of_other_values(self):
+        rows = np.arange(12.0).reshape(6, 2)
+        data = validate_dataset(rows, [1, 1, 2, 2, 2, 1])
+        values = np.arange(18.0).reshape(6, 3) ** 2
+        means = data.class_means(values)
+        assert means.shape == (2, 3)
+        np.testing.assert_array_equal(means[0], values[[0, 1, 5]].mean(axis=0))
+        np.testing.assert_array_equal(means[1], values[[2, 3, 4]].mean(axis=0))
+        np.testing.assert_array_equal(data.class_means(data.y), data.class_means())
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError, match="3 value rows but 2 labels"):
@@ -399,6 +412,28 @@ class TestWithinCovariance:
             with pytest.raises(ValidationError, match="different penalty"):
                 call()
 
+    @pytest.mark.parametrize("entry", [
+        "update_x", "update_alpha2", "update_mu", "log_posterior", "first_order_residuals",
+        "fit",
+    ])
+    def test_a_bare_matrix_is_rejected_with_a_typed_error(self, entry):
+        train, _ = generate(SimSpec("sim1", 50, 2, seed=0))
+        hyper, config = HyperParams(), FitConfig.default(train.p)
+        penalty, state = config.penalty, initial_state(train, hyper, config)
+        matrix = np.eye(train.p)
+        bare = dataclasses.replace(state, sigma_w=matrix)
+        calls = {
+            "update_x": lambda: update_x(train, state.mu, matrix, state.sigma2),
+            "update_alpha2": lambda: update_alpha2(matrix, penalty, hyper),
+            "update_mu": lambda: update_mu(state.x, train, matrix, state.alpha1, penalty),
+            "log_posterior": lambda: log_posterior(bare, train, hyper, penalty),
+            "first_order_residuals": lambda: first_order_residuals(bare, train, hyper, penalty),
+            "fit": lambda: fit(train, hyper, config, start=bare),
+        }
+        message = r"got ndarray; wrap a matrix in CholeskyForm\(matrix, penalty\)"
+        with pytest.raises(ValidationError, match=message):
+            calls[entry]()
+
     def test_an_equal_penalty_matrix_is_accepted(self):
         rng = np.random.default_rng(601)
         data, penalty, hyper, jitter, state = _low_rank_case(rng, 2)
@@ -417,6 +452,45 @@ class TestWithinCovariance:
         config = FitConfig(penalty=twin, max_sweeps=1, jitter_scale=jitter)
         _, trace = fit(data, hyper, config, start=state)
         assert trace.sweeps_run == 1
+
+
+class TestPosteriorState:
+    @pytest.mark.parametrize("block", ["x", "mu", "sigma_w", "alpha1", "alpha2", "sigma2"])
+    def test_is_finite_reads_every_block(self, block):
+        rng = np.random.default_rng(610)
+        data = sample_well_posed_dataset(rng)
+        state = random_posterior_state(rng, data)
+        assert state.is_finite()
+        value = getattr(state, block)
+        if block == "sigma_w":
+            matrix = value.dense().copy()
+            matrix[1, 0] = np.inf
+            bad = CholeskyForm(matrix, value.penalty)
+        elif isinstance(value, np.ndarray):
+            bad = value.copy()
+            bad[-1, -1] = np.nan
+        else:
+            bad = np.nan
+        assert not dataclasses.replace(state, **{block: bad}).is_finite()
+
+    @pytest.mark.parametrize("n_train,form", [(50, WoodburyForm), (200, CholeskyForm)])
+    def test_relative_change_is_the_largest_block_change(self, n_train, form):
+        # Two fitted states one sweep apart, on each covariance form.
+        train, _ = generate(SimSpec("sim1", n_train, 2, seed=0))
+        config = FitConfig(penalty=build_penalty(FIRST_DIFF, train.p), max_sweeps=1)
+        old, _ = fit(train, config=config)
+        new, _ = fit(train, config=config, start=old)
+        assert isinstance(new.sigma_w, form) and isinstance(old.sigma_w, form)
+
+        def change(name):
+            a, b = np.asarray(getattr(new, name)), np.asarray(getattr(old, name))
+            return np.linalg.norm(a - b) / (1.0 + np.linalg.norm(b))
+
+        names = ("alpha1", "alpha2", "sigma2", "x", "mu", "sigma_w")
+        for name in names:  # each block moved alone
+            alone = dataclasses.replace(old, **{name: getattr(new, name)})
+            assert alone.relative_change(old) == pytest.approx(change(name), rel=1e-6), name
+        assert new.relative_change(old) == pytest.approx(max(map(change, names)), rel=1e-6)
 
 
 class TestDatasetDirect:

@@ -3,10 +3,22 @@
 import importlib.util
 from pathlib import Path
 
-_TOOL = Path(__file__).resolve().parent.parent / "tools" / "count_code_lines.py"
-_spec = importlib.util.spec_from_file_location("count_code_lines", _TOOL)
-count_code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(count_code_lines)
+import numpy as np
+
+from gplda import FIRST_DIFF, FitConfig, build_penalty, gplda_fit
+
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+count_code_lines = _load("count_code_lines")
+fit_digest = _load("fit_digest")
 
 FIXTURE = '''"""Module docstring,
 on two lines."""
@@ -44,3 +56,24 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "    8 a.py", "    2 b.py", "   10 total",
     ]
+
+
+def _zero_jitter_fit_digest():
+    curves = fit_digest.shifted_normal_curves(80, 10, seed=0)
+    config = FitConfig(penalty=build_penalty(FIRST_DIFF, 10), jitter_scale=0.0)
+    return fit_digest.gplda_digest(curves, config)
+
+
+def test_fit_digest_is_stable_across_calls():
+    first = _zero_jitter_fit_digest()
+    assert len(first) == 64
+    assert _zero_jitter_fit_digest() == first
+
+
+def test_fit_digest_sees_a_one_ulp_change_in_a_direction():
+    curves = fit_digest.shifted_normal_curves(80, 10, seed=0)
+    model, _ = gplda_fit(curves)
+    directions = model.directions.copy()
+    assert fit_digest.digest(directions) == fit_digest.digest(model.directions)
+    directions[0, 3] = np.nextafter(directions[0, 3], np.inf)
+    assert fit_digest.digest(directions) != fit_digest.digest(model.directions)

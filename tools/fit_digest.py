@@ -1,0 +1,106 @@
+"""Print a SHA-256 digest of the outputs of a fixed set of fits.
+
+Two checkouts whose fits are bit-identical print the same lines, so a
+change that claims bit-identical fits is checked with one ``diff``::
+
+    PYTHONPATH=OTHER_CHECKOUT/src python3 tools/fit_digest.py > before.txt
+    PYTHONPATH=src python3 tools/fit_digest.py > after.txt
+    diff before.txt after.txt
+
+Each line is ``<cell> <seed> <method> <sha256>``.  The fits are GPLDA and
+cross-validated PDA (second-difference penalty) on sim1 N=50, sim1 N=200
+and sim2 N=20 at seeds 0-9, one GPLDA fit of 12 x 12 lap2d images with
+n = 60 < p, and one zero-jitter GPLDA fit with n = 80 >= p = 10.  A GPLDA
+digest covers the directions, eigenvalues, ``sweeps_run``, ``converged``,
+``log_posterior_per_sweep`` and ``final_residuals``; a PDA digest covers
+the cross-validated alpha and the directions.  The script reads only the
+public ``gplda`` API, so it runs on any checkout the path points at.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+
+import numpy as np
+
+from gplda import (
+    FIRST_DIFF, LAPLACIAN_2D, SECOND_DIFF, FitConfig, LabeledFunctionalDataset, SimSpec,
+    build_penalty, generate, gplda_fit, pda_fit, select_pda_alpha,
+)
+
+SIM_CELLS = (("sim1", 50), ("sim1", 200), ("sim2", 20))
+SEEDS = range(10)
+
+
+def digest(*outputs) -> str:
+    """SHA-256 of the dtype, shape and raw bytes of each output in turn."""
+    sha = hashlib.sha256()
+    for output in outputs:
+        array = np.ascontiguousarray(output)
+        sha.update(f"{array.dtype.str}{array.shape}".encode())
+        sha.update(array.tobytes())
+    return sha.hexdigest()
+
+
+def gplda_digest(data: LabeledFunctionalDataset, config: FitConfig) -> str:
+    model, trace = gplda_fit(data, config=config)
+    return digest(
+        model.directions, model.eigenvalues, trace.sweeps_run, trace.converged,
+        trace.log_posterior_per_sweep, tuple(trace.final_residuals.as_dict().values()),
+    )
+
+
+def pda_digest(data: LabeledFunctionalDataset, seed: int) -> str:
+    penalty = build_penalty(SECOND_DIFF, data.p)
+    alpha = select_pda_alpha(data, penalty, seed=seed)
+    return digest(alpha, pda_fit(data, penalty, alpha).directions)
+
+
+def lap2d_images(n: int, side: int, seed: int) -> LabeledFunctionalDataset:
+    """Two balanced classes of random smooth images plus unit noise; the
+    first class adds a centred bump of height 3."""
+    rng = np.random.default_rng(seed)
+    axis = np.linspace(0.0, 1.0, side)
+    rows, cols = axis[:, None], axis[None, :]
+    bump = np.exp(-((rows - 0.5) ** 2 + (cols - 0.5) ** 2) / 0.045).ravel()
+    modes = np.array([(np.sin(np.pi * a * rows) * np.sin(np.pi * b * cols)).ravel()
+                      for a in (1, 2, 3) for b in (1, 2, 3)])
+    y = rng.standard_normal((n, len(modes))) @ modes + rng.standard_normal((n, side * side))
+    y[: n // 2] += 3.0 * bump
+    labels = np.repeat([1, 2], [n // 2, n - n // 2])
+    return LabeledFunctionalDataset(y=y, labels=labels, label_names=(1, 2))
+
+
+def shifted_normal_curves(n: int, p: int, seed: int) -> LabeledFunctionalDataset:
+    """Two balanced classes of white-noise curves whose means differ by 0.5."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat([1, 2], [n // 2, n - n // 2])
+    y = rng.standard_normal((n, p)) + 0.5 * labels[:, None]
+    return LabeledFunctionalDataset(y=y, labels=labels, label_names=(1, 2))
+
+
+def digest_lines():
+    """Yield one ``<cell> <seed> <method> <sha256>`` line per fit."""
+    for which, n_train in SIM_CELLS:
+        cell = f"{which}_N{n_train}"
+        for seed in SEEDS:
+            train, _ = generate(SimSpec(which, n_train, 2, seed=seed))
+            yield f"{cell} {seed} GPLDA {gplda_digest(train, FitConfig.default(train.p))}"
+            yield f"{cell} {seed} PDA {pda_digest(train, seed)}"
+    images = lap2d_images(60, 12, seed=0)
+    lap2d = FitConfig(penalty=build_penalty(LAPLACIAN_2D, (12, 12)))
+    yield f"lap2d_12x12_N60 0 GPLDA {gplda_digest(images, lap2d)}"
+    curves = shifted_normal_curves(80, 10, seed=0)
+    no_jitter = FitConfig(penalty=build_penalty(FIRST_DIFF, 10), jitter_scale=0.0)
+    yield f"d1_zero_jitter_N80 0 GPLDA {gplda_digest(curves, no_jitter)}"
+
+
+def main() -> int:
+    for line in digest_lines():
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
