@@ -34,6 +34,7 @@ from .model import (
     HyperParams,
     LabeledFunctionalDataset,
     PosteriorState,
+    WithinCovariance,
     pooled_within_scatter,
 )
 
@@ -58,9 +59,11 @@ class DiscriminantModel:
         Class mean projections onto the directions.
     class_labels : tuple
         Original label values, position i holding the value of class i+1.
-    within_cov_used : ndarray of shape (p, p), optional
+    within_cov_used : ndarray of shape (p, p), WithinCovariance, optional
         The within-covariance estimate the directions were normalized
-        against; absent on models restored from disk.
+        against: a matrix for the baselines, and for GPLDA the fit's
+        ``WithinCovariance`` operator, whose matrix ``np.asarray`` gives.
+        Absent on models restored from disk.
     eigenvalues : ndarray of shape (k,), optional
         Separation ratios of the directions, descending.
     penalty : str, optional
@@ -73,7 +76,7 @@ class DiscriminantModel:
     directions: np.ndarray
     projected_centroids: np.ndarray
     class_labels: tuple
-    within_cov_used: np.ndarray | None = None
+    within_cov_used: np.ndarray | WithinCovariance | None = None
     eigenvalues: np.ndarray | None = None
     penalty: str | None = None
     warnings: tuple[str, ...] = ()
@@ -134,7 +137,7 @@ def _resolve_k(k: int | None, c: int, p: int) -> tuple[int, tuple[str, ...]]:
 def _assemble(
     method_tag: str,
     mu: np.ndarray,
-    within: np.ndarray,
+    within: np.ndarray | WithinCovariance,
     class_labels: tuple,
     k: int | None,
     penalty_descriptor: str | None = None,
@@ -168,6 +171,13 @@ def gplda_directions(
 ) -> DiscriminantModel:
     """Discriminant directions from a fitted posterior state.
 
+    The solver gets ``state.sigma_w`` itself, in either form, and takes
+    its operator route: one solve of the c centred class means against
+    Sigma_w and a c x c eigenproblem, with no p x p matrix or factor (the
+    Cholesky form reuses the factor its ``log_det`` cached).  With c = 2
+    the direction is Sigma_w^-1 (mu_1 - mu_2), scaled.  The model's
+    ``within_cov_used`` is that operator.
+
     Parameters
     ----------
     state : PosteriorState
@@ -187,7 +197,7 @@ def gplda_directions(
         return _assemble(
             METHOD_GPLDA,
             state.mu,
-            state.sigma_w.dense(),
+            state.sigma_w,
             tuple(class_labels),
             k,
             penalty_descriptor=penalty_descriptor,

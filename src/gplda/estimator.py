@@ -117,13 +117,13 @@ def update_alpha2(
     Equals (2 a2 + p - 2) divided by (2 b2 + trace of the penalty times
     the covariance inverse).
     """
+    check_within(sigma_w, penalty)
     p = sigma_w.shape[0]
     numerator = 2.0 * hyper.a2 + p - 2.0
     if numerator <= 0:
         raise HyperParameterError(
             f"2*a2 + p - 2 = {numerator} must be positive (a2={hyper.a2}, p={p})"
         )
-    check_within(sigma_w, penalty)
     return numerator / (2.0 * hyper.b2 + sigma_w.penalty_trace)
 
 

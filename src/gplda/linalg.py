@@ -18,7 +18,9 @@ it: the c centred class means that every fit passes as a ``Gram``, or
 the numerical-rank rows of a pivoted Cholesky factor of a p x p matrix.
 Beyond the Cholesky factor of the denominator, a solve for k directions
 costs O(p^2 (r + k)) instead of the O(p^3) of a dense whitened
-eigendecomposition.
+eigendecomposition.  A denominator given as an operator with a ``solve``
+(GPLDA's within-class covariance) needs no p x p matrix at all: one
+solve of the r factor columns and an r x r eigenproblem.
 
 ``blas_threads_for`` is the package's one BLAS thread policy: the public
 fit and predict functions run on one BLAS thread, because at the sizes
@@ -56,6 +58,13 @@ PENALTY_KINDS = (FIRST_DIFF, SECOND_DIFF, LAPLACIAN_2D)
 # 50 rows: 0.016 against 0.144 ms at p = 101, 0.040 against 0.063 ms at
 # 12 x 12), and it needs no scipy.fft; from p = 160 the transform wins.
 DENSE_DCT_BELOW_P = 150
+
+# The operator route of ``generalized_eig_top`` hands a k-th value at or
+# below this fraction of the first to the matrix route.  Its r x r product
+# carries a rounding of about 1e-16 of the first value (exactly collinear
+# class means read 1e-16 on the benchmark fits), so a value under 1e-8 has
+# fewer than half its digits above it.
+OPERATOR_RANK_RTOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,21 +222,38 @@ def build_penalty(kind: str, dims: int | tuple[int, int]) -> SmoothingPenalty:
             raise DimensionError(
                 f"two-dimensional penalty needs a grid of at least 2x2, got {rows}x{cols}"
             )
-        # The Laplacian is L = kron(I_r, P_c) + kron(P_r, I_c) with P the
-        # path Laplacians; its two terms commute, so L^T L expands to three
-        # Kronecker products.  All entries are small integers, so the
-        # result is exact.
-        path_r = _difference_gram(rows, 1)
-        path_c = _difference_gram(cols, 1)
-        matrix = (
-            np.kron(np.eye(rows), path_c @ path_c)
-            + 2.0 * np.kron(path_r, path_c)
-            + np.kron(path_r @ path_r, np.eye(cols))
+        penalty = SmoothingPenalty(
+            matrix=_laplacian_gram(rows, cols), kind=kind, grid=(rows, cols)
         )
-        penalty = SmoothingPenalty(matrix=matrix, kind=kind, grid=(rows, cols))
         _fill_basis(penalty, PenaltyBasis.dct((rows, cols)))
         return penalty
     raise DimensionError(f"unknown penalty kind {kind!r}, expected one of {PENALTY_KINDS}")
+
+
+def _laplacian_gram(rows: int, cols: int) -> np.ndarray:
+    """L^T L for the five-point grid Laplacian, as a (rows cols)^2 matrix.
+
+    L = kron(I_r, P_c) + kron(P_r, I_c) with P the path Laplacians; its
+    two terms commute, so L^T L is the sum of three Kronecker products,
+    whose (i, j) block of size cols is
+    I_r[i, j] P_c^2 + 2 (P_r[i, j] P_c) + P_r^2[i, j] I_c.  Only the blocks
+    with |i - j| <= 2 are nonzero, and each is computed here in that
+    order, so the matrix is byte-identical to the three full products
+    without forming them.  All entries are small integers, so it is exact.
+    """
+    path_r, path_c = _difference_gram(rows, 1), _difference_gram(cols, 1)
+    squared_r, squared_c = path_r @ path_r, path_c @ path_c
+    eye_r, eye_c = np.eye(rows), np.eye(cols)
+    blocks = np.zeros((rows, cols, rows, cols))
+    for offset in range(-2, 3):
+        i = np.arange(max(0, -offset), min(rows, rows - offset))
+        j = i + offset
+        blocks[i, :, j, :] = (
+            eye_r[i, j, None, None] * squared_c
+            + 2.0 * (path_r[i, j, None, None] * path_c)
+            + squared_r[i, j, None, None] * eye_c
+        )
+    return blocks.reshape(rows * cols, rows * cols)
 
 
 def _fill_basis(penalty: SmoothingPenalty, basis: PenaltyBasis) -> None:
@@ -305,7 +331,7 @@ class Gram:
 
 
 def generalized_eig_top(
-    between: np.ndarray | Gram, within: np.ndarray, k: int
+    between: np.ndarray | Gram, within, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top directions of the two-matrix symmetric eigenproblem.
 
@@ -322,6 +348,15 @@ def generalized_eig_top(
     When k > r the missing values are zero and the extra directions span
     the rest of the ``within``-orthogonal complement.
 
+    A ``within`` operator with a ``Gram`` factor takes the operator route
+    instead: one ``within.solve(F^T)`` gives the rows of (W^-1 F)^T, the
+    r x r eigendecomposition ``F^T W^-1 F = V diag(values) V^T`` follows,
+    and ``directions = V_k^T (W^-1 F)^T / sqrt(values)``, so that
+    ``D W D^T = I`` by construction.  It forms no p x p matrix and costs
+    one solve of r rows.  With a p x p ``between``, or when the k-th value
+    is not above rounding (k above the rank of the means), the operator is
+    made dense (``np.asarray``) and the matrix route completes the set.
+
     Parameters
     ----------
     between : ndarray of shape (p, p), or Gram
@@ -330,8 +365,11 @@ def generalized_eig_top(
         class means).  A matrix is factored by pivoted Cholesky, which
         reads only its upper triangle, drops any negative part and keeps
         r = its numerical rank.
-    within : ndarray of shape (p, p)
-        Symmetric positive definite denominator matrix.
+    within : ndarray of shape (p, p), or WithinCovariance
+        Symmetric positive definite denominator: a matrix, or an operator
+        of shape (p, p) with ``solve(rows)`` (``rows @ inv(W)``), a
+        Frobenius ``norm`` and an ``__array__`` that gives its matrix, as
+        ``model.WithinCovariance`` has.  A matrix is Cholesky factored.
     k : int
         Number of leading directions to return, 1 <= k <= p.
 
@@ -348,7 +386,7 @@ def generalized_eig_top(
     DegenerateBetweenCovarianceError
         If ``between`` is numerically zero relative to ``within``.
     SingularMatrixError
-        If ``within`` cannot be Cholesky factorized.
+        If a ``within`` matrix cannot be Cholesky factorized.
     """
     if isinstance(between, Gram):
         if np.ndim(between.root_t) != 2:
@@ -361,19 +399,25 @@ def generalized_eig_top(
         if between.ndim != 2 or between.shape[0] != between.shape[1]:
             raise DimensionError(f"between matrix must be square, got shape {between.shape}")
         p, between_norm = between.shape[0], frobenius_norm(between)
-    within = np.asarray(within, dtype=float)
-    if within.shape != (p, p):
+    if np.shape(within) != (p, p):
         raise DimensionError(
-            f"within matrix shape {within.shape} does not match between shape {(p, p)}"
+            f"within matrix shape {np.shape(within)} does not match between shape {(p, p)}"
         )
     if not 1 <= k <= p:
         raise DimensionError(f"k={k} is outside the valid range 1..{p}")
+    operator = hasattr(within, "solve") and hasattr(within, "norm")
+    within_norm = within.norm if operator else frobenius_norm(np.asarray(within, dtype=float))
     # sqrt(||B||_F) <= 1e-12 sqrt(||W||_F): a mean gap against a standard
     # deviation, not a squared gap against a variance.
-    if between_norm <= 1e-24 * frobenius_norm(within):
+    if between_norm <= 1e-24 * within_norm:
         raise DegenerateBetweenCovarianceError(
             "between-class covariance is numerically zero; class means coincide"
         )
+    if operator and isinstance(between, Gram):
+        top = _operator_eig_top(between, within, k)
+        if top is not None:
+            return top
+    within = np.asarray(within, dtype=float)
     sla = scipy_linalg()
     # The triangular solves read only the lower triangle of the factor.
     chol = cholesky_factor(within)[0]
@@ -396,11 +440,27 @@ def generalized_eig_top(
     directions = sla.solve_triangular(
         chol.T, vectors[:, :k], lower=False, check_finite=False
     ).T
+    return top_values, _largest_entry_positive(directions)
+
+
+def _operator_eig_top(between: Gram, within, k: int):
+    """The operator route of ``generalized_eig_top``, or None when the k-th
+    value is not above rounding and the matrix route must complete it."""
+    solved = within.solve(between.root_t.T)  # rows of (W^-1 F)^T
+    gram = solved @ between.root_t
+    values, vectors = np.linalg.eigh(0.5 * (gram + gram.T))
+    values, vectors = values[::-1][:k], vectors[:, ::-1][:, :k]
+    if values.size < k or values[-1] <= OPERATOR_RANK_RTOL * values[0]:
+        return None
+    return values, _largest_entry_positive((vectors.T @ solved) / np.sqrt(values)[:, None])
+
+
+def _largest_entry_positive(directions: np.ndarray) -> np.ndarray:
     for row in directions:
         pivot = np.argmax(np.abs(row))
         if row[pivot] < 0:
             row *= -1.0
-    return top_values, directions
+    return directions
 
 
 @functools.cache

@@ -46,8 +46,8 @@ from .exceptions import (
     ValidationError,
 )
 from .linalg import (
-    FIRST_DIFF, SmoothingPenalty, build_penalty, cholesky_factor, frobenius_norm, scipy_linalg,
-    spd_solve,
+    FIRST_DIFF, SmoothingPenalty, blas_threads_for, build_penalty, cholesky_factor, frobenius_norm,
+    scipy_linalg, spd_solve,
 )
 
 
@@ -253,7 +253,9 @@ class WithinCovariance:
     Rows are curves, and Omega is ``penalty.matrix``:
 
     - ``dense()``: the p x p matrix S;
-    - ``log_det`` and ``penalty_trace`` = tr(S^-1 Omega), computed once;
+    - ``log_det``, ``penalty_trace`` = tr(S^-1 Omega) and the Frobenius
+      ``norm``, computed once (the low-rank form's ``norm`` forms no
+      p x p matrix);
     - ``shifted_solve(rows, shift)``: ``rows @ inv(S + shift I)``, the one
       solve each form implements;
     - ``solve(rows)``: ``rows @ inv(S)``;
@@ -290,6 +292,10 @@ class WithinCovariance:
         if penalty is not self.penalty and not np.array_equal(penalty.matrix, self.penalty.matrix):
             raise ValidationError("sigma_w was built on a different penalty than the one given")
 
+    @functools.cached_property
+    def norm(self) -> float:
+        return math.sqrt(self._squared_norm())
+
     def solve(self, rows: np.ndarray) -> np.ndarray:
         return self.shifted_solve(rows, 0.0)
 
@@ -323,6 +329,9 @@ class CholeskyForm(WithinCovariance):
 
     def dense(self) -> np.ndarray:
         return self.matrix
+
+    def _squared_norm(self) -> float:
+        return float(np.sum(self.matrix * self.matrix))
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.matrix)))
@@ -407,7 +416,10 @@ class WoodburyForm(WithinCovariance):
         return float(np.sum(lam / self.d)) - float(np.trace(inner))
 
     def dense(self) -> np.ndarray:
-        matrix = self.root.T @ self.root + self.beta * self.penalty.matrix
+        # On one BLAS thread wherever it is called, ``np.asarray`` included,
+        # so the matrix has the same bits inside and outside a fit.
+        with blas_threads_for():
+            matrix = self.root.T @ self.root + self.beta * self.penalty.matrix
         matrix[np.diag_indices(self.p)] += self.eps
         return matrix
 
@@ -473,7 +485,7 @@ class WoodburyForm(WithinCovariance):
         low_rank = 0.5 * (np.sum((total @ total.T) * (diff @ diff.T)) + np.sum(mixed * mixed.T))
         squared = (np.sum(step**2) + 2.0 * np.sum(step * np.sum(total * diff, axis=0))
                    + low_rank)
-        return math.sqrt(max(squared, 0.0)) / (1.0 + math.sqrt(old._squared_norm()))
+        return math.sqrt(max(squared, 0.0)) / (1.0 + old.norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -556,13 +568,14 @@ def _state_terms(
     centred at their class means, those rows solved against Sigma_w, and
     the class means' penalty quadratic sum_i mu_i^T Omega mu_i."""
     n, p, c = data.n, data.p, data.c
+    check_within(state.sigma_w)
     if state.x.shape != (n, p):
         raise DimensionError(f"x has shape {state.x.shape}, expected {(n, p)}")
     if state.mu.shape != (c, p):
         raise DimensionError(f"mu has shape {state.mu.shape}, expected {(c, p)}")
     if state.sigma_w.shape != (p, p):
         raise DimensionError(f"sigma_w has shape {state.sigma_w.shape}, expected {(p, p)}")
-    check_within(state.sigma_w, penalty)
+    state.sigma_w.check_penalty(penalty)
     for name in ("alpha1", "alpha2", "sigma2"):
         value = getattr(state, name)
         if not (np.isfinite(value) and value > 0):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import importlib.util
 import io
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -325,6 +327,28 @@ def loop_laplacian_stencil(rows: int, cols: int) -> np.ndarray:
                     stencil[i, i] += 1.0
                     stencil[i, rr * cols + cc] -= 1.0
     return stencil
+
+
+def kron_laplacian_gram(rows: int, cols: int) -> np.ndarray:
+    """L^T L of the five-point grid Laplacian as three full Kronecker
+    products, the formula the lap2d penalty builder reproduces byte for
+    byte with its banded blocks."""
+    path_r = np.diff(np.eye(rows), axis=0).T @ np.diff(np.eye(rows), axis=0)
+    path_c = np.diff(np.eye(cols), axis=0).T @ np.diff(np.eye(cols), axis=0)
+    return (
+        np.kron(np.eye(rows), path_c @ path_c)
+        + 2.0 * np.kron(path_r, path_c)
+        + np.kron(path_r @ path_r, np.eye(cols))
+    )
+
+
+def load_tool(name: str):
+    """Import ``tools/<name>.py`` of this repository as a module."""
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _central_difference(f, value: float) -> float:

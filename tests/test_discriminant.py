@@ -37,11 +37,15 @@ from gplda import (
 )
 from gplda import discriminant as discriminant_module
 from gplda import estimator as estimator_module
+from gplda import linalg as linalg_module
+from gplda import model as model_module
 from gplda.estimator import fit
-from gplda.linalg import Gram
+from gplda.linalg import Gram, blas_threads_for
+from gplda.model import CholeskyForm, WoodburyForm
 
 from helpers import (
     lap2d_image_set,
+    load_tool,
     random_posterior_state,
     sample_well_posed_dataset,
     two_class_separable,
@@ -173,6 +177,119 @@ class TestOneEigensolverRoute:
         assert seen and all(isinstance(between, Gram) for between in seen)
         # one solve per fit; the cross-validation solves 9 candidates x 5 folds
         assert len(seen) == (45 if entry == "select_pda_alpha" else 1)
+
+
+def _operator_case(name):
+    """(train, test, config) of a named GPLDA case: sim1 N=50 and sim2
+    N=20 fit the low-rank Sigma_w, sim1 N=200 the Cholesky form, and the
+    12 x 12 lap2d images with n = 60 are the fit of tools/fit_digest.py."""
+    if name == "lap2d_12x12_N60":
+        images = load_tool("fit_digest").lap2d_images
+        config = FitConfig(penalty=build_penalty(LAPLACIAN_2D, (12, 12)))
+        return images(60, 12, seed=0), images(200, 12, seed=1), config
+    which, n_train = {"sim1_N50": ("sim1", 50), "sim1_N200": ("sim1", 200),
+                      "sim2_N20": ("sim2", 20)}[name]
+    train, test = generate(SimSpec(which, n_train, 200, seed=0))
+    return train, test, FitConfig.default(train.p)
+
+
+def _matrix_route(state, k):
+    """The directions of ``state`` through the p x p matrix of Sigma_w."""
+    with blas_threads_for():
+        between = Gram((state.mu - state.mu.mean(axis=0)).T)
+        return generalized_eig_top(between, np.asarray(state.sigma_w), k)
+
+
+class TestOperatorRoute:
+    """GPLDA's directions through the Sigma_w operator against the matrix route."""
+
+    FORMS = {"sim1_N50": WoodburyForm, "sim1_N200": CholeskyForm, "sim2_N20": WoodburyForm,
+             "lap2d_12x12_N60": WoodburyForm}
+
+    @pytest.fixture(scope="class", params=sorted(FORMS))
+    def fitted(self, request):
+        train, test, config = _operator_case(request.param)
+        state, _ = fit(train, config=config)
+        assert isinstance(state.sigma_w, self.FORMS[request.param])
+        model = gplda_directions(state, train.label_names)
+        return state, model, test
+
+    def test_directions_match_the_matrix_route(self, fitted):
+        state, model, _ = fitted
+        values, directions = _matrix_route(state, model.k)
+        np.testing.assert_allclose(model.eigenvalues, values, rtol=1e-5)
+        moved = np.linalg.norm(model.directions - directions, axis=1)
+        assert np.all(moved <= 1e-5 * np.linalg.norm(directions, axis=1))
+
+    def test_directions_are_orthonormal_against_the_operator_matrix(self, fitted):
+        state, model, _ = fitted
+        assert model.within_cov_used is state.sigma_w
+        within = np.asarray(model.within_cov_used)
+        gram = model.directions @ within @ model.directions.T
+        np.testing.assert_allclose(gram, np.eye(model.k), rtol=0.0, atol=1e-6)
+
+    def test_no_test_label_flips(self, fitted):
+        state, model, test = fitted
+        _, directions = _matrix_route(state, model.k)
+        reference = replace(model, directions=directions,
+                            projected_centroids=state.mu @ directions.T)
+        assert test.n == 200
+        np.testing.assert_array_equal(predict(model, test.y), predict(reference, test.y))
+
+    @pytest.mark.parametrize("name", ["sim1_N50", "sim1_N200"])
+    def test_collinear_means_take_the_matrix_route(self, name, monkeypatch):
+        # c = 3 means on one line: the second value is rounding, so the
+        # operator is made dense and the matrix route completes the set.
+        train, _, config = _operator_case(name)
+        state, _ = fit(train, config=config)
+        gap = state.mu[0] - state.mu[1]
+        collinear = replace(state, mu=state.mu[1] + np.outer([-1.0, 0.5, 2.0], gap))
+        expected_values, expected = _matrix_route(collinear, 2)
+        densified = []
+        form = type(state.sigma_w)
+        original = form.dense
+
+        def spy_dense(self):
+            densified.append(self)
+            return original(self)
+
+        monkeypatch.setattr(form, "dense", spy_dense)
+        model = gplda_directions(collinear, (1, 2, 3), k=2)
+        assert densified == [state.sigma_w]
+        assert expected_values[1] <= 1e-8 * expected_values[0]
+        np.testing.assert_array_equal(model.eigenvalues, expected_values)
+        np.testing.assert_array_equal(model.directions, expected)
+
+    def test_a_matrix_between_takes_the_matrix_route(self):
+        train, _, config = _operator_case("sim1_N50")
+        state, _ = fit(train, config=config)
+        between = between_covariance(state.mu)
+        with blas_threads_for():
+            got = generalized_eig_top(between, state.sigma_w, 1)
+            expected = generalized_eig_top(between, np.asarray(state.sigma_w), 1)
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])
+
+    def test_a_low_rank_fit_forms_no_p_by_p_matrix_or_factor(self, monkeypatch):
+        train, test, config = _operator_case("lap2d_12x12_N60")
+        p, factored = train.p, []
+        original = linalg_module.cholesky_factor
+
+        def no_dense(self):
+            raise AssertionError("the p x p matrix of Sigma_w was formed")
+
+        def small_factor(a):
+            factored.append(np.shape(a))
+            assert np.shape(a)[0] < p, "a p x p matrix was Cholesky factored"
+            return original(a)
+
+        monkeypatch.setattr(WoodburyForm, "dense", no_dense)
+        for module in (linalg_module, model_module):
+            monkeypatch.setattr(module, "cholesky_factor", small_factor)
+        model, _ = gplda_fit(train, config=config)
+        assert factored and isinstance(model.within_cov_used, WoodburyForm)
+        truth = np.asarray(test.label_names)[test.labels - 1]
+        assert error_rate(predict(model, test.y), truth) < 0.5
 
 
 class TestPdaFit:

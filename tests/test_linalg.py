@@ -36,6 +36,7 @@ from gplda.linalg import (
 
 from helpers import (
     dense_generalized_eig_top,
+    kron_laplacian_gram,
     loop_difference_operator,
     loop_laplacian_stencil,
     one_piece_generalized_eig_top,
@@ -226,12 +227,21 @@ class TestLaplacianStencil:
         assert penalty.descriptor == "lap2d:3x4"
         assert np.linalg.eigvalsh(penalty.matrix).min() >= -1e-10
 
-    @pytest.mark.parametrize("rows,cols", [(2, 2), (3, 5), (7, 4), (40, 40)])
+    @pytest.mark.parametrize("rows,cols", [(2, 2), (3, 5), (7, 4), (40, 40), (2, 9), (9, 2)])
     def test_gram_bytes_match_loop_stencil(self, rows, cols):
         stencil = loop_laplacian_stencil(rows, cols)
         expected = stencil.T @ stencil
         matrix = build_penalty(LAPLACIAN_2D, (rows, cols)).matrix
         assert matrix.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rows,cols", [
+        (2, 2), (3, 7), (5, 9), (12, 12), (40, 40), (64, 32), (2, 50), (50, 2), (2, 9), (9, 2),
+    ])
+    def test_banded_blocks_match_the_kronecker_formula_bytes(self, rows, cols):
+        # Signed zeros included: the blocks repeat the products' own
+        # elementwise operations in their order.
+        matrix = build_penalty(LAPLACIAN_2D, (rows, cols)).matrix
+        assert matrix.tobytes() == kron_laplacian_gram(rows, cols).tobytes()
 
     def test_grid_shape_required(self):
         with pytest.raises(DimensionError, match="rows, cols"):

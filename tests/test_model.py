@@ -31,6 +31,7 @@ from gplda import (
     update_x,
     validate_dataset,
 )
+from gplda.linalg import frobenius_norm
 from gplda.model import CholeskyForm, WoodburyForm
 
 from helpers import dense_sigma_w, random_posterior_state, sample_well_posed_dataset
@@ -433,6 +434,33 @@ class TestWithinCovariance:
         message = r"got ndarray; wrap a matrix in CholeskyForm\(matrix, penalty\)"
         with pytest.raises(ValidationError, match=message):
             calls[entry]()
+
+    @pytest.mark.parametrize("entry", ["update_alpha2", "log_posterior", "first_order_residuals"])
+    @pytest.mark.parametrize("value", [None, [[1.0]]], ids=["None", "list"])
+    def test_a_value_without_a_shape_is_rejected_with_a_typed_error(self, entry, value):
+        # The type is checked before any shape is read.
+        train, _ = generate(SimSpec("sim1", 50, 2, seed=0))
+        hyper, config = HyperParams(), FitConfig.default(train.p)
+        penalty, state = config.penalty, initial_state(train, hyper, config)
+        bare = dataclasses.replace(state, sigma_w=value)
+        calls = {
+            "update_alpha2": lambda: update_alpha2(value, penalty, hyper),
+            "log_posterior": lambda: log_posterior(bare, train, hyper, penalty),
+            "first_order_residuals": lambda: first_order_residuals(bare, train, hyper, penalty),
+        }
+        with pytest.raises(ValidationError, match=f"got {type(value).__name__};"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("case", [0, 1, 11])
+    def test_norm_is_the_frobenius_norm_of_the_matrix(self, case):
+        rng = np.random.default_rng(300 + case)
+        state = _low_rank_case(rng, case)[-1]
+        low_rank = state.sigma_w
+        full = CholeskyForm(low_rank.dense(), low_rank.penalty)
+        for within in (low_rank, full):
+            assert within.norm == pytest.approx(frobenius_norm(within.dense()), rel=1e-12)
+            assert within.__dict__["norm"] == within.norm  # computed once, then cached
+        assert full.norm == frobenius_norm(full.matrix)
 
     def test_an_equal_penalty_matrix_is_accepted(self):
         rng = np.random.default_rng(601)

@@ -1,24 +1,13 @@
 """Tests for the repository tools under ``tools/``."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 
 from gplda import FIRST_DIFF, FitConfig, build_penalty, gplda_fit
 
-_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+from helpers import load_tool
 
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-count_code_lines = _load("count_code_lines")
-fit_digest = _load("fit_digest")
+count_code_lines = load_tool("count_code_lines")
+fit_digest = load_tool("fit_digest")
 
 FIXTURE = '''"""Module docstring,
 on two lines."""
@@ -58,16 +47,17 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
     ]
 
 
-def _zero_jitter_fit_digest():
+def _zero_jitter_fit_digests():
     curves = fit_digest.shifted_normal_curves(80, 10, seed=0)
     config = FitConfig(penalty=build_penalty(FIRST_DIFF, 10), jitter_scale=0.0)
-    return fit_digest.gplda_digest(curves, config)
+    return fit_digest.gplda_digests(curves, config)
 
 
 def test_fit_digest_is_stable_across_calls():
-    first = _zero_jitter_fit_digest()
-    assert len(first) == 64
-    assert _zero_jitter_fit_digest() == first
+    first = _zero_jitter_fit_digests()
+    assert list(first) == ["GPLDA-fit", "GPLDA"]
+    assert all(len(value) == 64 for value in first.values())
+    assert _zero_jitter_fit_digests() == first
 
 
 def test_fit_digest_sees_a_one_ulp_change_in_a_direction():

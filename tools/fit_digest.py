@@ -10,27 +10,40 @@ change that claims bit-identical fits is checked with one ``diff``::
 Each line is ``<cell> <seed> <method> <sha256>``.  The fits are GPLDA and
 cross-validated PDA (second-difference penalty) on sim1 N=50, sim1 N=200
 and sim2 N=20 at seeds 0-9, one GPLDA fit of 12 x 12 lap2d images with
-n = 60 < p, and one zero-jitter GPLDA fit with n = 80 >= p = 10.  A GPLDA
-digest covers the directions, eigenvalues, ``sweeps_run``, ``converged``,
-``log_posterior_per_sweep`` and ``final_residuals``; a PDA digest covers
-the cross-validated alpha and the directions.  The script reads only the
-public ``gplda`` API, so it runs on any checkout the path points at.
+n = 60 < p, and one zero-jitter GPLDA fit with n = 80 >= p = 10.  Each
+GPLDA fit prints two lines: ``GPLDA-fit`` covers the fitted state (x, mu,
+the matrix of Sigma_w, alpha1, alpha2, sigma2) and the trace
+(``sweeps_run``, ``converged``, ``log_posterior_per_sweep``,
+``final_residuals``), and ``GPLDA`` the directions and eigenvalues, so a
+change that keeps the fit and moves the directions differs in ``GPLDA``
+lines only.  A PDA digest covers the cross-validated alpha and the
+directions, and a ``penalty`` line the bytes of one lap2d penalty matrix.
+The script reads only the public ``gplda`` API, so it runs on any
+checkout the path points at.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 
-import numpy as np
+# Run as a script, the tool sets one BLAS thread before NumPy loads, so
+# that what is computed outside the library's one-thread fits (the matrix
+# of a low-rank Sigma_w) has the same bits on every machine and checkout.
+if __name__ == "__main__":
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from gplda import (
+import numpy as np  # noqa: E402
+
+from gplda import (  # noqa: E402
     FIRST_DIFF, LAPLACIAN_2D, SECOND_DIFF, FitConfig, LabeledFunctionalDataset, SimSpec,
-    build_penalty, generate, gplda_fit, pda_fit, select_pda_alpha,
+    build_penalty, fit, generate, gplda_directions, pda_fit, select_pda_alpha,
 )
 
 SIM_CELLS = (("sim1", 50), ("sim1", 200), ("sim2", 20))
 SEEDS = range(10)
+LAP2D_GRIDS = ((40, 40), (12, 12), (5, 9), (2, 50), (50, 2))
 
 
 def digest(*outputs) -> str:
@@ -43,12 +56,19 @@ def digest(*outputs) -> str:
     return sha.hexdigest()
 
 
-def gplda_digest(data: LabeledFunctionalDataset, config: FitConfig) -> str:
-    model, trace = gplda_fit(data, config=config)
-    return digest(
-        model.directions, model.eigenvalues, trace.sweeps_run, trace.converged,
-        trace.log_posterior_per_sweep, tuple(trace.final_residuals.as_dict().values()),
-    )
+def gplda_digests(data: LabeledFunctionalDataset, config: FitConfig) -> dict[str, str]:
+    """The ``GPLDA-fit`` and ``GPLDA`` digests of one ``gplda_fit``, run as
+    its two steps so that the fitted state can be read."""
+    state, trace = fit(data, config=config)
+    model = gplda_directions(state, data.label_names, penalty_descriptor=config.penalty.descriptor)
+    return {
+        "GPLDA-fit": digest(
+            state.x, state.mu, np.asarray(state.sigma_w), state.alpha1, state.alpha2,
+            state.sigma2, trace.sweeps_run, trace.converged, trace.log_posterior_per_sweep,
+            tuple(trace.final_residuals.as_dict().values()),
+        ),
+        "GPLDA": digest(model.directions, model.eigenvalues),
+    }
 
 
 def pda_digest(data: LabeledFunctionalDataset, seed: int) -> str:
@@ -81,19 +101,25 @@ def shifted_normal_curves(n: int, p: int, seed: int) -> LabeledFunctionalDataset
 
 
 def digest_lines():
-    """Yield one ``<cell> <seed> <method> <sha256>`` line per fit."""
+    """Yield one ``<cell> <seed> <method> <sha256>`` line per digest."""
     for which, n_train in SIM_CELLS:
         cell = f"{which}_N{n_train}"
         for seed in SEEDS:
             train, _ = generate(SimSpec(which, n_train, 2, seed=seed))
-            yield f"{cell} {seed} GPLDA {gplda_digest(train, FitConfig.default(train.p))}"
+            for method, value in gplda_digests(train, FitConfig.default(train.p)).items():
+                yield f"{cell} {seed} {method} {value}"
             yield f"{cell} {seed} PDA {pda_digest(train, seed)}"
     images = lap2d_images(60, 12, seed=0)
     lap2d = FitConfig(penalty=build_penalty(LAPLACIAN_2D, (12, 12)))
-    yield f"lap2d_12x12_N60 0 GPLDA {gplda_digest(images, lap2d)}"
+    for method, value in gplda_digests(images, lap2d).items():
+        yield f"lap2d_12x12_N60 0 {method} {value}"
     curves = shifted_normal_curves(80, 10, seed=0)
     no_jitter = FitConfig(penalty=build_penalty(FIRST_DIFF, 10), jitter_scale=0.0)
-    yield f"d1_zero_jitter_N80 0 GPLDA {gplda_digest(curves, no_jitter)}"
+    for method, value in gplda_digests(curves, no_jitter).items():
+        yield f"d1_zero_jitter_N80 0 {method} {value}"
+    for rows, cols in LAP2D_GRIDS:
+        matrix = build_penalty(LAPLACIAN_2D, (rows, cols)).matrix
+        yield f"lap2d_{rows}x{cols} 0 penalty {digest(matrix)}"
 
 
 def main() -> int:
