@@ -172,10 +172,10 @@ def gplda_directions(
     """Discriminant directions from a fitted posterior state.
 
     The solver gets ``state.sigma_w`` itself, in either form, and takes
-    its operator route: one solve of the c centred class means against
-    Sigma_w and a c x c eigenproblem, with no p x p matrix or factor (the
-    Cholesky form reuses the factor its ``log_det`` cached).  With c = 2
-    the direction is Sigma_w^-1 (mu_1 - mu_2), scaled.  The model's
+    the route of every fit: one solve of the c centred class means
+    against Sigma_w and a c x c eigenproblem, here with no p x p matrix
+    or factor (the Cholesky form reuses the factor its ``log_det``
+    cached).  With c = 2 the direction is Sigma_w^-1 (mu_1 - mu_2), scaled.  The model's
     ``within_cov_used`` is that operator.
 
     Parameters
@@ -254,7 +254,7 @@ class PdaPath:
     Holds what does not depend on alpha: the class means, the pooled
     scatter, and the centred class means as the between factor, whose
     norm is computed once.  Each ``fit`` then costs one Cholesky factor
-    and the whitening of c columns.  Callers hold the one-thread BLAS
+    and the solve of c columns.  Callers hold the one-thread BLAS
     policy themselves.
     """
 

@@ -16,11 +16,12 @@ package reduces to.  The eigenproblem's numerator is a between-class
 scatter of rank at most c - 1, so the solver works on a (p, r) factor of
 it: the c centred class means that every fit passes as a ``Gram``, or
 the numerical-rank rows of a pivoted Cholesky factor of a p x p matrix.
-Beyond the Cholesky factor of the denominator, a solve for k directions
-costs O(p^2 (r + k)) instead of the O(p^3) of a dense whitened
-eigendecomposition.  A denominator given as an operator with a ``solve``
-(GPLDA's within-class covariance) needs no p x p matrix at all: one
-solve of the r factor columns and an r x r eigenproblem.
+Every solve takes one route: the r factor columns are solved against
+the denominator and an r x r eigenproblem gives the directions.  A
+denominator matrix is solved through its Cholesky factor, so beyond that
+factor k directions cost O(p^2 r) instead of the O(p^3) of a dense
+whitened eigendecomposition; one given as an operator with a ``solve``
+(GPLDA's within-class covariance) needs no p x p matrix at all.
 
 ``blas_threads_for`` is the package's one BLAS thread policy: the public
 fit and predict functions run on one BLAS thread, because at the sizes
@@ -59,12 +60,12 @@ PENALTY_KINDS = (FIRST_DIFF, SECOND_DIFF, LAPLACIAN_2D)
 # 12 x 12), and it needs no scipy.fft; from p = 160 the transform wins.
 DENSE_DCT_BELOW_P = 150
 
-# The operator route of ``generalized_eig_top`` hands a k-th value at or
-# below this fraction of the first to the matrix route.  Its r x r product
-# carries a rounding of about 1e-16 of the first value (exactly collinear
-# class means read 1e-16 on the benchmark fits), so a value under 1e-8 has
-# fewer than half its digits above it.
-OPERATOR_RANK_RTOL = 1e-8
+# ``generalized_eig_top`` returns a value at or below this fraction of the
+# first as zero.  Its r x r product carries a rounding of about 1e-16 of
+# the first value (exactly collinear class means read 1e-16 on the
+# benchmark fits), so a value under 1e-8 has fewer than half its digits
+# above it.
+RANK_RTOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,10 +318,10 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class Gram:
     """A between matrix given by a (p, r) factor: ``between = root_t @ root_t.T``.
 
-    ``generalized_eig_top`` whitens the r factor columns and never forms
-    the p x p matrix.  ``norm`` is the Frobenius norm of ``between``,
-    taken as that of the r x r matrix ``root_t.T @ root_t`` (the two share
-    their nonzero eigenvalues) and computed once.
+    ``generalized_eig_top`` solves the r factor columns against ``within``
+    and never forms the p x p matrix.  ``norm`` is the Frobenius norm of
+    ``between``, taken as that of the r x r matrix ``root_t.T @ root_t``
+    (the two share their nonzero eigenvalues) and computed once.
     """
 
     root_t: np.ndarray
@@ -340,22 +341,17 @@ def generalized_eig_top(
     solutions of ``between @ beta = value * within @ beta``.
 
     The route exploits the low rank of ``between`` (a scatter of c class
-    means has rank at most c - 1).  With ``within = L L^T`` and a factor
-    ``between = F F^T`` (F of shape (p, r)), the whitened problem is
-    ``A A^T`` with ``A = L^{-1} F``.  The thin SVD ``A = U S V^T`` gives
-    ``values = S**2`` and ``directions = (L^{-T} U[:, :k])^T``.  Beyond the
-    Cholesky factor of ``within`` the cost is O(p^2 (r + k)), not O(p^3).
-    When k > r the missing values are zero and the extra directions span
-    the rest of the ``within``-orthogonal complement.
-
-    A ``within`` operator with a ``Gram`` factor takes the operator route
-    instead: one ``within.solve(F^T)`` gives the rows of (W^-1 F)^T, the
-    r x r eigendecomposition ``F^T W^-1 F = V diag(values) V^T`` follows,
-    and ``directions = V_k^T (W^-1 F)^T / sqrt(values)``, so that
-    ``D W D^T = I`` by construction.  It forms no p x p matrix and costs
-    one solve of r rows.  With a p x p ``between``, or when the k-th value
-    is not above rounding (k above the rank of the means), the operator is
-    made dense (``np.asarray``) and the matrix route completes the set.
+    means has rank at most c - 1) through a factor ``between = F F^T``, F
+    of shape (p, r).  One solve ``within.solve(F^T)`` gives the rows of
+    (W^-1 F)^T, the r x r eigendecomposition
+    ``F^T W^-1 F = V diag(values) V^T`` follows, and
+    ``directions = V_k^T (W^-1 F)^T / sqrt(values)``, so that
+    ``D W D^T = I`` by construction.  Beyond the solve the cost is
+    O(p r (r + k)); an operator ``within`` needs no p x p matrix at all.
+    Values at or below ``RANK_RTOL`` of the first (k above the numerical
+    rank of F) are returned as zero, and their directions complete the set
+    with a ``within``-orthonormal basis of the null space of F^T, taken
+    from the matrix of ``within``.
 
     Parameters
     ----------
@@ -366,10 +362,11 @@ def generalized_eig_top(
         reads only its upper triangle, drops any negative part and keeps
         r = its numerical rank.
     within : ndarray of shape (p, p), or WithinCovariance
-        Symmetric positive definite denominator: a matrix, or an operator
-        of shape (p, p) with ``solve(rows)`` (``rows @ inv(W)``), a
-        Frobenius ``norm`` and an ``__array__`` that gives its matrix, as
-        ``model.WithinCovariance`` has.  A matrix is Cholesky factored.
+        Symmetric positive definite denominator: a matrix, which is
+        Cholesky factored, or an operator of shape (p, p) with
+        ``solve(rows)`` (``rows @ inv(W)``), a Frobenius ``norm`` and an
+        ``__array__`` that gives its matrix, as ``model.WithinCovariance``
+        has.
     k : int
         Number of leading directions to return, 1 <= k <= p.
 
@@ -384,21 +381,26 @@ def generalized_eig_top(
     Raises
     ------
     DegenerateBetweenCovarianceError
-        If ``between`` is numerically zero relative to ``within``.
+        If ``between`` has no positive part that is numerically nonzero
+        relative to ``within``.
     SingularMatrixError
         If a ``within`` matrix cannot be Cholesky factorized.
     """
-    if isinstance(between, Gram):
-        if np.ndim(between.root_t) != 2:
-            raise DimensionError(
-                f"between factor must be 2-D, got shape {np.shape(between.root_t)}"
-            )
-        p, between_norm = between.root_t.shape[0], between.norm
-    else:
+    if not isinstance(between, Gram):
         between = np.asarray(between, dtype=float)
         if between.ndim != 2 or between.shape[0] != between.shape[1]:
             raise DimensionError(f"between matrix must be square, got shape {between.shape}")
-        p, between_norm = between.shape[0], frobenius_norm(between)
+        # between = R^T R with R = U[:r] P^T, from P^T between P = U^T U.
+        factor, piv, rank, _ = scipy_linalg().lapack.dpstrf(between, lower=0)
+        root_t = np.empty((between.shape[0], rank))
+        root_t[piv - 1] = np.triu(factor[:rank]).T
+        between = Gram(root_t)
+    elif np.ndim(between.root_t) != 2:
+        raise DimensionError(
+            f"between factor must be 2-D, got shape {np.shape(between.root_t)}"
+        )
+    root_t = between.root_t
+    p = root_t.shape[0]
     if np.shape(within) != (p, p):
         raise DimensionError(
             f"within matrix shape {np.shape(within)} does not match between shape {(p, p)}"
@@ -409,50 +411,30 @@ def generalized_eig_top(
     within_norm = within.norm if operator else frobenius_norm(np.asarray(within, dtype=float))
     # sqrt(||B||_F) <= 1e-12 sqrt(||W||_F): a mean gap against a standard
     # deviation, not a squared gap against a variance.
-    if between_norm <= 1e-24 * within_norm:
+    if between.norm <= 1e-24 * within_norm:
         raise DegenerateBetweenCovarianceError(
             "between-class covariance is numerically zero; class means coincide"
         )
-    if operator and isinstance(between, Gram):
-        top = _operator_eig_top(between, within, k)
-        if top is not None:
-            return top
-    within = np.asarray(within, dtype=float)
-    sla = scipy_linalg()
-    # The triangular solves read only the lower triangle of the factor.
-    chol = cholesky_factor(within)[0]
-    if isinstance(between, Gram):
-        root_t = between.root_t
+    if operator:
+        solved = within.solve(root_t.T)  # rows of (W^-1 F)^T
     else:
-        # between = R^T R with R = U[:r] P^T, from P^T between P = U^T U.
-        factor, piv, rank, _ = sla.lapack.dpstrf(between, lower=0)
-        root_t = np.empty((p, rank))
-        root_t[piv - 1] = np.triu(factor[:rank]).T
-    rank = root_t.shape[1]
-    # Whiten the r factor columns only; A A^T is the whitened between matrix.
-    whitened_root = sla.solve_triangular(chol, root_t, lower=True, check_finite=False)
-    vectors, singular, _ = sla.svd(
-        whitened_root, full_matrices=k > rank, check_finite=False
-    )
-    top_values = np.zeros(k)
-    top_values[: min(k, rank)] = singular[:k] ** 2
-    # Map back; whitened orthonormality turns into within-orthonormality.
-    directions = sla.solve_triangular(
-        chol.T, vectors[:, :k], lower=False, check_finite=False
-    ).T
-    return top_values, _largest_entry_positive(directions)
-
-
-def _operator_eig_top(between: Gram, within, k: int):
-    """The operator route of ``generalized_eig_top``, or None when the k-th
-    value is not above rounding and the matrix route must complete it."""
-    solved = within.solve(between.root_t.T)  # rows of (W^-1 F)^T
-    gram = solved @ between.root_t
+        factor = cholesky_factor(np.asarray(within, dtype=float))
+        solved = scipy_linalg().cho_solve(factor, root_t, check_finite=False).T
+    gram = solved @ root_t
     values, vectors = np.linalg.eigh(0.5 * (gram + gram.T))
     values, vectors = values[::-1][:k], vectors[:, ::-1][:, :k]
-    if values.size < k or values[-1] <= OPERATOR_RANK_RTOL * values[0]:
-        return None
-    return values, _largest_entry_positive((vectors.T @ solved) / np.sqrt(values)[:, None])
+    rank = int(np.count_nonzero(values > RANK_RTOL * values[:1]))
+    directions = (vectors[:, :rank].T @ solved) / np.sqrt(values[:rank])[:, None]
+    if rank < k:
+        # The rest of the set spans part of the complement of F V_rank, the
+        # null space of F^T: zero between values, and within-orthogonal to
+        # every kept direction.  They are made within-orthonormal.
+        basis = np.linalg.qr(root_t @ vectors[:, :rank], mode="complete")[0][:, rank:k]
+        factor = cholesky_factor(basis.T @ np.asarray(within, dtype=float) @ basis)[0]
+        rest = scipy_linalg().solve_triangular(factor, basis.T, lower=True, check_finite=False)
+        values = np.concatenate([values[:rank], np.zeros(k - rank)])
+        directions = np.vstack([directions, rest])
+    return values, _largest_entry_positive(directions)
 
 
 def _largest_entry_positive(directions: np.ndarray) -> np.ndarray:

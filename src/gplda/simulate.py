@@ -257,7 +257,7 @@ def pda_cv_errors(
 
     Each fold's class means, pooled scatter and between factor are
     computed once (``PdaPath``, the path ``pda_fit`` takes); each candidate
-    then costs a Cholesky factor and the whitening of c centred means.
+    then costs a Cholesky factor and the solve of c centred means.
     Every fold model goes through ``predict``, and a fold whose fit raises
     a ``NumericError`` scores an error of 1.
     """
@@ -378,9 +378,9 @@ def run_benchmark(
     which : str
         ``"sim1"`` or ``"sim2"``.
     methods : sequence of str
-        Method tags or CLI names.
+        Method tags or CLI names, each method once.
     n_values : sequence of int
-        Training sizes to sweep.
+        Training sizes to sweep, each once.
     reps : int
         Replications per cell, >= 1.
     base_seed : int
@@ -400,20 +400,25 @@ def run_benchmark(
     tags = [normalize_method(m) for m in methods]
     if not tags:
         raise ValidationError("methods list is empty")
+    n_values = [int(n) for n in n_values]
+    for kind, entries in (("method", tags), ("training size", n_values)):
+        repeated = [entry for i, entry in enumerate(entries) if entry in entries[:i]]
+        if repeated:
+            raise ValidationError(f"{kind} {repeated[0]!r} is listed more than once")
     config = RunConfig() if config is None else config
 
     results: dict = {
-        (tag, int(n)): {"errors": [], "reps": [], "failure_reasons": [], "seconds": 0.0}
+        (tag, n): {"errors": [], "reps": [], "failure_reasons": [], "seconds": 0.0}
         for tag in tags
         for n in n_values
     }
     for n in n_values:
         for r in range(reps):
             seed = base_seed + r
-            train, test = generate(SimSpec(which=which, n_train=int(n), n_test=n_test, seed=seed))
+            train, test = generate(SimSpec(which=which, n_train=n, n_test=n_test, seed=seed))
             truth = np.asarray(test.label_names)[test.labels - 1]
             for tag in tags:
-                slot = results[(tag, int(n))]
+                slot = results[(tag, n)]
                 start = time.perf_counter()
                 try:
                     model, _ = fit_method(tag, train, config, seed)
@@ -428,7 +433,7 @@ def run_benchmark(
     cells = []
     for tag in tags:
         for n in n_values:
-            slot = results[(tag, int(n))]
+            slot = results[(tag, n)]
             errors = np.asarray(slot["errors"], dtype=float)
             if errors.size == 0:
                 mean_pct, std_pct = float("nan"), float("nan")
@@ -438,7 +443,7 @@ def run_benchmark(
             cells.append(
                 BenchmarkCell(
                     method=tag,
-                    n_train=int(n),
+                    n_train=n,
                     mean_pct=mean_pct,
                     std_pct=std_pct,
                     failures=len(slot["failure_reasons"]),

@@ -40,7 +40,7 @@ from gplda.discriminant import (
     predict,
 )
 from gplda.estimator import FitTrace
-from gplda.exceptions import DegenerateBetweenCovarianceError, NumericError
+from gplda.exceptions import NumericError
 from gplda.linalg import blas_threads_for, frobenius_norm
 from gplda.model import CholeskyForm
 
@@ -105,33 +105,6 @@ def dense_generalized_eig_top(between, within, k):
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
     return eigenvalues[order], directions
-
-
-def one_piece_generalized_eig_top(between, within, k):
-    """``generalized_eig_top`` on a p x p ``between``, written out as one
-    function with its own calls: pivoted Cholesky root, whitening, thin
-    SVD.  Validation is left out: callers pass valid shapes."""
-    if frobenius_norm(between) <= 1e-24 * frobenius_norm(within):
-        raise DegenerateBetweenCovarianceError("class means coincide")
-    chol = scipy.linalg.cho_factor(within, lower=True, check_finite=False)[0]
-    p = between.shape[0]
-    factor, piv, rank, _ = scipy.linalg.lapack.dpstrf(between, lower=0)
-    root_t = np.empty((p, rank))
-    root_t[piv - 1] = np.triu(factor[:rank]).T
-    whitened_root = scipy.linalg.solve_triangular(chol, root_t, lower=True, check_finite=False)
-    vectors, singular, _ = scipy.linalg.svd(
-        whitened_root, full_matrices=k > rank, check_finite=False
-    )
-    top_values = np.zeros(k)
-    top_values[: min(k, rank)] = singular[:k] ** 2
-    directions = scipy.linalg.solve_triangular(
-        chol.T, vectors[:, :k], lower=False, check_finite=False
-    ).T
-    for row in directions:
-        pivot = np.argmax(np.abs(row))
-        if row[pivot] < 0:
-            row *= -1.0
-    return top_values, directions
 
 
 def dense_sigma_w(x, mu, data, alpha2, penalty, hyper, jitter_scale):

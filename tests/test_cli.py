@@ -290,6 +290,15 @@ class TestBench:
             assert json.load(fh)["cells"][0]["errors"] == first_errors
 
 
+    def test_repeated_method_exits_1(self, tmp_path, capsys):
+        cfg = str(tmp_path / "bench.cfg")
+        with open(cfg, "w") as fh:
+            fh.write("bench.methods = gplda,gplda\n")
+        args = ["--config", cfg, "bench", "--reps", "1", "--out", str(tmp_path / "r.csv")]
+        assert cli_dispatch(args) == 1
+        assert "method 'GPLDA' is listed more than once" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "r.csv")
+
     def test_penalty_settings_apply(self, tmp_path, capsys):
         cfg = str(tmp_path / "bench.cfg")
         with open(cfg, "w") as fh:

@@ -201,7 +201,8 @@ def _matrix_route(state, k):
 
 
 class TestOperatorRoute:
-    """GPLDA's directions through the Sigma_w operator against the matrix route."""
+    """GPLDA's directions through the Sigma_w operator against those through
+    its p x p matrix (``_matrix_route``)."""
 
     FORMS = {"sim1_N50": WoodburyForm, "sim1_N200": CholeskyForm, "sim2_N20": WoodburyForm,
              "lap2d_12x12_N60": WoodburyForm}
@@ -238,13 +239,15 @@ class TestOperatorRoute:
 
     @pytest.mark.parametrize("name", ["sim1_N50", "sim1_N200"])
     def test_collinear_means_take_the_matrix_route(self, name, monkeypatch):
-        # c = 3 means on one line: the second value is rounding, so the
-        # operator is made dense and the matrix route completes the set.
+        # c = 3 means on one line: the second value is rounding, so it is
+        # returned as zero, and the operator is made dense once to complete
+        # the set with a direction against its matrix.
         train, _, config = _operator_case(name)
         state, _ = fit(train, config=config)
         gap = state.mu[0] - state.mu[1]
         collinear = replace(state, mu=state.mu[1] + np.outer([-1.0, 0.5, 2.0], gap))
         expected_values, expected = _matrix_route(collinear, 2)
+        within = np.asarray(state.sigma_w)
         densified = []
         form = type(state.sigma_w)
         original = form.dense
@@ -256,19 +259,32 @@ class TestOperatorRoute:
         monkeypatch.setattr(form, "dense", spy_dense)
         model = gplda_directions(collinear, (1, 2, 3), k=2)
         assert densified == [state.sigma_w]
-        assert expected_values[1] <= 1e-8 * expected_values[0]
-        np.testing.assert_array_equal(model.eigenvalues, expected_values)
-        np.testing.assert_array_equal(model.directions, expected)
+        assert model.eigenvalues[1] == 0.0
+        np.testing.assert_allclose(model.eigenvalues[0], expected_values[0], rtol=1e-5)
+        moved = np.linalg.norm(model.directions[0] - expected[0])
+        assert moved <= 1e-5 * np.linalg.norm(expected[0])
+        gram = model.directions @ within @ model.directions.T
+        np.testing.assert_allclose(gram, np.eye(2), rtol=0.0, atol=1e-6)
 
-    def test_a_matrix_between_takes_the_matrix_route(self):
+    def test_a_matrix_between_takes_the_matrix_route(self, monkeypatch):
+        # A p x p between is reduced to its pivoted Cholesky factor, which
+        # is solved against the operator as given: Sigma_w stays low rank.
         train, _, config = _operator_case("sim1_N50")
         state, _ = fit(train, config=config)
+        assert isinstance(state.sigma_w, WoodburyForm)
         between = between_covariance(state.mu)
+        within = np.asarray(state.sigma_w)
+
+        def no_dense(self):
+            raise AssertionError("the p x p matrix of Sigma_w was formed")
+
+        monkeypatch.setattr(WoodburyForm, "dense", no_dense)
         with blas_threads_for():
-            got = generalized_eig_top(between, state.sigma_w, 1)
-            expected = generalized_eig_top(between, np.asarray(state.sigma_w), 1)
-        np.testing.assert_array_equal(got[0], expected[0])
-        np.testing.assert_array_equal(got[1], expected[1])
+            values, directions = generalized_eig_top(between, state.sigma_w, 1)
+            expected_values, expected = generalized_eig_top(between, within, 1)
+        np.testing.assert_allclose(values, expected_values, rtol=1e-5)
+        moved = np.linalg.norm(directions - expected, axis=1)
+        assert np.all(moved <= 1e-5 * np.linalg.norm(expected, axis=1))
 
     def test_a_low_rank_fit_forms_no_p_by_p_matrix_or_factor(self, monkeypatch):
         train, test, config = _operator_case("lap2d_12x12_N60")

@@ -33,13 +33,13 @@ from gplda.linalg import (
     blas_threads_for,
     frobenius_norm,
 )
+from gplda.model import CholeskyForm, WoodburyForm
 
 from helpers import (
     dense_generalized_eig_top,
     kron_laplacian_gram,
     loop_difference_operator,
     loop_laplacian_stencil,
-    one_piece_generalized_eig_top,
     random_spd_matrix,
 )
 
@@ -361,18 +361,21 @@ class TestGeneralizedEigTop:
             generalized_eig_top(np.eye(2), np.eye(2), 3)
 
     def test_zero_between_is_degenerate(self):
-        with pytest.raises(DegenerateBetweenCovarianceError):
-            generalized_eig_top(np.zeros((3, 3)), np.eye(3), 1)
+        # A between matrix with no positive part has a zero factor too.
+        for between in (np.zeros((3, 3)), -np.eye(3)):
+            with pytest.raises(DegenerateBetweenCovarianceError):
+                generalized_eig_top(between, np.eye(3), 1)
 
     def test_singular_within_raises(self):
         between = np.eye(2)
         with pytest.raises(SingularMatrixError):
             generalized_eig_top(between, np.diag([1.0, 0.0]), 1)
 
-    def test_rank_deficient_between_pads_with_zero_values(self):
+    @pytest.mark.parametrize("form", ["matrix", "CholeskyForm", "WoodburyForm"])
+    def test_rank_deficient_between_pads_with_zero_values(self, form):
         rng = np.random.default_rng(37)
         p = 9
-        within = random_spd_matrix(rng, p)
+        within = _within_as(form, rng, p)
         direction = rng.standard_normal(p)
         mu = np.outer([-1.0, 0.5, 2.0], direction)  # collinear: rank-1 scatter
         between = between_covariance(mu)
@@ -381,11 +384,12 @@ class TestGeneralizedEigTop:
         assert directions.shape == (2, p)
         assert values[1] == 0.0
         assert values[0] >= values[1]
+        dense = np.asarray(within)
         np.testing.assert_allclose(
-            directions @ within @ directions.T, np.eye(2), atol=1e-10
+            directions @ dense @ directions.T, np.eye(2), atol=1e-10
         )
         for value, beta in zip(values, directions):
-            residual = between @ beta - value * (within @ beta)
+            residual = between @ beta - value * (dense @ beta)
             assert np.linalg.norm(residual) <= 1e-8
 
     def test_matches_dense_whitened_eigendecomposition(self):
@@ -408,12 +412,17 @@ class TestGeneralizedEigTop:
         assert worst_values <= 1e-10
         assert worst_directions <= 1e-10
 
-    def test_bit_identical_to_the_one_piece_solver(self):
-        for between, within, k in _eig_oracle_cases():
-            values, directions = generalized_eig_top(between, within, k)
-            ref_values, ref_directions = one_piece_generalized_eig_top(between, within, k)
-            np.testing.assert_array_equal(values, ref_values)
-            np.testing.assert_array_equal(directions, ref_directions)
+
+
+def _within_as(form, rng, p):
+    """A random symmetric positive definite within covariance: a matrix,
+    that matrix as a ``CholeskyForm``, or a ``WoodburyForm`` of rank p // 2
+    plus a first-difference penalty and a ridge."""
+    penalty = build_penalty(FIRST_DIFF, p)
+    if form == "WoodburyForm":
+        return WoodburyForm(rng.standard_normal((p // 2, p)), 0.5, 0.1, penalty)
+    matrix = random_spd_matrix(rng, p)
+    return matrix if form == "matrix" else CholeskyForm(matrix, penalty)
 
 
 def _eig_oracle_cases():

@@ -262,6 +262,16 @@ class TestRunBenchmark:
         long = run_benchmark(reps=3, **kwargs)
         assert short.cell("mle", 20).errors == long.cell("mle", 20).errors[:2]
 
+    @pytest.mark.parametrize(
+        "methods, n_values, repeated",
+        [(["pda", "PDA"], (50,), "method 'PDA'"), (["pda"], (50, 50), "training size 50")],
+        ids=["method", "size"],
+    )
+    def test_repeated_methods_or_sizes_rejected(self, methods, n_values, repeated):
+        # A repeated cell would be reported as extra replications of one draw.
+        with pytest.raises(ValidationError, match=f"{repeated} is listed more than once"):
+            run_benchmark(which="sim1", methods=methods, n_values=n_values, reps=1, base_seed=0)
+
     def test_single_replication_has_zero_spread(self):
         report = run_benchmark(
             which="sim2", methods=["pca-lda"], n_values=(20,), reps=1,

@@ -7,19 +7,23 @@ change that claims bit-identical fits is checked with one ``diff``::
     PYTHONPATH=src python3 tools/fit_digest.py > after.txt
     diff before.txt after.txt
 
-Each line is ``<cell> <seed> <method> <sha256>``.  The fits are GPLDA and
-cross-validated PDA (second-difference penalty) on sim1 N=50, sim1 N=200
-and sim2 N=20 at seeds 0-9, one GPLDA fit of 12 x 12 lap2d images with
-n = 60 < p, and one zero-jitter GPLDA fit with n = 80 >= p = 10.  Each
-GPLDA fit prints two lines: ``GPLDA-fit`` covers the fitted state (x, mu,
-the matrix of Sigma_w, alpha1, alpha2, sigma2) and the trace
-(``sweeps_run``, ``converged``, ``log_posterior_per_sweep``,
-``final_residuals``), and ``GPLDA`` the directions and eigenvalues, so a
-change that keeps the fit and moves the directions differs in ``GPLDA``
-lines only.  A PDA digest covers the cross-validated alpha and the
-directions, and a ``penalty`` line the bytes of one lap2d penalty matrix.
-The script reads only the public ``gplda`` API, so it runs on any
-checkout the path points at.
+Each line is ``<cell> <seed> <method> <sha256>``.  The fits are GPLDA,
+cross-validated PDA (second-difference penalty), MLE-LDA and PCA+LDA
+(q = 1) on sim1 N=50, sim1 N=200 and sim2 N=20 at seeds 0-9, one GPLDA
+fit of 12 x 12 lap2d images with n = 60 < p, and one zero-jitter GPLDA
+fit with n = 80 >= p = 10.  Each GPLDA fit prints two lines:
+``GPLDA-fit`` covers the fitted state (x, mu, the matrix of Sigma_w,
+alpha1, alpha2, sigma2) and the trace (``sweeps_run``, ``converged``,
+``log_posterior_per_sweep``, ``final_residuals``), and ``GPLDA`` the
+directions and eigenvalues, so a change that keeps the fit and moves the
+directions differs in ``GPLDA`` lines only.  Each PDA fit prints two
+lines the same way: ``PDA-cv`` covers the cross-validated alpha and the
+mean cross-validated error of every candidate, and ``PDA`` the
+directions and eigenvalues at that alpha.  ``MLE_LDA`` and ``PCA_LDA``
+lines cover the directions and eigenvalues of those fits, and a
+``penalty`` line the bytes of one lap2d penalty matrix.  The script reads
+only the public ``gplda`` API and ``gplda.simulate.pda_cv_errors``, so it
+runs on any checkout the path points at.
 """
 
 from __future__ import annotations
@@ -38,8 +42,10 @@ import numpy as np  # noqa: E402
 
 from gplda import (  # noqa: E402
     FIRST_DIFF, LAPLACIAN_2D, SECOND_DIFF, FitConfig, LabeledFunctionalDataset, SimSpec,
-    build_penalty, fit, generate, gplda_directions, pda_fit, select_pda_alpha,
+    build_penalty, fit, generate, gplda_directions, mle_lda_fit, pca_lda_fit, pda_fit,
+    select_pda_alpha,
 )
+from gplda.simulate import pda_cv_errors  # noqa: E402
 
 SIM_CELLS = (("sim1", 50), ("sim1", 200), ("sim2", 20))
 SEEDS = range(10)
@@ -71,10 +77,20 @@ def gplda_digests(data: LabeledFunctionalDataset, config: FitConfig) -> dict[str
     }
 
 
-def pda_digest(data: LabeledFunctionalDataset, seed: int) -> str:
+def baseline_digests(data: LabeledFunctionalDataset, seed: int) -> dict[str, str]:
+    """The ``PDA-cv``, ``PDA``, ``MLE_LDA`` and ``PCA_LDA`` digests of one
+    dataset; a model digest covers its directions and eigenvalues."""
     penalty = build_penalty(SECOND_DIFF, data.p)
     alpha = select_pda_alpha(data, penalty, seed=seed)
-    return digest(alpha, pda_fit(data, penalty, alpha).directions)
+    models = {
+        "PDA": pda_fit(data, penalty, alpha),
+        "MLE_LDA": mle_lda_fit(data),
+        "PCA_LDA": pca_lda_fit(data, q=1),
+    }
+    return {
+        "PDA-cv": digest(alpha, pda_cv_errors(data, penalty, seed=seed)),
+        **{method: digest(model.directions, model.eigenvalues) for method, model in models.items()},
+    }
 
 
 def lap2d_images(n: int, side: int, seed: int) -> LabeledFunctionalDataset:
@@ -106,9 +122,10 @@ def digest_lines():
         cell = f"{which}_N{n_train}"
         for seed in SEEDS:
             train, _ = generate(SimSpec(which, n_train, 2, seed=seed))
-            for method, value in gplda_digests(train, FitConfig.default(train.p)).items():
+            digests = {**gplda_digests(train, FitConfig.default(train.p)),
+                       **baseline_digests(train, seed)}
+            for method, value in digests.items():
                 yield f"{cell} {seed} {method} {value}"
-            yield f"{cell} {seed} PDA {pda_digest(train, seed)}"
     images = lap2d_images(60, 12, seed=0)
     lap2d = FitConfig(penalty=build_penalty(LAPLACIAN_2D, (12, 12)))
     for method, value in gplda_digests(images, lap2d).items():
