@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -129,16 +129,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _trace_payload(trace) -> dict:
-    return {
-        "sweeps_run": trace.sweeps_run,
-        "converged": trace.converged,
-        "log_posterior_initial": trace.log_posterior_per_sweep[0],
-        "log_posterior_final": trace.log_posterior_per_sweep[-1],
-        "final_residuals": trace.final_residuals.as_dict(),
-    }
-
-
 def _cmd_fit(args) -> int:
     config = _effective_config(args)
     if not config.data:
@@ -152,7 +142,7 @@ def _cmd_fit(args) -> int:
         print(f"note: {note}")
     if trace is not None:
         atomic_write_text(
-            config.out + ".trace", json.dumps(_trace_payload(trace), indent=1) + "\n"
+            config.out + ".trace", json.dumps(asdict(trace), indent=1) + "\n"
         )
         status = "converged" if trace.converged else "stopped"
         print(

@@ -279,8 +279,8 @@ class PdaPath:
     def fit(self, alpha: float, k: int | None = None) -> DiscriminantModel:
         """The PDA model at weight ``alpha``: the within matrix is the
         pooled scatter plus ``alpha`` times the penalty."""
-        if alpha < 0:
-            raise ValidationError(f"alpha must be non-negative, got {alpha}")
+        if not (np.isfinite(alpha) and alpha >= 0):
+            raise ValidationError(f"alpha must be finite and non-negative, got {alpha}")
         within = self.scatter + alpha * self.penalty.matrix
         return _assemble(
             METHOD_PDA, self.mu, within, self.class_labels, k,
@@ -308,8 +308,8 @@ def mle_lda_fit(
         within = pooled_within_scatter(data.y, data.labels, mu)
         if ridge is None:
             ridge = 0.0 if data.n > data.p else 1e-6 * float(np.trace(within)) / data.p
-        if ridge < 0:
-            raise ValidationError(f"ridge must be non-negative, got {ridge}")
+        if not (np.isfinite(ridge) and ridge >= 0):
+            raise ValidationError(f"ridge must be finite and non-negative, got {ridge}")
         if ridge > 0:
             within = within + ridge * np.eye(data.p)
         return _assemble(METHOD_MLE_LDA, mu, within, data.label_names, k)

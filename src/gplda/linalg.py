@@ -234,27 +234,16 @@ def build_penalty(kind: str, dims: int | tuple[int, int]) -> SmoothingPenalty:
 def _laplacian_gram(rows: int, cols: int) -> np.ndarray:
     """L^T L for the five-point grid Laplacian, as a (rows cols)^2 matrix.
 
-    L = kron(I_r, P_c) + kron(P_r, I_c) with P the path Laplacians; its
-    two terms commute, so L^T L is the sum of three Kronecker products,
-    whose (i, j) block of size cols is
-    I_r[i, j] P_c^2 + 2 (P_r[i, j] P_c) + P_r^2[i, j] I_c.  Only the blocks
-    with |i - j| <= 2 are nonzero, and each is computed here in that
-    order, so the matrix is byte-identical to the three full products
-    without forming them.  All entries are small integers, so it is exact.
+    L = kron(I_r, P_c) + kron(P_r, I_c), the Kronecker sum of the path
+    Laplacians P, is symmetric, so L^T L = L L, formed as a sparse product
+    of two matrices with at most five nonzeros per row.  All entries are
+    small integers, so it is exact.
     """
-    path_r, path_c = _difference_gram(rows, 1), _difference_gram(cols, 1)
-    squared_r, squared_c = path_r @ path_r, path_c @ path_c
-    eye_r, eye_c = np.eye(rows), np.eye(cols)
-    blocks = np.zeros((rows, cols, rows, cols))
-    for offset in range(-2, 3):
-        i = np.arange(max(0, -offset), min(rows, rows - offset))
-        j = i + offset
-        blocks[i, :, j, :] = (
-            eye_r[i, j, None, None] * squared_c
-            + 2.0 * (path_r[i, j, None, None] * path_c)
-            + squared_r[i, j, None, None] * eye_c
-        )
-    return blocks.reshape(rows * cols, rows * cols)
+    # Imported on first use, as scipy.fft is: only lap2d penalties need it.
+    import scipy.sparse
+
+    laplacian = scipy.sparse.kronsum(_difference_gram(cols, 1), _difference_gram(rows, 1))
+    return (laplacian @ laplacian).toarray()
 
 
 def _fill_basis(penalty: SmoothingPenalty, basis: PenaltyBasis) -> None:

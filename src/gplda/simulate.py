@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -233,6 +234,20 @@ def generate(
 DEFAULT_PDA_ALPHA_GRID = (1e-2, 1e-1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
 
 
+def _held_out_error(fit, curves: np.ndarray, truth: np.ndarray) -> float | str:
+    """Error rate on held-out ``curves`` of the model that ``fit()`` returns.
+
+    A ``NumericError`` raised by fitting or predicting is returned as its
+    ``"TypeName: message"`` text instead.  ``predict`` is looked up in this
+    module at call time, so a hook set on ``simulate.predict`` sees every
+    scored model.
+    """
+    try:
+        return error_rate(predict(fit(), curves), truth)
+    except NumericError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def select_pda_alpha(data: LabeledFunctionalDataset, penalty, seed: int = 0) -> float:
     """Pick the penalty weight by stratified cross-validation.
 
@@ -258,8 +273,8 @@ def pda_cv_errors(
     Each fold's class means, pooled scatter and between factor are
     computed once (``PdaPath``, the path ``pda_fit`` takes); each candidate
     then costs a Cholesky factor and the solve of c centred means.
-    Every fold model goes through ``predict``, and a fold whose fit raises
-    a ``NumericError`` scores an error of 1.
+    Every fold is scored by ``_held_out_error``, and a fold whose fit or
+    prediction raises a ``NumericError`` scores an error of 1.
     """
     counts = data.class_counts
     if counts.min() < 2:
@@ -290,16 +305,12 @@ def pda_cv_errors(
             truth = np.asarray(data.label_names)[data.labels[holdout] - 1]
             splits.append((PdaPath.of(train, penalty), data.y[holdout], truth))
         for alpha in DEFAULT_PDA_ALPHA_GRID:
-            fold_errors = []
-            for path, held_out, truth in splits:
-                try:
-                    model = path.fit(alpha)
-                    predicted = predict(model, held_out)
-                except NumericError:
-                    fold_errors.append(1.0)
-                    continue
-                fold_errors.append(error_rate(predicted, truth))
-            mean_errors.append(float(np.mean(fold_errors)))
+            scores = [
+                _held_out_error(partial(path.fit, alpha), held_out, truth)
+                for path, held_out, truth in splits
+            ]
+            # A fold whose fit or prediction failed (its score is the reason) counts 1.
+            mean_errors.append(float(np.mean([1.0 if isinstance(s, str) else s for s in scores])))
     return tuple(mean_errors)
 
 
@@ -325,6 +336,24 @@ class BenchmarkCell:
     errors: tuple[float, ...]
     replications: tuple[int, ...]
     failure_reasons: tuple[str, ...]
+
+    @classmethod
+    def of(cls, method: str, n_train: int, records) -> "BenchmarkCell":
+        """The cell of ``records``, one ``(replication, outcome, seconds)``
+        per replication in replication order, where ``outcome`` is what
+        ``_held_out_error`` returned: an error rate or a failure reason."""
+        scored = [(r, outcome) for r, outcome, _ in records if not isinstance(outcome, str)]
+        errors = tuple(error for _, error in scored)
+        mean_pct = std_pct = float("nan")
+        if errors:
+            mean_pct = float(np.mean(errors)) * 100.0
+            std_pct = float(np.std(errors, ddof=1)) * 100.0 if len(errors) > 1 else 0.0
+        reasons = tuple(outcome for _, outcome, _ in records if isinstance(outcome, str))
+        return cls(
+            method=method, n_train=n_train, mean_pct=mean_pct, std_pct=std_pct,
+            failures=len(reasons), seconds=sum(seconds for _, _, seconds in records),
+            errors=errors, replications=tuple(r for r, _ in scored), failure_reasons=reasons,
+        )
 
 
 @dataclass(frozen=True)
@@ -378,9 +407,9 @@ def run_benchmark(
     which : str
         ``"sim1"`` or ``"sim2"``.
     methods : sequence of str
-        Method tags or CLI names, each method once.
+        Method tags or CLI names; non-empty, each method once.
     n_values : sequence of int
-        Training sizes to sweep, each once.
+        Training sizes to sweep; non-empty, each size once.
     reps : int
         Replications per cell, >= 1.
     base_seed : int
@@ -398,65 +427,33 @@ def run_benchmark(
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
     tags = [normalize_method(m) for m in methods]
-    if not tags:
-        raise ValidationError("methods list is empty")
     n_values = [int(n) for n in n_values]
     for kind, entries in (("method", tags), ("training size", n_values)):
+        if not entries:
+            raise ValidationError(f"{kind}s list is empty")
         repeated = [entry for i, entry in enumerate(entries) if entry in entries[:i]]
         if repeated:
             raise ValidationError(f"{kind} {repeated[0]!r} is listed more than once")
     config = RunConfig() if config is None else config
 
-    results: dict = {
-        (tag, n): {"errors": [], "reps": [], "failure_reasons": [], "seconds": 0.0}
-        for tag in tags
-        for n in n_values
-    }
+    # One ((method, size), (replication, outcome, seconds)) record per fit.
+    records = []
     for n in n_values:
         for r in range(reps):
             seed = base_seed + r
             train, test = generate(SimSpec(which=which, n_train=n, n_test=n_test, seed=seed))
             truth = np.asarray(test.label_names)[test.labels - 1]
             for tag in tags:
-                slot = results[(tag, n)]
                 start = time.perf_counter()
-                try:
-                    model, _ = fit_method(tag, train, config, seed)
-                    predicted = predict(model, test.y)
-                    slot["errors"].append(error_rate(predicted, truth))
-                    slot["reps"].append(r)
-                except NumericError as exc:
-                    slot["failure_reasons"].append(f"{type(exc).__name__}: {exc}")
-                finally:
-                    slot["seconds"] += time.perf_counter() - start
-
-    cells = []
-    for tag in tags:
-        for n in n_values:
-            slot = results[(tag, n)]
-            errors = np.asarray(slot["errors"], dtype=float)
-            if errors.size == 0:
-                mean_pct, std_pct = float("nan"), float("nan")
-            else:
-                mean_pct = float(errors.mean()) * 100.0
-                std_pct = float(errors.std(ddof=1)) * 100.0 if errors.size > 1 else 0.0
-            cells.append(
-                BenchmarkCell(
-                    method=tag,
-                    n_train=n,
-                    mean_pct=mean_pct,
-                    std_pct=std_pct,
-                    failures=len(slot["failure_reasons"]),
-                    seconds=slot["seconds"],
-                    errors=tuple(slot["errors"]),
-                    replications=tuple(slot["reps"]),
-                    failure_reasons=tuple(slot["failure_reasons"]),
+                outcome = _held_out_error(
+                    lambda: fit_method(tag, train, config, seed)[0], test.y, truth
                 )
-            )
+                records.append(((tag, n), (r, outcome, time.perf_counter() - start)))
+    cells = tuple(
+        BenchmarkCell.of(tag, n, [record for cell, record in records if cell == (tag, n)])
+        for tag in tags
+        for n in n_values
+    )
     return BenchmarkReport(
-        which=which,
-        reps=reps,
-        base_seed=base_seed,
-        n_test=n_test,
-        cells=tuple(cells),
+        which=which, reps=reps, base_seed=base_seed, n_test=n_test, cells=cells
     )

@@ -171,6 +171,9 @@ class TestFitAndPredict:
         }
         block, value = max(trace["final_residuals"].items(), key=lambda kv: kv[1])
         assert f"largest first-order residual {value:.3g} ({block})\n" in out
+        objectives = trace["log_posterior_per_sweep"]
+        assert len(objectives) == trace["sweeps_run"] + 1
+        assert f"objective {objectives[-1]:.6f}\n" in out
 
     def test_penalized_fit_with_fixed_weight(self, tmp_path, capsys):
         train = _write_training_csv(tmp_path)
@@ -290,13 +293,21 @@ class TestBench:
             assert json.load(fh)["cells"][0]["errors"] == first_errors
 
 
-    def test_repeated_method_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("bench.methods = gplda,gplda", "method 'GPLDA' is listed more than once"),
+            ("bench.n_values =", "training sizes list is empty"),
+        ],
+        ids=["repeated-method", "empty-n-values"],
+    )
+    def test_repeated_method_exits_1(self, tmp_path, capsys, line, message):
         cfg = str(tmp_path / "bench.cfg")
         with open(cfg, "w") as fh:
-            fh.write("bench.methods = gplda,gplda\n")
+            fh.write(line + "\n")
         args = ["--config", cfg, "bench", "--reps", "1", "--out", str(tmp_path / "r.csv")]
         assert cli_dispatch(args) == 1
-        assert "method 'GPLDA' is listed more than once" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "r.csv")
 
     def test_penalty_settings_apply(self, tmp_path, capsys):
@@ -462,6 +473,17 @@ class TestExitCodes:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_alpha_that_is_not_finite(self, tmp_path, capsys):
+        train = _write_training_csv(tmp_path)
+        model_path = tmp_path / "m.json"
+        code = cli_dispatch(
+            ["fit", "--method", "pda", "--alpha", "nan", "--data", train,
+             "--out", str(model_path)]
+        )
+        assert code == 1
+        assert "alpha must be finite and non-negative" in capsys.readouterr().err
+        assert not os.path.exists(model_path)
 
 
 class TestConsoleEntryPoint:

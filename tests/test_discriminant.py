@@ -345,11 +345,12 @@ class TestPdaFit:
         cosine = abs(direction @ constant) / np.linalg.norm(direction)
         assert cosine >= 0.99
 
-    def test_negative_alpha_rejected(self):
+    @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
+    def test_negative_alpha_rejected(self, alpha):
         rng = np.random.default_rng(31)
         data = sample_well_posed_dataset(rng)
         with pytest.raises(ValidationError, match="non-negative"):
-            pda_fit(data, build_penalty(SECOND_DIFF, data.p), alpha=-1.0)
+            pda_fit(data, build_penalty(SECOND_DIFF, data.p), alpha=alpha)
 
     def test_penalty_grid_mismatch_rejected(self):
         rng = np.random.default_rng(37)
@@ -418,11 +419,12 @@ class TestMleLdaFit:
         model = mle_lda_fit(data)  # ridge defaults on because p >= n
         assert model.directions.shape == (1, 30)
 
-    def test_negative_ridge_rejected(self):
+    @pytest.mark.parametrize("ridge", [-0.5, np.nan, np.inf])
+    def test_negative_ridge_rejected(self, ridge):
         rng = np.random.default_rng(47)
         data = sample_well_posed_dataset(rng)
         with pytest.raises(ValidationError, match="ridge"):
-            mle_lda_fit(data, ridge=-0.5)
+            mle_lda_fit(data, ridge=ridge)
 
     def test_too_few_curves_rejected(self):
         data = LabeledFunctionalDataset(

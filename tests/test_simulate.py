@@ -325,3 +325,5 @@ class TestRunBenchmark:
             run_benchmark("sim1", ["mle"], (20,), reps=0, base_seed=0)
         with pytest.raises(ValidationError, match="methods"):
             run_benchmark("sim1", [], (20,), reps=1, base_seed=0)
+        with pytest.raises(ValidationError, match="training sizes list is empty"):
+            run_benchmark("sim1", ["mle"], (), reps=1, base_seed=0)
