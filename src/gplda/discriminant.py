@@ -10,7 +10,10 @@ covariance are estimated:
 * ``gplda_directions`` uses the posterior estimates from the backfitting
   estimator.
 * ``pda_fit`` uses observed class means and the pooled scatter plus a
-  scaled roughness penalty.
+  scaled roughness penalty.  Its ``PdaPath`` solves that within matrix
+  through its Cholesky factor, or, at n < p with a positive weight and
+  a penalty that carries its closed-form DCT-II basis, as a
+  ``WoodburyForm`` in that basis with no p x p factor.
 * ``mle_lda_fit`` uses observed class means and the pooled scatter alone
   (optionally ridge-stabilized).
 * ``pca_lda_fit`` first projects onto leading principal components, then
@@ -35,6 +38,7 @@ from .model import (
     LabeledFunctionalDataset,
     PosteriorState,
     WithinCovariance,
+    WoodburyForm,
     pooled_within_scatter,
 )
 
@@ -142,15 +146,20 @@ def _assemble(
     k: int | None,
     penalty_descriptor: str | None = None,
     between: Gram | None = None,
+    solve_with: WithinCovariance | None = None,
 ) -> DiscriminantModel:
     """The one model builder: solve for the directions with the centred
     class means as the between factor (``between``, when the caller
-    already holds it) and project the class means onto them."""
+    already holds it) and project the class means onto them.  The
+    solve is against ``solve_with`` when given, an operator for the
+    matrix ``within``, and against ``within`` otherwise."""
     c, p = mu.shape
     k_used, warnings = _resolve_k(k, c, p)
     if between is None:
         between = Gram(_centred_means(mu).T)
-    eigenvalues, directions = generalized_eig_top(between, within, k_used)
+    eigenvalues, directions = generalized_eig_top(
+        between, within if solve_with is None else solve_with, k_used
+    )
     return DiscriminantModel(
         method_tag=method_tag,
         directions=directions,
@@ -253,9 +262,13 @@ class PdaPath:
 
     Holds what does not depend on alpha: the class means, the pooled
     scatter, and the centred class means as the between factor, whose
-    norm is computed once.  Each ``fit`` then costs one Cholesky factor
-    and the solve of c columns.  Callers hold the one-thread BLAS
-    policy themselves.
+    norm is computed once.  When n < p and the penalty has its closed-form
+    basis, it also holds the centred curves over sqrt(n), R with
+    R^T R = scatter, and R rotated into that basis once.  Each ``fit``
+    then solves the c centred means against the within matrix: through
+    a ``WoodburyForm`` with eps = 0 (n x n capacitance, no p x p factor)
+    when it holds R and alpha > 0, through one Cholesky factor of the
+    matrix otherwise.  Callers hold the one-thread BLAS policy themselves.
     """
 
     mu: np.ndarray
@@ -263,28 +276,40 @@ class PdaPath:
     between: Gram
     penalty: SmoothingPenalty
     class_labels: tuple
+    low_rank: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def of(cls, data: LabeledFunctionalDataset, penalty: SmoothingPenalty) -> "PdaPath":
         penalty.check_grid(data.p)
         mu = data.class_means()
+        low_rank = None
+        if data.n < data.p and penalty.closed_basis:
+            root = (data.y - mu[data.labels - 1]) / np.sqrt(data.n)
+            low_rank = (root, penalty.basis.rotate(root))
         return cls(
             mu=mu,
             scatter=pooled_within_scatter(data.y, data.labels, mu),
             between=Gram(_centred_means(mu).T),
             penalty=penalty,
             class_labels=data.label_names,
+            low_rank=low_rank,
         )
 
     def fit(self, alpha: float, k: int | None = None) -> DiscriminantModel:
         """The PDA model at weight ``alpha``: the within matrix is the
-        pooled scatter plus ``alpha`` times the penalty."""
+        pooled scatter plus ``alpha`` times the penalty, and it is the
+        model's ``within_cov_used`` on either route."""
         if not (np.isfinite(alpha) and alpha >= 0):
             raise ValidationError(f"alpha must be finite and non-negative, got {alpha}")
         within = self.scatter + alpha * self.penalty.matrix
+        solve_with = None
+        if self.low_rank is not None and alpha > 0:
+            root, rotated = self.low_rank
+            solve_with = WoodburyForm(root, alpha, 0.0, self.penalty, rotated=rotated)
         return _assemble(
             METHOD_PDA, self.mu, within, self.class_labels, k,
             penalty_descriptor=self.penalty.descriptor, between=self.between,
+            solve_with=solve_with,
         )
 
 

@@ -18,9 +18,12 @@ block's change divided by one plus its old norm), falls below
 ``update_sigma_w`` builds every covariance value as a
 ``WithinCovariance`` operator: its low-rank form when there are fewer
 curves than grid points and the jitter keeps its diagonal positive, its
-Cholesky form otherwise.  A sweep then costs O(n p log p + p n^2) when
-n < p instead of O(p^3), and ``fit`` returns the operator of its last
-sweep without forming the p x p matrix.  Every function here reads a
+Cholesky form otherwise.  When n < p ``fit`` sweeps in the penalty's
+eigenbasis, against the penalty written there (diagonal, identity
+basis): it rotates y once on the way in and x, mu and Sigma_w once on
+the way out, so a sweep costs O(p n^2) instead of O(p^3), with no
+rotation, and ``fit`` returns the operator of its last sweep, carried
+back to the given penalty, without forming the p x p matrix.  Every function here reads a
 covariance value only as such an operator, built on the penalty it is
 given; a bare matrix raises ``ValidationError``.
 """
@@ -47,6 +50,7 @@ from .model import (
     WithinCovariance,
     WoodburyForm,
     _state_terms,
+    check_state,
     check_within,
     log_posterior,
     pooled_within_scatter,
@@ -105,7 +109,7 @@ def update_alpha1(
         raise HyperParameterError(
             f"2*a1 + c - 2 = {numerator} must be positive (a1={hyper.a1}, c={c})"
         )
-    quad = float(np.sum(mu * (mu @ penalty.matrix)))
+    quad = float(np.sum(mu * penalty.apply(mu)))
     return numerator / (2.0 * hyper.b1 + quad)
 
 
@@ -203,7 +207,7 @@ def update_sigma_w(
     rho = n / (n + hyper.nu(p) + p + 1.0)
     beta = (rho / n) * alpha2
     root = np.sqrt(rho / n) * (x - mu[data.labels - 1])
-    eps = jitter_scale * (float(np.sum(root * root)) + beta * float(np.trace(penalty.matrix))) / p
+    eps = jitter_scale * (float(np.sum(root * root)) + beta * penalty.trace) / p
     if n < p and np.all(beta * penalty.basis.eigenvalues + eps > 0):
         return WoodburyForm(root, beta, eps, penalty)
     sigma_w = rho * pooled_within_scatter(x, data.labels, mu) + beta * penalty.matrix
@@ -273,21 +277,24 @@ def fit(
     start : PosteriorState, optional
         Resume from a given state instead of the standard initializer;
         its covariance must be built on ``config.penalty`` (the same
-        object or an equal matrix).
+        object or an equal matrix), which is checked before the state is
+        rotated.
 
     Returns
     -------
     (PosteriorState, FitTrace)
         The final state, with the covariance as the ``WithinCovariance``
-        operator of the last sweep (``np.asarray`` gives its matrix), and
-        the per-sweep diagnostics.
+        operator of the last sweep on ``config.penalty`` (``np.asarray``
+        gives its matrix), and the per-sweep diagnostics, which do not
+        change under the rotation.
 
     Raises
     ------
     ValidationError
         If the dataset is too small to estimate a within-class covariance,
-        or ``start``'s covariance is a bare matrix or was built on another
-        penalty.
+        or ``start`` does not fit the data's shapes, its covariance is a
+        bare matrix or was built on another penalty, or one of its scalars
+        is not positive.
     NumericFailureError
         If any block becomes non-finite during a sweep.
     """
@@ -296,7 +303,19 @@ def fit(
         config = FitConfig.default(data.p)
     data.check_within_estimable()
     config.penalty.check_grid(data.p)
+    if start is not None:
+        check_state(start, data, config.penalty)
     with blas_threads_for():
+        # With n < p the sweeps run in the penalty's eigenbasis, where it
+        # is diagonal: y and the start go in once, x, mu and Sigma_w come
+        # out once, and no update rotates.
+        given = config.penalty
+        basis = given.basis if data.n < data.p else None
+        if basis is not None:
+            config = replace(config, penalty=given.in_basis())
+            data = replace(data, y=basis.rotate(data.y))
+            if start is not None:
+                start = _carried(start, basis.rotate, config.penalty)
         penalty = config.penalty
         state = start if start is not None else initial_state(data, hyper, config)
         history = [log_posterior(state, data, hyper, penalty)]
@@ -329,7 +348,16 @@ def fit(
             log_posterior_per_sweep=tuple(history),
             final_residuals=first_order_residuals(state, data, hyper, penalty),
         )
+        if basis is not None:
+            state = _carried(state, basis.unrotate, given)
         return state, trace
+
+
+def _carried(state: PosteriorState, turn, penalty: SmoothingPenalty) -> PosteriorState:
+    """``state`` with ``turn`` applied to the rows of x and mu, and Sigma_w
+    carried to ``penalty``."""
+    return replace(state, x=turn(state.x), mu=turn(state.mu),
+                   sigma_w=state.sigma_w.carried_to(penalty))
 
 
 def first_order_residuals(
@@ -370,7 +398,7 @@ def first_order_residuals(
     # Class i: 2 inv(sigma_w) sum_{j in i} (x_j - mu_i) - 2 alpha1 omega mu_i.
     solved_sums = np.zeros((c, p))
     np.add.at(solved_sums, data.labels - 1, solved)
-    grad_mu = 2.0 * solved_sums - 2.0 * state.alpha1 * (state.mu @ penalty.matrix)
+    grad_mu = 2.0 * solved_sums - 2.0 * state.alpha1 * penalty.apply(state.mu)
     mu_max = float(np.max(np.linalg.norm(grad_mu, axis=1)))
 
     # inv(sigma_w) (scatter + alpha2 omega) inv(sigma_w) - (n + nu + p + 1) inv(sigma_w).

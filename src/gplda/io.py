@@ -309,6 +309,13 @@ def _parse_grid(raw: str) -> tuple[int, int]:
     return int(rows), int(cols)
 
 
+def _finite_non_negative(raw: str) -> float:
+    value = float(raw)
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"{raw!r} is not finite and non-negative")
+    return value
+
+
 def _or(codec, value, *words):
     """``codec`` plus ``value``, which is read from any of ``words`` and
     written as the first.
@@ -336,6 +343,7 @@ def _sequence(codec):
 _TEXT = (str, str, "text")
 _INT = (int, str, "an integer")
 _FLOAT = (float, _format_float, "a number")
+_WEIGHT = (_finite_non_negative, _format_float, "a finite non-negative number")
 _GRID = (_parse_grid, lambda grid: "%dx%d" % grid, "ROWSxCOLS")
 
 # (key, RunConfig attribute, codec) in output order.  A "hyper.<name>"
@@ -348,13 +356,13 @@ _CONFIG_FIELDS = (
     ("out", "out", _or(_TEXT, None, "")),
     ("penalty.kind", "penalty_kind", _TEXT),
     ("penalty.grid", "penalty_grid", _or(_GRID, None, "")),
-    ("pda.alpha", "pda_alpha", _or(_FLOAT, "cv", "cv")),
+    ("pda.alpha", "pda_alpha", _or(_WEIGHT, "cv", "cv")),
     ("pca.q", "pca_q", _INT),
-    ("mle.ridge", "mle_ridge", _or(_FLOAT, "auto", "auto")),
+    ("mle.ridge", "mle_ridge", _or(_WEIGHT, "auto", "auto")),
     *((f"hyper.{f.name}", f"hyper.{f.name}", _FLOAT) for f in fields(HyperParams)),
     ("fit.max_sweeps", "max_sweeps", _INT),
-    ("fit.rel_tol", "rel_tol", _FLOAT),
-    ("fit.jitter_scale", "jitter_scale", _FLOAT),
+    ("fit.rel_tol", "rel_tol", _WEIGHT),
+    ("fit.jitter_scale", "jitter_scale", _WEIGHT),
     ("bench.which", "bench_which", _TEXT),
     ("bench.methods", "bench_methods", _sequence(_TEXT)),
     ("bench.n_values", "bench_n_values", _sequence(_INT)),

@@ -73,10 +73,12 @@ class PenaltyBasis:
     """Orthonormal eigenbasis Q of a penalty: ``matrix = Q diag(eigenvalues) Q^T``.
 
     ``rotate`` and ``unrotate`` act on rows, so for an (m, p) array they
-    return ``rows @ Q`` and ``rows @ Q.T``.  With ``vectors`` None, Q is
-    the orthonormal DCT-II on ``grid`` (one length, or rows x cols in
-    row-major order), applied in O(m p log p) with no p x p matrix;
-    otherwise Q is ``vectors``.
+    return ``rows @ Q`` and ``rows @ Q.T``.  Q is ``vectors`` when given.
+    Otherwise a ``grid`` (one length, or rows x cols in row-major order)
+    makes Q the orthonormal DCT-II on it, applied in O(m p log p) with no
+    p x p matrix, and no grid makes Q the identity, whose rotations return
+    the rows themselves.  ``grid`` is set exactly when Q is the closed-form
+    DCT-II, also when a small grid keeps it as ``vectors``.
     """
 
     eigenvalues: np.ndarray
@@ -92,7 +94,8 @@ class PenaltyBasis:
         eigenvalues = path[0] if len(grid) == 1 else np.add.outer(*path).ravel() ** 2
         if eigenvalues.size >= DENSE_DCT_BELOW_P:
             return cls(eigenvalues=eigenvalues, grid=grid)
-        return cls(eigenvalues=eigenvalues, vectors=functools.reduce(np.kron, map(_dct_ii, grid)))
+        vectors = functools.reduce(np.kron, map(_dct_ii, grid))
+        return cls(eigenvalues=eigenvalues, vectors=vectors, grid=grid)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "PenaltyBasis":
@@ -102,12 +105,12 @@ class PenaltyBasis:
     def rotate(self, rows: np.ndarray) -> np.ndarray:
         if self.vectors is not None:
             return rows @ self.vectors
-        return self._transform("dctn", rows)
+        return self._transform("dctn", rows) if self.grid else rows
 
     def unrotate(self, rows: np.ndarray) -> np.ndarray:
         if self.vectors is not None:
             return rows @ self.vectors.T
-        return self._transform("idctn", rows)
+        return self._transform("idctn", rows) if self.grid else rows
 
     def _transform(self, name: str, rows: np.ndarray) -> np.ndarray:
         # Imported on first use: scipy.fft adds about 0.1 s to the start of
@@ -163,6 +166,27 @@ class SmoothingPenalty:
         """
         return PenaltyBasis.from_matrix(self.matrix)
 
+    @property
+    def closed_basis(self) -> bool:
+        """Whether ``basis`` is the closed DCT-II form ``build_penalty``
+        filled in, whose null-mode eigenvalues are exact zeros.  Never
+        computes ``eigh``."""
+        basis = self.__dict__.get("basis")
+        return basis is not None and bool(basis.grid)
+
+    def apply(self, rows: np.ndarray) -> np.ndarray:
+        """``rows @ matrix``: each row times the penalty."""
+        return rows @ self.matrix
+
+    @functools.cached_property
+    def trace(self) -> float:
+        return float(np.trace(self.matrix))
+
+    def in_basis(self) -> "SmoothingPenalty":
+        """This penalty in its own eigenbasis: the same eigenvalues on an
+        identity basis (``EigenbasisPenalty``)."""
+        return EigenbasisPenalty(self.basis.eigenvalues, self.kind, self.grid)
+
     def check_grid(self, p: int) -> None:
         """Raise ``DimensionError`` unless the penalty is built for p points."""
         if self.p != p:
@@ -175,6 +199,35 @@ class SmoothingPenalty:
             rows, cols = self.grid
             return f"{LAPLACIAN_2D}:{rows}x{cols}"
         return self.kind
+
+
+class EigenbasisPenalty(SmoothingPenalty):
+    """A penalty written in its own eigenbasis: ``matrix`` is diag(lambda).
+
+    Its basis is the identity, so rotations cost nothing, ``apply`` is
+    ``rows * lambda`` and ``trace`` is ``sum(lambda)``.  The p x p
+    ``matrix`` is formed only when a dense path reads it.
+    """
+
+    def __init__(self, eigenvalues: np.ndarray, kind: str, grid: tuple[int, int] | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "grid", grid)
+        self.__dict__["basis"] = PenaltyBasis(eigenvalues=eigenvalues)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return np.diag(self.basis.eigenvalues)
+
+    @property
+    def p(self) -> int:
+        return self.basis.eigenvalues.size
+
+    def apply(self, rows: np.ndarray) -> np.ndarray:
+        return rows * self.basis.eigenvalues
+
+    @functools.cached_property
+    def trace(self) -> float:
+        return float(np.sum(self.basis.eigenvalues))
 
 
 def _difference_gram(p: int, order: int) -> np.ndarray:

@@ -22,12 +22,15 @@ rho S + beta Omega + eps I, with S the scatter of n latent curves.  In
 the penalty's eigenbasis that is a positive diagonal plus a term of rank
 at most n, so when n < p the ``WoodburyForm`` works with n x n
 capacitance matrices: O(p n^2) per operation plus the rotation of n
-rows into the basis, O(n p log p) for the DCT-II bases.  The
-``CholeskyForm`` factors the dense p x p matrix: it serves n >= p and a
-diagonal with a zero (no jitter on a singular penalty).
-``estimator.update_sigma_w`` picks the form and the jitter.  Each form
-implements one shifted solve, and ``solve`` and ``blend`` are written
-once on top of it.
+rows into the basis, O(n p log p) for the DCT-II bases and nothing for
+the identity basis of a penalty written in its own eigenbasis, where
+``estimator.fit`` sweeps.  The ``CholeskyForm`` factors the dense p x p
+matrix: it serves n >= p and, in the backfit, a diagonal with a zero
+(no jitter on a singular penalty).  ``estimator.update_sigma_w`` picks
+the form and the jitter.  Each form implements one shifted solve, and
+``solve`` and ``blend`` are written once on top of it.  PDA's within
+matrix, scatter plus alpha Omega, is a ``WoodburyForm`` with zeros on
+the penalty's null modes, which its unshifted solve eliminates.
 """
 
 from __future__ import annotations
@@ -267,6 +270,10 @@ class WithinCovariance:
       S^-1 (rows^T rows + weight Omega) S^-1 - count S^-1;
     - ``relative_change(old)``: ||S - old||_F / (1 + ||old||_F);
     - ``is_finite()``;
+    - ``carried_to(penalty)``: the value on ``penalty``, a penalty with the
+      same eigenvalues on another basis, that has in ``penalty``'s basis
+      the coordinates S has in its own (``estimator.fit`` moves values in
+      and out of the eigenbasis with it);
     - ``S - other``: the dense difference.
 
     Each value is built on one penalty, and ``check_penalty`` rejects
@@ -360,25 +367,42 @@ class CholeskyForm(WithinCovariance):
         sandwich = inverse @ (rows.T @ rows + weight * self.penalty.matrix) @ inverse
         return frobenius_norm(sandwich - count * inverse)
 
+    def carried_to(self, penalty):
+        def turn(rows):
+            return penalty.basis.unrotate(self.penalty.basis.rotate(rows))
+
+        matrix = turn(turn(self.matrix).T)
+        return CholeskyForm(0.5 * (matrix + matrix.T), penalty)
+
 
 class WoodburyForm(WithinCovariance):
-    """Sigma_w = Q diag(d) Q^T + R^T R with d = beta lambda + eps > 0.
+    """Sigma_w = Q diag(d) Q^T + R^T R with d = beta lambda + eps >= 0.
 
     Q and lambda are the penalty's eigenbasis and eigenvalues, and R holds
-    n < p rows.  In the rotated basis every inverse is diag(1/d) less a
-    rank-n correction through the n x n capacitance K = I + V R~^T, with
-    R~ = R Q and V = R~ diag(1/d) (Woodbury identity), and
+    n < p rows; ``rotated`` is R~ = R Q, computed here unless the caller
+    already holds it.  In the rotated basis every inverse is diag(1/d)
+    less a rank-n correction through the n x n capacitance K = I + V R~^T,
+    with V = R~ diag(1/d) (Woodbury identity), and
     log det Sigma_w = sum(log d) + log det K (determinant lemma).
+
+    The backfit's values have d > 0.  PDA's within matrix, scatter plus
+    alpha Omega, has eps = 0 and so d = 0 on the penalty's null modes N
+    (the exact zeros of a closed-form basis); for it only ``solve``,
+    ``norm`` and ``dense`` are defined.  Its solve eliminates the m = |N|
+    null modes through the m x m Schur complement C = R~_N^T K^-1 R~_N,
+    with K taken over the positive modes alone; a C that is not positive
+    definite means Sigma_w is singular and raises ``SingularMatrixError``.
     """
 
-    def __init__(self, root: np.ndarray, beta: float, eps: float, penalty: SmoothingPenalty):
+    def __init__(self, root: np.ndarray, beta: float, eps: float, penalty: SmoothingPenalty,
+                 rotated: np.ndarray | None = None):
         self.root = root
         self.beta = beta
         self.eps = eps
         self.penalty = penalty
         self.p = root.shape[1]
         self.basis = penalty.basis
-        self.rotated = self.basis.rotate(root)
+        self.rotated = self.basis.rotate(root) if rotated is None else rotated
         self.d = beta * self.basis.eigenvalues + eps
 
     def _capacitance(self, diagonal: np.ndarray):
@@ -390,27 +414,54 @@ class WoodburyForm(WithinCovariance):
         return half / root_d, capacitance
 
     @functools.cached_property
+    def _null(self) -> np.ndarray:
+        return np.flatnonzero(self.d == 0)
+
+    @functools.cached_property
     def _unshifted(self):
-        return self._capacitance(self.d)
+        # (diagonal, V, K).  A null mode enters as an infinite diagonal: a
+        # zero column of V, and no part of K.
+        diagonal = np.where(self.d > 0, self.d, np.inf)
+        return diagonal, *self._capacitance(diagonal)
+
+    @functools.cached_property
+    def _null_elimination(self):
+        # (K^-1 R~_N, Cholesky factor of C).
+        columns = self.rotated[:, self._null]
+        solved = spd_solve(self._unshifted[2], columns)
+        return solved, cholesky_factor(columns.T @ solved)
 
     def _solve_rotated(self, rotated_rows, shift=0.0):
         if shift == 0:
-            diagonal, (scaled, capacitance) = self.d, self._unshifted
+            diagonal, scaled, capacitance = self._unshifted
         else:
             diagonal = self.d + shift
             scaled, capacitance = self._capacitance(diagonal)
         solved = rotated_rows / diagonal
-        solved -= spd_solve(capacitance, scaled @ rotated_rows.T).T @ scaled
+        inner = spd_solve(capacitance, scaled @ rotated_rows.T)
+        if shift == 0 and self._null.size:
+            # x_N = C^-1 (b_N - R~_N^T K^-1 V b); x_P below then reads
+            # K^-1 (V b + R~_N x_N) for K^-1 V b.  V's null columns are
+            # zero, so the last step leaves x_N in place.
+            null = self._null
+            columns_solved, schur = self._null_elimination
+            x_null = scipy_linalg().cho_solve(
+                schur, rotated_rows[:, null].T - self.rotated[:, null].T @ inner,
+                check_finite=False,
+            )
+            inner += columns_solved @ x_null
+            solved[:, null] = x_null.T
+        solved -= inner.T @ scaled
         return solved
 
     @functools.cached_property
     def log_det(self) -> float:
-        factor = cholesky_factor(self._unshifted[1])[0]
+        factor = cholesky_factor(self._unshifted[2])[0]
         return float(np.sum(np.log(self.d))) + 2.0 * float(np.sum(np.log(np.diag(factor))))
 
     @functools.cached_property
     def penalty_trace(self) -> float:
-        scaled, capacitance = self._unshifted
+        _, scaled, capacitance = self._unshifted
         lam = self.basis.eigenvalues
         inner = spd_solve(capacitance, (scaled * lam) @ scaled.T)
         return float(np.sum(lam / self.d)) - float(np.trace(inner))
@@ -450,7 +501,7 @@ class WoodburyForm(WithinCovariance):
         # the gradient is diag(weight lambda / d^2 - count / d) + E^T E
         # + Z^T P + P^T Z, where E = rows~ A and
         # Z = count/2 V - weight V diag(lambda / d) + 1/2 (weight V Lambda V^T) P.
-        scaled, capacitance = self._unshifted
+        _, scaled, capacitance = self._unshifted
         lam = self.basis.eigenvalues
         projected = spd_solve(capacitance, scaled)
         solved_rows = self._solve_rotated(self.basis.rotate(rows))
@@ -486,6 +537,10 @@ class WoodburyForm(WithinCovariance):
         squared = (np.sum(step**2) + 2.0 * np.sum(step * np.sum(total * diff, axis=0))
                    + low_rank)
         return math.sqrt(max(squared, 0.0)) / (1.0 + old.norm)
+
+    def carried_to(self, penalty):
+        return WoodburyForm(penalty.basis.unrotate(self.rotated), self.beta, self.eps, penalty,
+                            rotated=self.rotated)
 
 
 @dataclass(frozen=True, eq=False)
@@ -560,13 +615,11 @@ def check_within(sigma_w, penalty: SmoothingPenalty | None = None) -> None:
         sigma_w.check_penalty(penalty)
 
 
-def _state_terms(
+def check_state(
     state: PosteriorState, data: LabeledFunctionalDataset, penalty: SmoothingPenalty
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Check ``state`` against the data and the penalty, and return the
-    pieces the objective and its gradients share: y - x, the latent curves
-    centred at their class means, those rows solved against Sigma_w, and
-    the class means' penalty quadratic sum_i mu_i^T Omega mu_i."""
+) -> None:
+    """Raise unless ``state`` fits the data's shapes, its covariance is a
+    ``WithinCovariance`` built on ``penalty`` and its scalars are positive."""
     n, p, c = data.n, data.p, data.c
     check_within(state.sigma_w)
     if state.x.shape != (n, p):
@@ -580,8 +633,18 @@ def _state_terms(
         value = getattr(state, name)
         if not (np.isfinite(value) and value > 0):
             raise ValidationError(f"state.{name} must be strictly positive, got {value}")
+
+
+def _state_terms(
+    state: PosteriorState, data: LabeledFunctionalDataset, penalty: SmoothingPenalty
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Check ``state`` against the data and the penalty, and return the
+    pieces the objective and its gradients share: y - x, the latent curves
+    centred at their class means, those rows solved against Sigma_w, and
+    the class means' penalty quadratic sum_i mu_i^T Omega mu_i."""
+    check_state(state, data, penalty)
     centered = state.x - state.mu[data.labels - 1]
-    mean_quad = float(np.sum(state.mu * (state.mu @ penalty.matrix)))
+    mean_quad = float(np.sum(state.mu * penalty.apply(state.mu)))
     return data.y - state.x, centered, state.sigma_w.solve(centered), mean_quad
 
 

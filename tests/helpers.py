@@ -27,6 +27,7 @@ from gplda import (
     update_alpha2,
     update_mu,
     update_sigma2,
+    update_sigma_w,
     update_x,
 )
 from gplda import simulate
@@ -177,6 +178,50 @@ def dense_fit(data, hyper=None, config=None, start=None):
         log_posterior_per_sweep=tuple(history),
         final_residuals=first_order_residuals(state, data, hyper, penalty),
     )
+
+
+def unrotated_fit(data, hyper=None, config=None):
+    """Reference backfitting loop in the data's own coordinates.
+
+    ``fit`` before it moved its n < p sweeps into the penalty's
+    eigenbasis: every sweep calls the public updates with
+    ``config.penalty`` itself, so a low-rank Sigma_w rotates rows into
+    the basis and back at each operation.  The start and the stopping
+    rule are ``fit``'s; returns ``(state, FitTrace)`` as it does.
+    """
+    hyper = hyper if hyper is not None else HyperParams()
+    if config is None:
+        config = FitConfig(penalty=build_penalty(FIRST_DIFF, data.p))
+    penalty = config.penalty
+    with blas_threads_for():
+        state = initial_state(data, hyper, config)
+        history = [log_posterior(state, data, hyper, penalty)]
+        converged = False
+        sweeps_run = 0
+        for sweep in range(1, config.max_sweeps + 1):
+            sweeps_run = sweep
+            old = state
+            state = dataclasses.replace(
+                old, alpha1=update_alpha1(old.mu, penalty, hyper),
+                alpha2=update_alpha2(old.sigma_w, penalty, hyper),
+                sigma2=update_sigma2(old.x, data, hyper),
+            )
+            state = dataclasses.replace(
+                state, x=update_x(data, state.mu, state.sigma_w, state.sigma2))
+            state = dataclasses.replace(
+                state, mu=update_mu(state.x, data, state.sigma_w, state.alpha1, penalty))
+            state = dataclasses.replace(state, sigma_w=update_sigma_w(
+                state.x, state.mu, data, state.alpha2, penalty, hyper, config.jitter_scale))
+            history.append(log_posterior(state, data, hyper, penalty))
+            if state.relative_change(old) < config.rel_tol:
+                converged = True
+                break
+        return state, FitTrace(
+            sweeps_run=sweeps_run,
+            converged=converged,
+            log_posterior_per_sweep=tuple(history),
+            final_residuals=first_order_residuals(state, data, hyper, penalty),
+        )
 
 
 def dense_pda_fit(data, penalty, alpha):

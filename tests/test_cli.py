@@ -310,6 +310,18 @@ class TestBench:
         assert message in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "r.csv")
 
+    def test_alpha_that_is_not_finite_stops_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        cfg = str(tmp_path / "bench.cfg")
+        with open(cfg, "w") as fh:
+            fh.write("pda.alpha = nan\nbench.methods = gplda,pda\nbench.n_values = 20\n")
+        fits = []
+        monkeypatch.setattr(gplda.simulate, "fit_method", lambda *args: fits.append(args))
+        out = str(tmp_path / "r.csv")
+        assert cli_dispatch(["--config", cfg, "bench", "--reps", "1", "--out", out]) == 1
+        assert "config key pda.alpha" in capsys.readouterr().err
+        assert fits == []
+        assert not os.path.exists(out) and not os.path.exists(out + ".summary.json")
+
     def test_penalty_settings_apply(self, tmp_path, capsys):
         cfg = str(tmp_path / "bench.cfg")
         with open(cfg, "w") as fh:
@@ -482,7 +494,8 @@ class TestExitCodes:
              "--out", str(model_path)]
         )
         assert code == 1
-        assert "alpha must be finite and non-negative" in capsys.readouterr().err
+        message = "config key pda.alpha: cannot parse 'nan' as a finite non-negative number"
+        assert message in capsys.readouterr().err
         assert not os.path.exists(model_path)
 
 

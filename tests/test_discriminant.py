@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gplda import (
+    DEFAULT_PDA_ALPHA_GRID,
     FIRST_DIFF,
     LAPLACIAN_2D,
     SECOND_DIFF,
@@ -374,6 +375,89 @@ class TestPdaFit:
         penalty = build_penalty(SECOND_DIFF, 40)
         model = pda_fit(data, penalty, alpha=1.0)
         assert model.directions.shape == (1, 40)
+
+
+def _pda_case(kind, c):
+    """(train, test, penalty) with n = 60 < p: images of 10 x 20 under
+    first differences (p = 200) or of 16 x 16 under the grid Laplacian,
+    relabelled into c classes, each shifted by its own smooth curve."""
+    rows, cols = (10, 20) if kind == FIRST_DIFF else (16, 16)
+    rng = np.random.default_rng(719 + c)
+    t = np.linspace(0.0, 1.0, rows * cols)
+    sets = []
+    for n in (60, 200):
+        images = lap2d_image_set(rng, n, rows, cols)
+        labels = np.arange(n) % c + 1
+        shifts = 1.5 * np.cos(np.pi * np.outer(np.arange(1, c + 1), t))
+        sets.append(LabeledFunctionalDataset(
+            y=images.y + shifts[labels - 1], labels=labels, label_names=tuple(range(1, c + 1))))
+    dims = (rows, cols) if kind == LAPLACIAN_2D else rows * cols
+    return sets[0], sets[1], build_penalty(kind, dims)
+
+
+def _factor_sizes(monkeypatch):
+    """Record the size of every matrix the package Cholesky factors."""
+    sizes, original = [], linalg_module.cholesky_factor
+
+    def spy(a):
+        sizes.append(np.shape(a)[0])
+        return original(a)
+
+    for module in (linalg_module, model_module):
+        monkeypatch.setattr(module, "cholesky_factor", spy)
+    return sizes
+
+
+class TestPdaEigenbasisSolve:
+    """PDA at n < p with a closed-form penalty basis solves its within
+    matrix as a ``WoodburyForm`` with zeros on the null modes."""
+
+    @pytest.mark.parametrize("kind", [FIRST_DIFF, LAPLACIAN_2D])
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_matches_the_dense_solve_at_every_grid_weight(self, kind, c, monkeypatch):
+        train, test, penalty = _pda_case(kind, c)
+        assert train.n < train.p and penalty.closed_basis
+        mu = train.class_means()
+        scatter = pooled_within_scatter(train.y, train.labels, mu)
+        sizes = _factor_sizes(monkeypatch)
+        models = [pda_fit(train, penalty, alpha) for alpha in DEFAULT_PDA_ALPHA_GRID]
+        assert sizes and max(sizes) < train.p
+        monkeypatch.undo()
+        for alpha, model in zip(DEFAULT_PDA_ALPHA_GRID, models):
+            within = model.within_cov_used
+            np.testing.assert_array_equal(within, scatter + alpha * penalty.matrix)
+            with blas_threads_for():
+                values, directions = generalized_eig_top(Gram((mu - mu.mean(axis=0)).T), within, c - 1)
+            moved = np.linalg.norm(model.directions - directions, axis=1)
+            assert np.all(moved <= 1e-8 * np.linalg.norm(directions, axis=1)), alpha
+            gram = model.directions @ within @ model.directions.T
+            np.testing.assert_allclose(gram, np.eye(c - 1), rtol=0.0, atol=1e-10)
+            reference = replace(model, directions=directions, projected_centroids=mu @ directions.T)
+            np.testing.assert_array_equal(predict(model, test.y), predict(reference, test.y))
+
+    @pytest.mark.parametrize("kind,alpha", [(SECOND_DIFF, 10.0), (FIRST_DIFF, 0.0)])
+    def test_other_fits_factor_the_within_matrix(self, kind, alpha, monkeypatch):
+        # d2 has an eigh basis, whose null modes are not exact zeros, and
+        # alpha = 0 leaves the scatter alone, singular at n < p.
+        train, _, _ = _pda_case(FIRST_DIFF, 2)
+        penalty = build_penalty(kind, train.p)
+        sizes = _factor_sizes(monkeypatch)
+        try:
+            pda_fit(train, penalty, alpha)
+        except SingularMatrixError:
+            assert alpha == 0.0
+        assert sizes == [train.p]
+
+    def test_identical_curves_in_each_class_raise(self):
+        # Integer curves and classes of eight: the class means are exact,
+        # so the scatter is exactly zero and only the penalty is left,
+        # which is singular on constants.
+        rng = np.random.default_rng(727)
+        curves = rng.integers(-5, 6, size=(2, 256)).astype(float)
+        labels = np.repeat([1, 2], 8)
+        data = LabeledFunctionalDataset(y=curves[labels - 1], labels=labels, label_names=(1, 2))
+        with pytest.raises(SingularMatrixError, match="not positive definite"):
+            pda_fit(data, build_penalty(LAPLACIAN_2D, (16, 16)), 10.0)
 
 
 class TestMleLdaFit:

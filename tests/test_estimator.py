@@ -30,7 +30,8 @@ from gplda import (
     update_x,
 )
 import gplda.estimator
-from gplda import LAPLACIAN_2D, SimSpec, generate, gplda_directions, predict
+from gplda import LAPLACIAN_2D, SECOND_DIFF, SimSpec, generate, gplda_directions, gplda_fit, predict
+from gplda.linalg import EigenbasisPenalty
 from gplda.model import CholeskyForm, WithinCovariance, WoodburyForm
 
 from helpers import (
@@ -40,6 +41,7 @@ from helpers import (
     lap2d_image_set,
     random_posterior_state,
     sample_well_posed_dataset,
+    unrotated_fit,
 )
 
 
@@ -612,8 +614,14 @@ class TestOneCovarianceBuilder:
         monkeypatch.setattr(WoodburyForm, "dense", dense)
         state, trace = fit(train)
         assert len(built) == 1 + trace.sweeps_run
-        assert state.sigma_w is built[-1]
         assert isinstance(state.sigma_w, WoodburyForm if low_rank else CholeskyForm)
+        if low_rank:
+            # Built in the penalty's eigenbasis and carried out of it: the
+            # same rotated rows and diagonal, with no rotation redone.
+            assert state.sigma_w.rotated is built[-1].rotated
+            np.testing.assert_array_equal(state.sigma_w.d, built[-1].d)
+        else:
+            assert state.sigma_w is built[-1]
         # n < p: no O(p^2 n) scatter; n >= p: one dense update per call.
         assert len(scatters) == (0 if low_rank else len(built))
 
@@ -727,3 +735,74 @@ class TestRouteAgreement:
         train = lap2d_image_set(rng, 100, 40, 40)
         test = lap2d_image_set(rng, 400, 40, 40)
         self._check(train, test, FitConfig(penalty=build_penalty(LAPLACIAN_2D, (40, 40))))
+
+
+def _eigenbasis_case(name):
+    """(train, test, config) of an n < p fit on each kind of penalty basis:
+    the dense DCT-II matrix (d1, p = 101), the fast 2-D transform (lap2d
+    16 x 16) and ``eigh`` (d2)."""
+    if name == "lap2d_16x16":
+        rng = np.random.default_rng(709)
+        train, test = lap2d_image_set(rng, 60, 16, 16), lap2d_image_set(rng, 200, 16, 16)
+        return train, test, FitConfig(penalty=build_penalty(LAPLACIAN_2D, (16, 16)))
+    which, n_train, kind = {"d1_p101": ("sim1", 50, FIRST_DIFF), "d2": ("sim2", 20, SECOND_DIFF)}[name]
+    train, test = generate(SimSpec(which, n_train, 200, seed=11))
+    return train, test, FitConfig(penalty=build_penalty(kind, train.p))
+
+
+class TestEigenbasisFit:
+    """At n < p ``fit`` sweeps in the penalty's eigenbasis; ``unrotated_fit``
+    runs the same sweeps in the data's own coordinates."""
+
+    @pytest.mark.parametrize("name", ["d1_p101", "lap2d_16x16", "d2"])
+    def test_fit_matches_the_unrotated_loop(self, name):
+        train, test, config = _eigenbasis_case(name)
+        assert train.n < train.p
+        state, trace = fit(train, config=config)
+        expected, expected_trace = unrotated_fit(train, config=config)
+        assert state.sigma_w.penalty is config.penalty
+        assert trace.sweeps_run == expected_trace.sweeps_run
+        for block in ("x", "mu", "sigma_w", "alpha1", "sigma2"):
+            new, old = np.asarray(getattr(state, block)), np.asarray(getattr(expected, block))
+            assert np.linalg.norm(new - old) <= 1e-12 * np.linalg.norm(old), block
+        # alpha2 inverts tr(Sigma_w^-1 Omega), which cancels to about nine
+        # digits at cond(Sigma_w) ~ 1e9 whichever basis computes it.
+        assert state.alpha2 == pytest.approx(expected.alpha2, rel=1e-8)
+        np.testing.assert_allclose(
+            trace.log_posterior_per_sweep, expected_trace.log_posterior_per_sweep, rtol=1e-8
+        )
+        model, _ = gplda_fit(train, config=config)
+        reference = gplda_directions(expected, train.label_names)
+        moved = np.linalg.norm(model.directions - reference.directions, axis=1)
+        assert np.all(moved <= 1e-8 * np.linalg.norm(reference.directions, axis=1))
+        np.testing.assert_array_equal(predict(model, test.y), predict(reference, test.y))
+
+    def test_a_zero_jitter_fit_carries_its_cholesky_form_back(self):
+        # Without jitter the constant mode's diagonal is zero, so the
+        # sweeps take the Cholesky form of the in-basis matrix.
+        train, _ = generate(SimSpec("sim1", 50, 2, seed=0))
+        config = FitConfig(
+            penalty=build_penalty(FIRST_DIFF, train.p), jitter_scale=0.0, max_sweeps=3
+        )
+        state, trace = fit(train, config=config)
+        expected, expected_trace = unrotated_fit(train, config=config)
+        assert isinstance(state.sigma_w, CholeskyForm)
+        assert state.sigma_w.penalty is config.penalty
+        assert np.array_equal(state.sigma_w.matrix, state.sigma_w.matrix.T)
+        for block in ("x", "mu", "sigma_w", "alpha1", "sigma2"):
+            new, old = np.asarray(getattr(state, block)), np.asarray(getattr(expected, block))
+            assert np.linalg.norm(new - old) <= 1e-12 * np.linalg.norm(old), block
+        assert state.alpha2 == pytest.approx(expected.alpha2, rel=1e-7)
+        np.testing.assert_allclose(
+            trace.log_posterior_per_sweep, expected_trace.log_posterior_per_sweep, rtol=1e-8
+        )
+
+    def test_a_jittered_fit_forms_no_p_by_p_penalty_matrix(self, monkeypatch):
+        train, _, config = _eigenbasis_case("lap2d_16x16")
+
+        def no_matrix(self):
+            raise AssertionError("the in-basis penalty formed its p x p matrix")
+
+        monkeypatch.setattr(EigenbasisPenalty, "matrix", property(no_matrix))
+        state, _ = fit(train, config=config)
+        assert isinstance(state.sigma_w, WoodburyForm)

@@ -408,6 +408,13 @@ class TestConfigFormat:
         with pytest.raises(ParseError, match="cannot parse 'wide'"):
             parse_config("fit.rel_tol = wide\n")
 
+    @pytest.mark.parametrize("key", ["pda.alpha", "mle.ridge", "fit.rel_tol", "fit.jitter_scale"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-1"])
+    def test_weights_must_be_finite_and_non_negative(self, key, text):
+        message = f"config key {key}: cannot parse '{text}' as a finite non-negative number"
+        with pytest.raises(ParseError, match=message):
+            parse_config(f"{key} = {text}\n")
+
     def test_bad_grid_shape_rejected(self):
         with pytest.raises(ParseError, match="ROWSxCOLS"):
             parse_config("penalty.grid = 12\n")

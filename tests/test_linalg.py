@@ -199,6 +199,49 @@ class TestPenaltyBasis:
             (q * penalty.basis.eigenvalues) @ q.T, np.eye(p), rtol=0, atol=1e-12
         )
 
+    @pytest.mark.parametrize("kind,dims", [
+        (FIRST_DIFF, 101), (FIRST_DIFF, 400), (SECOND_DIFF, 101), (LAPLACIAN_2D, (16, 16)),
+    ])
+    def test_apply_and_trace_are_the_matrix_products(self, kind, dims):
+        penalty = build_penalty(kind, dims)
+        rows = np.random.default_rng(213).standard_normal((3, penalty.p))
+        np.testing.assert_array_equal(penalty.apply(rows), rows @ penalty.matrix)
+        assert penalty.trace == np.trace(penalty.matrix)
+
+    @pytest.mark.parametrize("kind,dims", [
+        (FIRST_DIFF, 101), (FIRST_DIFF, 400), (SECOND_DIFF, 101), (LAPLACIAN_2D, (16, 16)),
+    ])
+    def test_in_basis_penalty_is_the_rotated_penalty(self, kind, dims):
+        penalty = build_penalty(kind, dims)
+        rotated = penalty.in_basis()
+        lam = penalty.basis.eigenvalues
+        assert (rotated.p, rotated.descriptor) == (penalty.p, penalty.descriptor)
+        rows = np.random.default_rng(215).standard_normal((3, penalty.p))
+        assert rotated.basis.rotate(rows) is rows and rotated.basis.unrotate(rows) is rows
+        np.testing.assert_array_equal(rotated.apply(rows), rows * lam)
+        assert rotated.trace == float(np.sum(lam))
+        # In the basis the products are those of the penalty itself.
+        scale = np.abs(penalty.matrix).max() * np.abs(rows).max()
+        turned = penalty.basis.rotate(penalty.apply(rows))
+        assert np.abs(rotated.apply(penalty.basis.rotate(rows)) - turned).max() <= 1e-12 * scale
+        assert rotated.trace == pytest.approx(penalty.trace, rel=1e-12)
+        assert "matrix" not in rotated.__dict__
+        np.testing.assert_array_equal(rotated.matrix, np.diag(lam))
+
+    def test_closed_basis_is_read_without_eigh(self, monkeypatch):
+        def no_eigh(*args):
+            raise AssertionError("eigh was computed")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        assert build_penalty(FIRST_DIFF, 12).closed_basis
+        assert build_penalty(LAPLACIAN_2D, (40, 40)).closed_basis
+        assert not build_penalty(SECOND_DIFF, 12).closed_basis
+        monkeypatch.undo()
+        # A basis from eigh is never closed, also once it is computed.
+        hand_built = SmoothingPenalty(matrix=build_penalty(FIRST_DIFF, 12).matrix, kind=FIRST_DIFF)
+        assert hand_built.basis.eigenvalues.size == 12
+        assert not hand_built.closed_basis
+
     def test_basis_is_computed_once(self):
         penalty = SmoothingPenalty(matrix=build_penalty(SECOND_DIFF, 12).matrix, kind=SECOND_DIFF)
         assert penalty.basis is penalty.basis

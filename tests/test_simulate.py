@@ -8,6 +8,7 @@ import pytest
 from gplda import (
     DEFAULT_PDA_ALPHA_GRID,
     DimensionError,
+    LAPLACIAN_2D,
     LabeledFunctionalDataset,
     METHOD_MLE_LDA,
     METHOD_PCA_LDA,
@@ -34,7 +35,7 @@ from gplda import (
 )
 from gplda import simulate as simulate_module
 
-from helpers import reference_pda_cv, two_class_separable
+from helpers import lap2d_image_set, reference_pda_cv, two_class_separable
 
 
 class TestGrids:
@@ -187,6 +188,17 @@ class TestSelectPdaAlpha:
             assert simulate_module.pda_cv_errors(train, penalty, seed) == errors
             if seed == 0:
                 assert select_pda_alpha(train, penalty, seed) == alpha
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lap2d_images_match_the_dense_reference(self, seed):
+        # Each fold trains on n < p images, so with the closed-form lap2d
+        # basis every candidate takes the low-rank solve; the reference
+        # factors every fold's p x p within matrix.
+        train = lap2d_image_set(np.random.default_rng(seed), 40, 16, 16)
+        penalty = build_penalty(LAPLACIAN_2D, (16, 16))
+        alpha, errors = reference_pda_cv(train, penalty, seed)
+        assert simulate_module.pda_cv_errors(train, penalty, seed) == errors
+        assert select_pda_alpha(train, penalty, seed) == alpha
 
     def test_failing_candidates_score_one_as_in_the_reference(self):
         # an indefinite "penalty" makes S + alpha * Omega indefinite once
