@@ -396,9 +396,7 @@ def first_order_residuals(
     x_max = float(np.max(np.linalg.norm(grad_x, axis=1))) if n else 0.0
 
     # Class i: 2 inv(sigma_w) sum_{j in i} (x_j - mu_i) - 2 alpha1 omega mu_i.
-    solved_sums = np.zeros((c, p))
-    np.add.at(solved_sums, data.labels - 1, solved)
-    grad_mu = 2.0 * solved_sums - 2.0 * state.alpha1 * penalty.apply(state.mu)
+    grad_mu = 2.0 * data.class_sums(solved) - 2.0 * state.alpha1 * penalty.apply(state.mu)
     mu_max = float(np.max(np.linalg.norm(grad_mu, axis=1)))
 
     # inv(sigma_w) (scatter + alpha2 omega) inv(sigma_w) - (n + nu + p + 1) inv(sigma_w).

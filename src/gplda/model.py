@@ -53,6 +53,12 @@ from .linalg import (
     scipy_linalg, spd_solve,
 )
 
+# Column strip width of ``WoodburyForm.gradient_norm``: each strip is one
+# product of at most p x 256 (3.3 MB at p = 1600).  At p = 1600, n = 100
+# on one BLAS thread, widths 128 to 400 took 41-51 ms, and 1600 (the whole
+# matrix at once) 82-86 ms.
+_GRADIENT_STRIP = 256
+
 
 @dataclass(frozen=True, eq=False)
 class LabeledFunctionalDataset:
@@ -95,6 +101,15 @@ class LabeledFunctionalDataset:
         """Row positions of class ``index`` (1-based class indexing)."""
         return np.flatnonzero(self.labels == index)
 
+    def class_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-class sums of the rows of ``values``, shape (c, p), each
+        adding its class's rows in order.  ``values`` holds one row per
+        curve, in the order of ``y``."""
+        sums = np.zeros((self.c, values.shape[1]))
+        for i in range(1, self.c + 1):
+            sums[i - 1] = values[self.labels == i].sum(axis=0)
+        return sums
+
     def class_means(self, values: np.ndarray | None = None) -> np.ndarray:
         """Per-class averages of the rows of ``values``, shape (c, p).
 
@@ -102,10 +117,7 @@ class LabeledFunctionalDataset:
         defaults to ``y`` itself, which gives the observed class means.
         """
         values = self.y if values is None else values
-        means = np.zeros((self.c, values.shape[1]))
-        for i in range(1, self.c + 1):
-            means[i - 1] = values[self.labels == i].mean(axis=0)
-        return means
+        return self.class_sums(values) / self.class_counts[:, None]
 
     def check_within_estimable(self) -> None:
         """Raise ``ValidationError`` unless there are at least c + 1 curves,
@@ -267,7 +279,8 @@ class WithinCovariance:
     - ``smooth_means(xbar, scales)``: row i solves
       (I + scales[i] S Omega) mu_i = xbar[i];
     - ``gradient_norm(rows, weight, count)``: the Frobenius norm of
-      S^-1 (rows^T rows + weight Omega) S^-1 - count S^-1;
+      S^-1 (rows^T rows + weight Omega) S^-1 - count S^-1 (the low-rank
+      form sums it in column strips and forms no p x p array);
     - ``relative_change(old)``: ||S - old||_F / (1 + ||old||_F);
     - ``is_finite()``;
     - ``carried_to(penalty)``: the value on ``penalty``, a penalty with the
@@ -498,9 +511,13 @@ class WoodburyForm(WithinCovariance):
 
     def gradient_norm(self, rows, weight, count):
         # With A = inv(Sigma_w) = diag(1/d) - V^T P in the basis, P = K^-1 V,
-        # the gradient is diag(weight lambda / d^2 - count / d) + E^T E
-        # + Z^T P + P^T Z, where E = rows~ A and
-        # Z = count/2 V - weight V diag(lambda / d) + 1/2 (weight V Lambda V^T) P.
+        # the gradient is G = diag(g) + E^T E + Z^T P + P^T Z = diag(g)
+        # + left^T right, where g = weight lambda / d^2 - count / d, E = rows~ A,
+        # Z = count/2 V - weight V diag(lambda / d) + 1/2 (weight V Lambda V^T) P,
+        # left = [E; Z; P] and right = [E; P; Z].  G is symmetric, so its
+        # squared norm is summed over column strips [s, t) of the upper
+        # triangle: twice the rows above s plus the diagonal block, one
+        # t x (t - s) product at a time and no p x p array.
         _, scaled, capacitance = self._unshifted
         lam = self.basis.eigenvalues
         projected = spd_solve(capacitance, scaled)
@@ -510,12 +527,20 @@ class WoodburyForm(WithinCovariance):
             - weight * scaled * (lam / self.d)
             + 0.5 * ((weight * (scaled * lam)) @ scaled.T) @ projected
         )
-        cross = z.T @ projected
-        gradient = solved_rows.T @ solved_rows
-        gradient += cross
-        gradient += cross.T
-        gradient[np.diag_indices(self.p)] += weight * lam / self.d**2 - count / self.d
-        return frobenius_norm(gradient)
+        g = weight * lam / self.d**2 - count / self.d
+        # Both stacks are held transposed in C order, so that left[:t] and
+        # right[s:t].T are contiguous operands of one GEMM per strip.
+        left = np.concatenate((solved_rows, z, projected)).T.copy()
+        right = np.concatenate((solved_rows, projected, z)).T.copy()
+        total = 0.0
+        for s in range(0, self.p, _GRADIENT_STRIP):
+            t = min(s + _GRADIENT_STRIP, self.p)
+            strip = left[:t] @ right[s:t].T
+            block = strip[s:]
+            block[np.diag_indices(t - s)] += g[s:t]
+            above = strip[:s]
+            total += 2.0 * float(np.sum(above * above)) + float(np.sum(block * block))
+        return math.sqrt(total)
 
     def _squared_norm(self) -> float:
         gram = self.rotated @ self.rotated.T

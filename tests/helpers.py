@@ -42,7 +42,7 @@ from gplda.discriminant import (
 )
 from gplda.estimator import FitTrace
 from gplda.exceptions import NumericError
-from gplda.linalg import blas_threads_for, frobenius_norm
+from gplda.linalg import blas_threads_for, frobenius_norm, spd_solve
 from gplda.model import CholeskyForm
 
 
@@ -222,6 +222,27 @@ def unrotated_fit(data, hyper=None, config=None):
             log_posterior_per_sweep=tuple(history),
             final_residuals=first_order_residuals(state, data, hyper, penalty),
         )
+
+
+def two_gemm_gradient_norm(within, rows, weight, count):
+    """Reference for ``WoodburyForm.gradient_norm``: the Frobenius norm of
+    the whole p x p gradient diag(g) + E^T E + Z^T P + P^T Z, formed as
+    ``gradient_norm`` formed it before it summed the norm in strips."""
+    _, scaled, capacitance = within._unshifted
+    lam = within.basis.eigenvalues
+    projected = spd_solve(capacitance, scaled)
+    solved_rows = within._solve_rotated(within.basis.rotate(rows))
+    z = (
+        (0.5 * count) * scaled
+        - weight * scaled * (lam / within.d)
+        + 0.5 * ((weight * (scaled * lam)) @ scaled.T) @ projected
+    )
+    cross = z.T @ projected
+    gradient = solved_rows.T @ solved_rows
+    gradient += cross
+    gradient += cross.T
+    gradient[np.diag_indices(within.p)] += weight * lam / within.d**2 - count / within.d
+    return frobenius_norm(gradient)
 
 
 def dense_pda_fit(data, penalty, alpha):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,10 @@ from gplda import (
 from gplda.linalg import frobenius_norm
 from gplda.model import CholeskyForm, WoodburyForm
 
-from helpers import dense_sigma_w, random_posterior_state, sample_well_posed_dataset
+from helpers import (
+    dense_sigma_w, lap2d_image_set, random_posterior_state, sample_well_posed_dataset,
+    two_gemm_gradient_norm,
+)
 
 
 class TestValidateDataset:
@@ -63,6 +67,15 @@ class TestValidateDataset:
         np.testing.assert_array_equal(means[0], values[[0, 1, 5]].mean(axis=0))
         np.testing.assert_array_equal(means[1], values[[2, 3, 4]].mean(axis=0))
         np.testing.assert_array_equal(data.class_means(data.y), data.class_means())
+
+    def test_class_sums_match_add_at_bit_for_bit(self):
+        rng = np.random.default_rng(24)
+        labels = rng.permutation(np.arange(31) % 3 + 1)
+        values = rng.standard_normal((31, 7))
+        data = validate_dataset(values, labels)
+        expected = np.zeros((3, 7))
+        np.add.at(expected, data.labels - 1, values)
+        assert data.class_sums(values).tobytes() == expected.tobytes()
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError, match="3 value rows but 2 labels"):
@@ -480,6 +493,73 @@ class TestWithinCovariance:
         config = FitConfig(penalty=twin, max_sweeps=1, jitter_scale=jitter)
         _, trace = fit(data, hyper, config, start=state)
         assert trace.sweeps_run == 1
+
+
+def _fit_end_gradient_case(name):
+    """What ``first_order_residuals`` hands ``gradient_norm`` at the end of
+    a fit: the fitted Sigma_w, the centred latent curves, alpha2 and
+    k = n + nu + p + 1.  ``lap2d_<side>`` fits n = 60 images, and
+    ``lap2d_16_c3`` the same images relabelled into three classes."""
+    if name.startswith("sim"):
+        which, n_train = name.split("_N")
+        data, _ = generate(SimSpec(which, int(n_train), 2, seed=0))
+        config = FitConfig.default(data.p)
+    else:
+        side = int(name.split("_")[1])
+        data = lap2d_image_set(np.random.default_rng(side), 60, side, side)
+        if name.endswith("c3"):
+            data = LabeledFunctionalDataset(y=data.y, labels=np.arange(data.n) % 3 + 1,
+                                            label_names=(1, 2, 3))
+        config = FitConfig(penalty=build_penalty(LAPLACIAN_2D, (side, side)))
+    hyper = HyperParams()
+    state, _ = fit(data, hyper, config)
+    count = data.n + hyper.nu(data.p) + data.p + 1.0
+    return state.sigma_w, state.x - state.mu[data.labels - 1], state.alpha2, count
+
+
+class TestStripGradientNorm:
+    """``WoodburyForm.gradient_norm`` sums the squared gradient strip by
+    strip over the upper triangle; the two-GEMM body that formed the whole
+    p x p gradient is the oracle."""
+
+    @pytest.mark.parametrize("name", ["sim1_N50", "sim2_N20", "lap2d_16", "lap2d_20",
+                                      "lap2d_16_c3"])
+    def test_fit_end_states(self, name):
+        # p = 256 is exactly one strip; p = 400 ends in a partial strip.
+        within, rows, weight, count = _fit_end_gradient_case(name)
+        assert isinstance(within, WoodburyForm)
+        assert within.gradient_norm(rows, weight, count) == pytest.approx(
+            two_gemm_gradient_norm(within, rows, weight, count), rel=1e-12)
+
+    @pytest.mark.parametrize("strip", [None, 7])
+    @pytest.mark.parametrize("case", TestWithinCovariance.CASES)
+    def test_low_rank_cases(self, case, strip, monkeypatch):
+        # A strip of 7 splits every grid of the cases into many strips.
+        if strip is not None:
+            monkeypatch.setattr("gplda.model._GRADIENT_STRIP", strip)
+        rng = np.random.default_rng(300 + case)
+        data, penalty, hyper, jitter, state = _low_rank_case(rng, case)
+        within = state.sigma_w
+        count = data.n + hyper.nu(data.p) + data.p + 1.0
+        centered = state.x - state.mu[data.labels - 1]
+        for rows in (centered, rng.standard_normal((5, data.p))):
+            assert within.gradient_norm(rows, state.alpha2, count) == pytest.approx(
+                two_gemm_gradient_norm(within, rows, state.alpha2, count), rel=1e-12)
+
+    def test_image_residuals_allocate_less_than_one_p_by_p_array(self):
+        rng = np.random.default_rng(23)
+        data = lap2d_image_set(rng, 40, 40, 40)
+        hyper = HyperParams()
+        config = FitConfig(penalty=build_penalty(LAPLACIAN_2D, (40, 40)))
+        state, _ = fit(data, hyper, config)
+        assert isinstance(state.sigma_w, WoodburyForm)
+        tracemalloc.start()
+        try:
+            first_order_residuals(state, data, hyper, config.penalty)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * data.p**2
 
 
 class TestPosteriorState:

@@ -10,11 +10,12 @@ change that claims bit-identical fits is checked with one ``diff``::
 Each line is ``<cell> <seed> <method> <sha256>``.  The fits are GPLDA,
 cross-validated PDA (second-difference penalty), MLE-LDA and PCA+LDA
 (q = 1) on sim1 N=50, sim1 N=200 and sim2 N=20 at seeds 0-9, GPLDA
-fits of 12 x 12 and 16 x 16 lap2d images with n = 60 < p (the first
-grid rotates by the dense DCT-II matrix, the second, past
-``DENSE_DCT_BELOW_P``, by scipy.fft), one PDA fit at alpha = 10 of the
-16 x 16 images, which solves its within matrix in the penalty's
-eigenbasis, and one zero-jitter GPLDA fit with n = 80 >= p = 10.  Each
+fits of 12 x 12, 16 x 16 and 20 x 20 lap2d images with n = 60 < p (the
+first grid rotates by the dense DCT-II matrix, the others, past
+``DENSE_DCT_BELOW_P``, by scipy.fft; the last one's Sigma_w residual
+sums more than one strip, ending in a partial one), one PDA fit at
+alpha = 10 of the 16 x 16 images, which solves its within matrix in the
+penalty's eigenbasis, and one zero-jitter GPLDA fit with n = 80 >= p = 10.  Each
 GPLDA fit prints two lines:
 ``GPLDA-fit`` covers the fitted state (x, mu, the matrix of Sigma_w,
 alpha1, alpha2, sigma2) and the trace (``sweeps_run``, ``converged``,
@@ -137,6 +138,10 @@ def digest_lines():
             yield f"lap2d_{side}x{side}_N60 0 {method} {value}"
     model = pda_fit(images, lap2d.penalty, 10.0)
     yield f"lap2d_16x16_N60 0 PDA {digest(model.directions, model.eigenvalues)}"
+    images = lap2d_images(60, 20, seed=0)
+    lap2d = FitConfig(penalty=build_penalty(LAPLACIAN_2D, (20, 20)))
+    for method, value in gplda_digests(images, lap2d).items():
+        yield f"lap2d_20x20_N60 0 {method} {value}"
     curves = shifted_normal_curves(80, 10, seed=0)
     no_jitter = FitConfig(penalty=build_penalty(FIRST_DIFF, 10), jitter_scale=0.0)
     for method, value in gplda_digests(curves, no_jitter).items():
