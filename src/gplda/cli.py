@@ -5,7 +5,12 @@ estimates a discriminant from a labeled CSV, ``predict`` applies a saved
 model to new curves, and ``bench`` runs the Monte Carlo comparison.
 
 Exit codes: 0 on success, 1 for validation or usage errors, 2 for
-numeric failures.
+numeric failures.  Each input rule has one owner and the commands keep
+no copy: argparse prints usage errors in its own format (``usage: ...``
+then ``gplda fit: error: ...``), the library raises ``ValidationError``
+for bad values (a dataset checks its curves when it is built, and
+``predict`` rejects non-finite curves), and ``cli_dispatch`` maps each
+to its exit code.
 """
 
 from __future__ import annotations
@@ -36,19 +41,8 @@ from .simulate import METHODS, SimSpec, fit_method, generate, run_benchmark
 UNLABELED = "?"
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage problems as exit code 1."""
-
-    def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="gplda", add_help=True)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="gplda")
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument(
         "--print-config",
@@ -163,10 +157,6 @@ def _cmd_predict(args) -> int:
         raise ValidationError("predict needs --data")
     model = load_model(args.model)
     labels, values = read_labeled_csv(args.data, has_header=args.header)
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite)) + 1
-        raise ValidationError(f"{args.data}: row {row} contains a non-finite value")
     predicted = predict(model, values)
     predicted_text = [str(p) for p in np.atleast_1d(predicted)]
     if args.out:
@@ -217,12 +207,10 @@ def cli_dispatch(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
     except SystemExit as exc:
-        # argparse exits directly for --help; preserve its code.
-        return int(exc.code or 0)
+        # argparse exits 0 after --help and 2 after printing a usage
+        # error, which this CLI reports as 1.
+        return 1 if exc.code else 0
     try:
         if args.print_config:
             print(format_config(_effective_config(args)), end="")

@@ -39,6 +39,7 @@ from .model import (
     PosteriorState,
     WithinCovariance,
     WoodburyForm,
+    check_finite_rows,
     pooled_within_scatter,
 )
 
@@ -251,7 +252,11 @@ def pda_fit(
     alpha : float
         Non-negative penalty weight; 0 recovers the plain pooled-scatter
         discriminant.
+
+    Needs at least c + 1 curves, as every fit does.  ``PdaPath`` does
+    not check this, so a cross-validation fold too small to fit scores 1.
     """
+    data.check_within_estimable()
     with blas_threads_for():
         return PdaPath.of(data, penalty).fit(alpha, k)
 
@@ -388,6 +393,15 @@ def predict(model: DiscriminantModel, x_new: np.ndarray):
     -------
     label or ndarray of labels
         Original label values; ties resolve to the lowest class index.
+
+    Raises
+    ------
+    DimensionError
+        If the curves are not on the model's grid.
+    ValidationError
+        If a curve holds a NaN or an infinity, naming its row (from 1; a
+        single curve is row 1).  The k projections are checked first,
+        and the curves are read only when one of them is not finite.
     """
     with blas_threads_for():
         x_new = np.asarray(x_new, dtype=float)
@@ -398,6 +412,8 @@ def predict(model: DiscriminantModel, x_new: np.ndarray):
                 f"input of shape {x_new.shape} does not match grid length {model.p}"
             )
         projected = batch @ model.directions.T
+        if not np.isfinite(projected).all():
+            check_finite_rows(batch)
         deltas = projected[:, None, :] - model.projected_centroids[None, :, :]
         distances = np.sum(deltas * deltas, axis=2)
         indices = np.argmin(distances, axis=1)

@@ -64,6 +64,15 @@ _GRADIENT_STRIP = 256
 class LabeledFunctionalDataset:
     """Curves sampled on a common grid with class labels.
 
+    Construction checks the invariants every fit relies on and raises
+    ``ValidationError`` otherwise: ``y`` is 2-D with at least one curve
+    and at least one value per curve, there is one label per curve, and
+    every value is finite (the first bad row is named, counting from 1).
+    The label values and the c + 1 curves a covariance needs are not
+    checked here: ``validate_dataset`` maps raw labels, and
+    ``check_within_estimable`` is a fit-time rule, since a test set may
+    hold fewer curves.
+
     Attributes
     ----------
     y : ndarray of shape (n, p)
@@ -79,6 +88,19 @@ class LabeledFunctionalDataset:
     y: np.ndarray
     labels: np.ndarray
     label_names: tuple
+
+    def __post_init__(self):
+        if self.y.ndim != 2:
+            raise ValidationError(
+                f"y must be a 2-D array with one curve per row, got shape {self.y.shape}"
+            )
+        if len(self.labels) != self.n:
+            raise ValidationError(f"{self.n} value rows but {len(self.labels)} labels")
+        if self.n == 0:
+            raise ValidationError("dataset is empty")
+        if self.p == 0:
+            raise ValidationError("rows must contain at least one value")
+        check_finite_rows(self.y)
 
     @property
     def n(self) -> int:
@@ -129,13 +151,24 @@ class LabeledFunctionalDataset:
             )
 
 
-def validate_dataset(rows, labels) -> LabeledFunctionalDataset:
-    """Validate raw curves and labels and build a dataset.
+def check_finite_rows(values: np.ndarray) -> None:
+    """Raise ``ValidationError`` naming the first row of the 2-D array
+    ``values``, counting from 1, that holds a NaN or an infinity."""
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"row {int(np.argmin(finite)) + 1} contains a non-finite value")
 
-    Checks rectangularity and finiteness of the value rows (numbered from
-    1 in error messages, as the CSV reader numbers data rows), remaps labels
-    to 1..c in order of first appearance, and requires at least c + 1
-    curves so that a within-class covariance is estimable.
+
+def validate_dataset(rows, labels) -> LabeledFunctionalDataset:
+    """Build a training dataset from raw curves and labels.
+
+    Checks what needs the raw rows, that every row has as many values as
+    the first (rows numbered from 1 in error messages, as the CSV reader
+    numbers data rows), remaps labels to 1..c in order of first
+    appearance, and requires at least c + 1 curves so that a
+    within-class covariance is estimable.  The dataset's own
+    construction checks the rest (one label per row, no empty dataset or
+    row, finite values).
 
     Parameters
     ----------
@@ -150,25 +183,11 @@ def validate_dataset(rows, labels) -> LabeledFunctionalDataset:
     """
     rows = list(rows)
     labels = list(labels)
-    if len(rows) != len(labels):
-        raise ValidationError(
-            f"{len(rows)} value rows but {len(labels)} labels"
-        )
-    if not rows:
-        raise ValidationError("dataset is empty")
-    expected = len(rows[0])
-    if expected < 1:
-        raise ValidationError("rows must contain at least one value")
+    width = len(rows[0]) if rows else 0
     for i, row in enumerate(rows, start=1):
-        if len(row) != expected:
-            raise ValidationError(
-                f"row {i} has {len(row)} values, expected {expected}"
-            )
-    y = np.asarray(rows, dtype=float)
-    finite = np.isfinite(y).all(axis=1)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0]) + 1
-        raise ValidationError(f"row {bad} contains a non-finite value")
+        if len(row) != width:
+            raise ValidationError(f"row {i} has {len(row)} values, expected {width}")
+    y = np.asarray(rows, dtype=float).reshape(len(rows), width)
     name_to_index: dict = {}
     mapped = np.zeros(len(labels), dtype=int)
     for i, name in enumerate(labels):

@@ -16,7 +16,7 @@ from gplda import DEFAULT_PDA_ALPHA_GRID, METHODS, parse_config, save_dataset_cs
 from gplda.cli import _FLAG_KEYS, cli_dispatch
 from gplda.io import _FIELDS_BY_KEY
 
-from helpers import two_class_separable
+from helpers import lap2d_image_set, two_class_separable
 
 
 def _write_training_csv(tmp_path, name="train.csv", gap=2.5):
@@ -218,6 +218,20 @@ class TestFitAndPredict:
         with open(model_path) as fh:
             assert json.load(fh)["notes"] == [notes[0][len("note: "):]]
 
+    @pytest.mark.parametrize("tag", sorted(METHODS))
+    def test_lap2d_images_fit_and_predict(self, tmp_path, capsys, tag):
+        images = str(tmp_path / "images.csv")
+        save_dataset_csv(images, lap2d_image_set(np.random.default_rng(6), 30, 6, 6))
+        model_path = str(tmp_path / "model.json")
+        assert cli_dispatch([
+            "fit", "--method", METHODS[tag][0], "--penalty", "lap2d:6x6",
+            "--data", images, "--out", model_path,
+        ]) == 0
+        assert cli_dispatch(["predict", "--model", model_path, "--data", images]) == 0
+        assert "error rate: " in capsys.readouterr().out
+        with open(model_path) as fh:
+            assert json.load(fh)["method_tag"] == tag
+
     def test_non_finite_rows_rejected(self, tmp_path, capsys):
         train = _write_training_csv(tmp_path)
         model_path = str(tmp_path / "model.json")
@@ -359,11 +373,37 @@ class TestExitCodes:
         assert cli_dispatch(["predict"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_output_or_curves(self, tmp_path, capsys):
+        train = _write_training_csv(tmp_path)
+        assert cli_dispatch(["fit", "--method", "mle", "--data", train]) == 1
+        assert "fit needs --out" in capsys.readouterr().err
+        assert cli_dispatch(["predict", "--model", str(tmp_path / "m.json")]) == 1
+        assert "predict needs --data" in capsys.readouterr().err
+
+    def test_lap2d_penalty_without_a_grid(self, tmp_path, capsys):
+        cfg = str(tmp_path / "run.cfg")
+        with open(cfg, "w") as fh:
+            fh.write("penalty.kind = lap2d\n")
+        model_path = tmp_path / "m.json"
+        code = cli_dispatch([
+            "--config", cfg, "fit", "--method", "pda", "--alpha", "1",
+            "--data", _write_training_csv(tmp_path), "--out", str(model_path),
+        ])
+        assert code == 1
+        assert "error: penalty.kind lap2d needs penalty.grid" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_usage_problems(self, capsys):
         assert cli_dispatch(["fit", "--method", "svm"]) == 1
         assert "usage" in capsys.readouterr().err
         assert cli_dispatch([]) == 1
         assert "usage" in capsys.readouterr().err
+
+    def test_usage_errors_come_in_argparse_format(self, capsys):
+        assert cli_dispatch(["fit", "--method", "svm"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gplda fit ")
+        assert "gplda fit: error: argument --method: invalid choice: 'svm'" in err
 
     def test_help_exits_cleanly(self, capsys):
         assert cli_dispatch(["--help"]) == 0

@@ -368,6 +368,15 @@ class TestPdaFit:
         within = pda_fit(data, build_penalty(kind, dims), alpha=0.37).within_cov_used
         assert np.array_equal(within, within.T)
 
+    def test_too_few_curves_rejected(self):
+        # One curve per class leaves a zero scatter, which the d2 penalty
+        # alone cannot make positive definite.
+        data = LabeledFunctionalDataset(
+            y=np.arange(6.0).reshape(2, 3), labels=np.array([1, 2]), label_names=(1, 2)
+        )
+        with pytest.raises(ValidationError, match="more curves than classes"):
+            pda_fit(data, build_penalty(SECOND_DIFF, 3), 1.0)
+
     def test_singular_scatter_rescued_by_penalty(self):
         # more grid points than curves: the scatter alone is singular, the
         # penalized within matrix is not
@@ -575,6 +584,13 @@ class TestPcaLdaFit:
         assert model.directions.shape == (1, train.p)
         assert np.all(np.isfinite(model.directions))
 
+    def test_non_finite_curves_stop_before_any_factorisation(self):
+        data = two_class_separable(10, 25, gap=0.8, seed=11)
+        y = data.y.copy()
+        y[4, 3] = np.nan
+        with pytest.raises(ValidationError, match="row 5 contains a non-finite value"):
+            pca_lda_fit(replace(data, y=y), q=2)
+
     def test_component_count_out_of_range_rejected(self):
         rng = np.random.default_rng(59)
         data = sample_well_posed_dataset(rng)
@@ -584,7 +600,36 @@ class TestPcaLdaFit:
             pca_lda_fit(data, q=min(data.n, data.p) + 1)
 
 
+@pytest.fixture(scope="module")
+def class_two_curves_and_models():
+    train, test = generate(SimSpec(which="sim1", n_train=20, n_test=20, seed=0))
+    models = {
+        METHOD_GPLDA: gplda_fit(train)[0],
+        METHOD_PDA: pda_fit(train, build_penalty(SECOND_DIFF, train.p), 1.0),
+        METHOD_MLE_LDA: mle_lda_fit(train),
+        METHOD_PCA_LDA: pca_lda_fit(train, q=3),
+    }
+    return test.y[test.labels == 2][:3], models
+
+
 class TestPredict:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "method", [METHOD_GPLDA, METHOD_PDA, METHOD_MLE_LDA, METHOD_PCA_LDA]
+    )
+    def test_non_finite_curve_rejected_naming_its_row(
+        self, class_two_curves_and_models, method, bad
+    ):
+        curves, models = class_two_curves_and_models
+        model = models[method]
+        curves = curves.copy()
+        curves[1, 7] = bad
+        with pytest.raises(ValidationError, match="^row 2 contains a non-finite value$"):
+            predict(model, curves)
+        with pytest.raises(ValidationError, match="^row 1 contains a non-finite value$"):
+            predict(model, curves[1])
+        assert predict(model, curves[[0, 2]]).shape == (2,)
+
     @staticmethod
     def _line_model():
         return DiscriminantModel(

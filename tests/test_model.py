@@ -103,6 +103,41 @@ class TestValidateDataset:
             validate_dataset([[1.0], [2.0]], ["a", "b"])
 
 
+class TestDatasetInvariants:
+    @staticmethod
+    def _build(y, labels=(1, 2, 1)):
+        return LabeledFunctionalDataset(
+            y=np.asarray(y, dtype=float), labels=np.asarray(labels), label_names=(1, 2)
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_raises_at_construction(self, bad):
+        y = np.ones((3, 4))
+        y[1, 2] = bad
+        with pytest.raises(ValidationError, match="^row 2 contains a non-finite value$"):
+            self._build(y)
+
+    def test_one_dimensional_y_raises(self):
+        with pytest.raises(ValidationError, match=r"y must be a 2-D array .* shape \(3,\)"):
+            self._build(np.ones(3))
+
+    def test_label_count_mismatch_raises(self):
+        with pytest.raises(ValidationError, match="3 value rows but 2 labels"):
+            self._build(np.ones((3, 4)), labels=(1, 2))
+
+    def test_empty_dataset_and_empty_rows_raise(self):
+        with pytest.raises(ValidationError, match="dataset is empty"):
+            self._build(np.ones((0, 4)), labels=())
+        with pytest.raises(ValidationError, match="at least one value"):
+            self._build(np.ones((3, 0)))
+
+    def test_too_few_curves_for_a_covariance_is_a_fit_time_rule(self):
+        # a test set may hold fewer than c + 1 curves
+        data = self._build(np.ones((2, 4)), labels=(1, 2))
+        with pytest.raises(ValidationError, match="more curves than classes"):
+            data.check_within_estimable()
+
+
 class TestHyperParams:
     def test_defaults(self):
         hyper = HyperParams()

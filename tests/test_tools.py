@@ -1,5 +1,7 @@
 """Tests for the repository tools under ``tools/``."""
 
+import runpy
+
 import numpy as np
 
 from gplda import FIRST_DIFF, FitConfig, build_penalty, gplda_fit
@@ -8,6 +10,7 @@ from helpers import load_tool
 
 count_code_lines = load_tool("count_code_lines")
 fit_digest = load_tool("fit_digest")
+line_coverage = load_tool("line_coverage")
 
 FIXTURE = '''"""Module docstring,
 on two lines."""
@@ -67,3 +70,54 @@ def test_fit_digest_sees_a_one_ulp_change_in_a_direction():
     assert fit_digest.digest(directions) == fit_digest.digest(model.directions)
     directions[0, 3] = np.nextafter(directions[0, 3], np.inf)
     assert fit_digest.digest(directions) != fit_digest.digest(model.directions)
+
+
+COVERAGE_FIXTURE = '''"""Module docstring."""
+
+import math
+
+LIMIT = 3
+
+
+def clip(value):
+    """Function docstring."""
+    global LIMIT
+    try:
+        if value > LIMIT:
+            return (LIMIT
+                    + math.floor(0.5))
+        elif value < 0:
+            return 0
+    except TypeError:
+        raise
+    return value
+
+
+class Box:
+    """Class docstring."""
+
+    size = clip(5)
+'''
+
+
+def test_statements_leave_out_docstrings_headers_and_imports():
+    # LIMIT, the if header, the two-line return, the elif header, return 0,
+    # raise, return value and size; not the try, global, def or class lines.
+    assert line_coverage.statements(COVERAGE_FIXTURE) == [
+        (5,), (12,), (13, 14), (15,), (16,), (18,), (19,), (25,),
+    ]
+
+
+def test_traced_run_reports_the_branches_it_missed(tmp_path):
+    path = tmp_path / "fixture.py"
+    path.write_text(COVERAGE_FIXTURE)
+    with line_coverage.LineRecorder(tmp_path) as recorder:
+        runpy.run_path(str(path))
+    executed = recorder.executed[str(path.resolve())]
+    assert line_coverage.unrun_lines(COVERAGE_FIXTURE, executed) == [15, 16, 18, 19]
+    assert line_coverage.report(tmp_path, recorder.executed) == [
+        "    4 fixture.py: 15-16, 18-19",
+    ]
+    assert line_coverage.unrun_lines(COVERAGE_FIXTURE, set()) == [
+        5, 12, 13, 15, 16, 18, 19, 25,
+    ]

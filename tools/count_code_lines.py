@@ -27,7 +27,8 @@ _NOT_CODE = {
 _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _docstring_lines(tree: ast.AST) -> set[int]:
+def docstring_lines(tree: ast.AST) -> set[int]:
+    """Line numbers of the module, class and function docstrings in ``tree``."""
     lines = set()
     for node in ast.walk(tree):
         if isinstance(node, _DOCUMENTED) and node.body:
@@ -44,7 +45,7 @@ def code_lines(source: str) -> int:
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type not in _NOT_CODE:
             lines.update(range(token.start[0], token.end[0] + 1))
-    return len(lines - _docstring_lines(ast.parse(source)))
+    return len(lines - docstring_lines(ast.parse(source)))
 
 
 def main(argv: list[str]) -> int:
