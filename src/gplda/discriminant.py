@@ -94,10 +94,6 @@ class DiscriminantModel:
     def p(self) -> int:
         return self.directions.shape[1]
 
-    @property
-    def c(self) -> int:
-        return self.projected_centroids.shape[0]
-
 
 def between_covariance(mu: np.ndarray) -> np.ndarray:
     """Scatter of class means around their unweighted average.
@@ -253,7 +249,8 @@ def pda_fit(
         Non-negative penalty weight; 0 recovers the plain pooled-scatter
         discriminant.
 
-    Needs at least c + 1 curves, as every fit does.  ``PdaPath`` does
+    Needs curves from which a within-class covariance is estimable
+    (``check_within_estimable``), as every fit does.  ``PdaPath`` does
     not check this, so a cross-validation fold too small to fit scores 1.
     """
     data.check_within_estimable()

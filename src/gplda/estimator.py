@@ -22,10 +22,10 @@ Cholesky form otherwise.  When n < p ``fit`` sweeps in the penalty's
 eigenbasis, against the penalty written there (diagonal, identity
 basis): it rotates y once on the way in and x, mu and Sigma_w once on
 the way out, so a sweep costs O(p n^2) instead of O(p^3), with no
-rotation, and ``fit`` returns the operator of its last sweep, carried
-back to the given penalty, without forming the p x p matrix.  Every function here reads a
-covariance value only as such an operator, built on the penalty it is
-given; a bare matrix raises ``ValidationError``.
+rotation.  ``fit`` returns the operator of its last sweep, carried back
+to the given penalty, without forming the p x p matrix.  Every function
+here reads a covariance value only as such an operator, built on the
+penalty it is given; a bare matrix raises ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .exceptions import (
     DimensionError,
     HyperParameterError,
     NumericFailureError,
-    ValidationError,
 )
 from .linalg import SmoothingPenalty, blas_threads_for
 from .model import (
@@ -226,22 +225,20 @@ def initial_state(
     and the covariance at its own update formula evaluated at these
     starting values, as a ``WithinCovariance`` operator.
 
-    Raises ``ValidationError`` when the curves have no within-class
-    variation, which would start the noise variance at zero.
+    Raises
+    ------
+    ValidationError
+        From ``data.check_within_estimable()``: fewer than c + 1 curves,
+        or curves that each equal their class mean, which would start the
+        noise variance at zero.
     """
+    data.check_within_estimable()
     mu0 = data.class_means()
     x0 = data.y.copy()
     alpha1 = hyper.a1 / hyper.b1
     alpha2 = hyper.a2 / hyper.b2
     centered = data.y - mu0[data.labels - 1]
-    within_ss = float(np.sum(centered * centered))
-    # The class means carry a rounding error of up to about n ulps, so
-    # variation below that cannot be told from none.
-    if within_ss <= (data.n * np.finfo(float).eps) ** 2 * float(np.sum(data.y * data.y)):
-        raise ValidationError(
-            "no within-class variation: every curve equals its class mean"
-        )
-    sigma2 = within_ss / (data.n * data.p)
+    sigma2 = float(np.sum(centered * centered)) / (data.n * data.p)
     sigma_w = update_sigma_w(
         x0, mu0, data, alpha2, config.penalty, hyper, config.jitter_scale
     )
@@ -268,7 +265,8 @@ def fit(
     Parameters
     ----------
     data : LabeledFunctionalDataset
-        Observed curves; needs n >= c + 1.
+        Observed curves, from which a within-class covariance is
+        estimable.
     hyper : HyperParams, optional
         Defaults to ``HyperParams()``.
     config : FitConfig, optional
@@ -291,8 +289,10 @@ def fit(
     Raises
     ------
     ValidationError
-        If the dataset is too small to estimate a within-class covariance,
-        or ``start`` does not fit the data's shapes, its covariance is a
+        If a within-class covariance is not estimable from the data
+        (``LabeledFunctionalDataset.check_within_estimable``, called here
+        for a given ``start`` and by ``initial_state`` otherwise), or
+        ``start`` does not fit the data's shapes, its covariance is a
         bare matrix or was built on another penalty, or one of its scalars
         is not positive.
     NumericFailureError
@@ -301,9 +301,9 @@ def fit(
     hyper = hyper if hyper is not None else HyperParams()
     if config is None:
         config = FitConfig.default(data.p)
-    data.check_within_estimable()
     config.penalty.check_grid(data.p)
     if start is not None:
+        data.check_within_estimable()
         check_state(start, data, config.penalty)
     with blas_threads_for():
         # With n < p the sweeps run in the penalty's eigenbasis, where it

@@ -152,7 +152,13 @@ def _parses(row: list[str], columns) -> bool:
 
 
 def load_csv(path: str, has_header: bool = False) -> LabeledFunctionalDataset:
-    """Load and validate a labeled-curve CSV as a training dataset."""
+    """Load and validate a labeled-curve CSV as a training dataset.
+
+    The checks are ``validate_dataset``'s, so a file whose curves leave
+    no within-class covariance estimable (fewer curves than classes plus
+    one, or every curve equal to its class mean) is refused when it is
+    read, with a ``ValidationError``.
+    """
     labels, values = read_labeled_csv(path, has_header=has_header)
     return validate_dataset(values, labels)
 

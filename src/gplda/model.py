@@ -66,12 +66,12 @@ class LabeledFunctionalDataset:
 
     Construction checks the invariants every fit relies on and raises
     ``ValidationError`` otherwise: ``y`` is 2-D with at least one curve
-    and at least one value per curve, there is one label per curve, and
-    every value is finite (the first bad row is named, counting from 1).
-    The label values and the c + 1 curves a covariance needs are not
-    checked here: ``validate_dataset`` maps raw labels, and
+    and at least one value per curve, there is one label per curve, every
+    value is finite and every label is a class index in 1..c (the first
+    bad row is named, counting from 1).  Whether a within-class
+    covariance is estimable is not checked here:
     ``check_within_estimable`` is a fit-time rule, since a test set may
-    hold fewer curves.
+    hold fewer curves, or curves without within-class variation.
 
     Attributes
     ----------
@@ -101,6 +101,10 @@ class LabeledFunctionalDataset:
         if self.p == 0:
             raise ValidationError("rows must contain at least one value")
         check_finite_rows(self.y)
+        # i is the first row whose label is outside 1..c, or row 0 if none is
+        i = int(np.argmax((self.labels < 1) | (self.labels > self.c)))
+        if not 1 <= self.labels[i] <= self.c:
+            raise ValidationError(f"row {i + 1} has label {self.labels[i]}, outside 1..{self.c}")
 
     @property
     def n(self) -> int:
@@ -142,13 +146,20 @@ class LabeledFunctionalDataset:
         return self.class_sums(values) / self.class_counts[:, None]
 
     def check_within_estimable(self) -> None:
-        """Raise ``ValidationError`` unless there are at least c + 1 curves,
-        the fewest from which a within-class covariance is estimable."""
+        """Raise ``ValidationError`` unless a within-class covariance is
+        estimable from these curves: there must be at least c + 1 curves,
+        and some curve must differ from its class mean by more than
+        rounding.  Every fit calls this before it factors a within matrix."""
         if self.n < self.c + 1:
             raise ValidationError(
                 f"need at least c + 1 = {self.c + 1} curves, more curves than classes, to "
                 f"estimate a within-class covariance over {self.c} classes, got n={self.n}"
             )
+        centered = self.y - self.class_means()[self.labels - 1]
+        # The class means carry a rounding error of up to about n ulps, so
+        # variation below that cannot be told from none.
+        if np.sum(centered**2) <= (self.n * np.finfo(float).eps) ** 2 * np.sum(self.y**2):
+            raise ValidationError("no within-class variation: every curve equals its class mean")
 
 
 def check_finite_rows(values: np.ndarray) -> None:
@@ -165,8 +176,9 @@ def validate_dataset(rows, labels) -> LabeledFunctionalDataset:
     Checks what needs the raw rows, that every row has as many values as
     the first (rows numbered from 1 in error messages, as the CSV reader
     numbers data rows), remaps labels to 1..c in order of first
-    appearance, and requires at least c + 1 curves so that a
-    within-class covariance is estimable.  The dataset's own
+    appearance, and refuses curves from which no within-class covariance
+    is estimable (``check_within_estimable``: fewer than c + 1 curves, or
+    every curve equal to its class mean).  The dataset's own
     construction checks the rest (one label per row, no empty dataset or
     row, finite values).
 

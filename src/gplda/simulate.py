@@ -268,11 +268,16 @@ def pda_cv_errors(
     round-robin within each class after a seeded shuffle.  Five folds are
     used, fewer if some class has fewer than five curves.  Every class
     needs at least two curves, so that each fold trains and tests on every
-    class.
+    class, and curves that all equal their class means are refused
+    (``check_within_estimable``) before any fold is fitted, so no weight
+    is picked for a fit that exists only by rounding.
 
     Each fold's class means, pooled scatter and between factor are
-    computed once (``PdaPath``, the path ``pda_fit`` takes); each candidate
-    then costs a Cholesky factor and the solve of c centred means.
+    computed once (``PdaPath``, the path ``pda_fit`` takes).  Each
+    candidate then solves the c centred means against the fold's within
+    matrix: through an n x n capacitance when the fold has fewer curves
+    than grid points, the weight is positive and the penalty carries its
+    closed-form basis, and through a Cholesky factor otherwise.
     Every fold is scored by ``_held_out_error``, and a fold whose fit or
     prediction raises a ``NumericError`` scores an error of 1.
     """
@@ -283,6 +288,7 @@ def pda_cv_errors(
             f"class {name!r} has {int(counts.min())} curve(s); cross-validating the "
             "penalty weight needs at least 2 curves per class (pass --alpha)"
         )
+    data.check_within_estimable()
     folds = min(5, int(counts.min()))
     rng = _stream(seed, 2)
     assignment = np.zeros(data.n, dtype=int)

@@ -456,6 +456,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "no within-class variation" in err and "state." not in err
 
+    @pytest.mark.parametrize("method", ["gplda", "pda", "mle", "pca-lda"])
+    def test_any_method_on_duplicated_curves(self, method, tmp_path, capsys):
+        # copies of one curve per class: the training CSV is refused when
+        # it is read, whatever the method
+        labels = np.repeat([1, 2], 6)
+        curves = np.random.default_rng(4).standard_normal((2, 50))
+        data = gplda.LabeledFunctionalDataset(
+            y=curves[labels - 1], labels=labels, label_names=(1, 2)
+        )
+        train = str(tmp_path / "train.csv")
+        save_dataset_csv(train, data)
+        out = tmp_path / "m.json"
+        code = cli_dispatch(["fit", "--method", method, "--data", train, "--out", str(out)])
+        assert code == 1
+        assert "error: no within-class variation" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreadable_data_file(self, tmp_path, capsys):
         code = cli_dispatch(
             [

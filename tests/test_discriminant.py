@@ -459,13 +459,14 @@ class TestPdaEigenbasisSolve:
 
     def test_identical_curves_in_each_class_raise(self):
         # Integer curves and classes of eight: the class means are exact,
-        # so the scatter is exactly zero and only the penalty is left,
-        # which is singular on constants.
+        # so the scatter is exactly zero and only the penalty would be
+        # left, singular on constants; the dataset is refused before any
+        # factor is tried.
         rng = np.random.default_rng(727)
         curves = rng.integers(-5, 6, size=(2, 256)).astype(float)
         labels = np.repeat([1, 2], 8)
         data = LabeledFunctionalDataset(y=curves[labels - 1], labels=labels, label_names=(1, 2))
-        with pytest.raises(SingularMatrixError, match="not positive definite"):
+        with pytest.raises(ValidationError, match="no within-class variation"):
             pda_fit(data, build_penalty(LAPLACIAN_2D, (16, 16)), 10.0)
 
 

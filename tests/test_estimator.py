@@ -30,7 +30,10 @@ from gplda import (
     update_x,
 )
 import gplda.estimator
-from gplda import LAPLACIAN_2D, SECOND_DIFF, SimSpec, generate, gplda_directions, gplda_fit, predict
+from gplda import (
+    LAPLACIAN_2D, SECOND_DIFF, SimSpec, generate, gplda_directions, gplda_fit, load_csv,
+    mle_lda_fit, pca_lda_fit, pda_fit, predict, save_dataset_csv, select_pda_alpha,
+)
 from gplda.linalg import EigenbasisPenalty
 from gplda.model import CholeskyForm, WithinCovariance, WoodburyForm
 
@@ -263,18 +266,68 @@ class TestInitialState:
 
 def _no_within_variation(kind: str, per_class: int = 7, p: int = 20):
     labels = np.repeat([1, 2], per_class)
+    curves = np.random.default_rng(727).standard_normal((2, p))
     if kind == "zeros":
         y = np.zeros((labels.size, p))
-    else:  # one constant curve per class, at levels whose means round
+    elif kind == "constant":  # one flat curve per class, at levels whose means round
         y = np.repeat([[1.0 / 3.0], [-2.0 / 7.0]], per_class, axis=0) * np.ones(p)
+    elif kind == "float-copies":  # copies of one curve per class; the means round
+        y = curves[labels - 1]
+    else:  # "int-copies": copies of one integer curve per class; the means are exact
+        y = np.round(4.0 * curves)[labels - 1]
     return LabeledFunctionalDataset(y=y, labels=labels, label_names=(1, 2))
 
 
+_NO_VARIATION_KINDS = ["zeros", "constant", "float-copies", "int-copies"]
+# n = 12 curves on every grid, fewer than its p points
+_GRIDS = {"d1": (FIRST_DIFF, 50), "d2": (SECOND_DIFF, 50), "lap2d": (LAPLACIAN_2D, (16, 16))}
+
+
+def _gplda_from_a_start(data, penalty):
+    # a start built on curves that vary, so that only the data is at fault
+    config = FitConfig(penalty=penalty)
+    noise = np.random.default_rng(3).standard_normal(data.y.shape)
+    start = initial_state(dataclasses.replace(data, y=data.y + noise), HyperParams(), config)
+    return fit(data, config=config, start=start)
+
+
+# Every entry point that fits a within-class covariance, called on
+# (data, penalty).
+_FITS = {
+    "gplda": lambda data, penalty: fit(data, config=FitConfig(penalty=penalty)),
+    "gplda-start": _gplda_from_a_start,
+    "initial-state": lambda data, penalty: initial_state(
+        data, HyperParams(), FitConfig(penalty=penalty)),
+    "pda": lambda data, penalty: pda_fit(data, penalty, 10.0),
+    "pda-cv": lambda data, penalty: pda_fit(data, penalty, select_pda_alpha(data, penalty)),
+    "mle": lambda data, penalty: mle_lda_fit(data),
+    "pca-lda": lambda data, penalty: pca_lda_fit(data, q=2),
+}
+
+
 class TestNoWithinClassVariation:
-    @pytest.mark.parametrize("kind", ["zeros", "constant"])
+    @pytest.mark.parametrize("kind", _NO_VARIATION_KINDS)
     def test_fit_names_the_data(self, kind):
         with pytest.raises(ValidationError, match="no within-class variation"):
             fit(_no_within_variation(kind))
+
+    @pytest.mark.parametrize("method", list(_FITS))
+    @pytest.mark.parametrize("grid", list(_GRIDS))
+    @pytest.mark.parametrize("kind", _NO_VARIATION_KINDS)
+    def test_every_fit_names_the_data(self, kind, grid, method):
+        penalty = build_penalty(*_GRIDS[grid])
+        data = _no_within_variation(kind, per_class=6, p=penalty.p)
+        with pytest.raises(ValidationError, match="no within-class variation"):
+            _FITS[method](data, penalty)
+
+    @pytest.mark.parametrize("grid", list(_GRIDS))
+    @pytest.mark.parametrize("kind", _NO_VARIATION_KINDS)
+    def test_training_csv_is_refused_when_read(self, kind, grid, tmp_path):
+        path = str(tmp_path / "train.csv")
+        p = build_penalty(*_GRIDS[grid]).p
+        save_dataset_csv(path, _no_within_variation(kind, per_class=6, p=p))
+        with pytest.raises(ValidationError, match="no within-class variation"):
+            load_csv(path)
 
     @pytest.mark.parametrize("per_class", [3, 7, 50, 999])
     def test_rounded_class_means_count_as_no_variation(self, per_class):
@@ -288,6 +341,31 @@ class TestNoWithinClassVariation:
         noise = 1e-9 * np.random.default_rng(5).standard_normal(data.y.shape)
         state, _ = fit(dataclasses.replace(data, y=data.y + noise))
         assert state.sigma2 > 0
+
+    @pytest.mark.parametrize("method", ["pda", "pda-cv", "mle", "pca-lda"])
+    def test_small_real_variation_still_fits_the_baselines(self, method):
+        # the threshold sits at rounding level, so it is no tolerance
+        data = _no_within_variation("constant")
+        noise = 1e-9 * np.random.default_rng(5).standard_normal(data.y.shape)
+        noisy = dataclasses.replace(data, y=data.y + noise)
+        model = _FITS[method](noisy, build_penalty(FIRST_DIFF, data.p))
+        assert np.all(np.isfinite(model.directions))
+
+    @staticmethod
+    def _one_curve_class():
+        # one curve in class 1 beside six that vary: estimable, since
+        # class 2 varies
+        labels = np.repeat([1, 2], [1, 6])
+        y = np.random.default_rng(11).standard_normal((7, 50))
+        return LabeledFunctionalDataset(y=y, labels=labels, label_names=(1, 2))
+
+    @pytest.mark.parametrize("method", ["gplda", "pda", "mle", "pca-lda"])
+    def test_a_one_curve_class_still_fits(self, method):
+        _FITS[method](self._one_curve_class(), build_penalty(FIRST_DIFF, 50))
+
+    def test_a_one_curve_class_cannot_be_cross_validated(self):
+        with pytest.raises(ValidationError, match="needs at least 2 curves per class"):
+            select_pda_alpha(self._one_curve_class(), build_penalty(FIRST_DIFF, 50))
 
 
 class TestBlockAscent:

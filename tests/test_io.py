@@ -88,7 +88,7 @@ class TestLabeledCsv:
         path = str(tmp_path / "curves.csv")
         with open(path, "w") as fh:
             fh.write("label,t1,t2\n")
-            fh.write("a,1.0,2.0\n" * 2)
+            fh.write("a,1.0,2.0\na,1.5,2.5\n")
             fh.write("b,3.0,4.0\n")
         data = load_csv(path, has_header=True)
         assert data.n == 3

@@ -43,7 +43,7 @@ from helpers import (
 
 class TestValidateDataset:
     def test_remaps_labels_in_first_appearance_order(self):
-        rows = [[1.0, 2.0]] * 5
+        rows = [[float(i), 2.0] for i in range(5)]
         data = validate_dataset(rows, ["b", "a", "b", "c", "a"])
         np.testing.assert_array_equal(data.labels, [1, 2, 1, 3, 2])
         assert data.label_names == ("b", "a", "c")
@@ -130,6 +130,17 @@ class TestDatasetInvariants:
             self._build(np.ones((0, 4)), labels=())
         with pytest.raises(ValidationError, match="at least one value"):
             self._build(np.ones((3, 0)))
+
+    @pytest.mark.parametrize(
+        "labels,message",
+        [((0, 0, 0, 1, 1, 1), "row 1 has label 0"), ((1, 1, 1, 3, 3, 3), "row 4 has label 3")],
+    )
+    def test_label_outside_the_class_indices_raises(self, labels, message):
+        # 0-based labels used to reach the fits and give NaN directions;
+        # a label past c, NumPy's untyped broadcast error
+        y = np.random.default_rng(0).standard_normal((6, 4))
+        with pytest.raises(ValidationError, match=f"^{message}, outside 1\\.\\.2$"):
+            self._build(y, labels=labels)
 
     def test_too_few_curves_for_a_covariance_is_a_fit_time_rule(self):
         # a test set may hold fewer than c + 1 curves
