@@ -228,17 +228,16 @@ def initial_state(
     Raises
     ------
     ValidationError
-        From ``data.check_within_estimable()``: fewer than c + 1 curves,
-        or curves that each equal their class mean, which would start the
-        noise variance at zero.
+        From ``data.check_within_estimable()``, whose within-class sum of
+        squares also gives the starting noise variance: a class without
+        curves, fewer than c + 1 curves, or curves that each equal their
+        class mean, which would start the noise variance at zero.
     """
-    data.check_within_estimable()
+    sigma2 = data.check_within_estimable() / (data.n * data.p)
     mu0 = data.class_means()
     x0 = data.y.copy()
     alpha1 = hyper.a1 / hyper.b1
     alpha2 = hyper.a2 / hyper.b2
-    centered = data.y - mu0[data.labels - 1]
-    sigma2 = float(np.sum(centered * centered)) / (data.n * data.p)
     sigma_w = update_sigma_w(
         x0, mu0, data, alpha2, config.penalty, hyper, config.jitter_scale
     )

@@ -10,15 +10,24 @@ the pair is an exact round trip.
 
 All file writes go through a temporary file in the target directory
 followed by an atomic rename, so readers never observe partial files.
+
+On a host where the process may run on 2 or more CPUs, the CSV writer
+and reader split a file of at least ``2 * _ROWS_PER_WRITE`` rows in two
+at a row boundary: one forked child formats or parses the second half
+while the process handles the first.  The output is the same as from one
+process, byte for byte and value for value.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
+import pickle
+import shutil
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -30,21 +39,96 @@ from .model import FitConfig, HyperParams, LabeledFunctionalDataset, validate_da
 MODEL_FORMAT = "gplda-model-v1"
 
 
-def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
-    """Write the whole file or nothing: temp file plus atomic rename.
-
-    ``text`` is the file's text, or an iterable of pieces written in order.
-    """
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """Yield a text file that replaces ``path`` when the block ends, and
+    is removed, leaving ``path`` as it was, when the block raises."""
     directory = os.path.dirname(os.path.abspath(path))
     handle, temp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(handle, "w", encoding="utf-8") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+            yield fh
         os.replace(temp_path, path)
     except BaseException:
         if os.path.exists(temp_path):
             os.unlink(temp_path)
         raise
+
+
+def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write the whole file or nothing: temp file plus atomic rename.
+
+    ``text`` is the file's text, or an iterable of pieces written in order.
+    """
+    with _atomic_file(path) as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
+
+
+# Rows formatted per write: bounds the text held in memory at once.  A
+# file of at least twice as many rows is split between two processes.
+_ROWS_PER_WRITE = 1000
+
+
+def _in_parts(n_rows: int, run: Callable, send: Callable, finish: Callable, splittable: bool):
+    """``finish(run(0, n_rows), None)``, or the same work in two parts.
+
+    The rows are split at ``n_rows // 2`` when ``splittable`` holds, this
+    process may run on at least 2 CPUs and there are at least
+    ``2 * _ROWS_PER_WRITE`` rows.  Then one forked child runs
+    ``run(half, n_rows)`` and passes what it returns to ``send(part,
+    stream)``, which writes it to a pipe, while this process runs
+    ``run(0, half)``; the result is ``finish(first part, stream)``, where
+    ``finish`` reads what ``send`` wrote.  An exception in the child is
+    raised here.  The child always ends in ``os._exit``; it is killed if
+    this process stops before reading all it sent, and reaped before this
+    returns or raises.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if not (splittable and cpus >= 2 and n_rows >= 2 * _ROWS_PER_WRITE):
+        return finish(run(0, n_rows), None)
+    half = n_rows // 2
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as stream:
+                try:
+                    part = run(half, n_rows)
+                except Exception as exc:
+                    pickle.dump(exc, stream)
+                else:
+                    pickle.dump(None, stream)
+                    send(part, stream)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    received = False
+    try:
+        with os.fdopen(read_end, "rb") as stream:
+            first = run(0, half)
+            try:
+                error = pickle.load(stream)
+            except (EOFError, pickle.UnpicklingError):
+                error = ChildProcessError("the process handling the second half ended early")
+            result = finish(first, stream) if error is None else None
+            received = True
+    finally:
+        if not received:
+            import signal  # here, so that importing gplda loads no new module
+
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    if error is not None:
+        raise error
+    return result
 
 
 # How NumPy's C reader splits the labeled-curve CSV: cells separated by
@@ -72,6 +156,11 @@ def read_labeled_csv(path: str, has_header: bool = False):
     empty or whitespace are skipped; with ``has_header`` so is the first
     other row.  Cells may be quoted as the csv module quotes them, labels
     are stripped, and values are parsed by NumPy's C reader (``loadtxt``).
+    Where no data line holds a double quote, each line is one row, and a
+    file of ``2 * _ROWS_PER_WRITE`` lines or more may be parsed in two
+    halves (``_in_parts``): a forked child sends its half's values as raw
+    float64 bytes into the rows of the one (n, p) result.  When a half
+    fails to parse, the whole file is read again in this process.
     Parse failures carry one-based row and column positions, counting
     data rows only.
     """
@@ -93,13 +182,50 @@ def read_labeled_csv(path: str, has_header: bool = False):
         raise ParseError(f"{path}: row 1 has no value columns", row=1)
     columns = np.dtype([("label", object), ("values", float, (len(cells) - 1,))])
     data_lines = lines[begin:]
+    # Only a quoted cell can span lines.  Without one, each line is a row,
+    # and blank lines are dropped, so that neither half is left without rows.
+    one_line_rows = not any('"' in line for line in data_lines)
+    if one_line_rows:
+        data_lines = [line for line in data_lines if not line.isspace()]
+
+    def parse(start: int, stop: int):
+        table = np.loadtxt(data_lines[start:stop], dtype=columns, ndmin=1, **_CSV_CELLS)
+        return _labels_and_values(table)
+
     try:
-        table = np.loadtxt(data_lines, dtype=columns, ndmin=1, **_CSV_CELLS)
+        return _in_parts(len(data_lines), parse, _send_rows, _join_rows, one_line_rows)
     except ValueError:
         # A row of blank cells, a ragged row or a cell that is no number.
-        table = _read_data_rows(path, data_lines, columns)
-    labels = [label.strip() for label in table["label"]]
-    return labels, np.ascontiguousarray(table["values"])
+        return _join_rows(_labels_and_values(_read_data_rows(path, data_lines, columns)), None)
+
+
+def _labels_and_values(table: np.ndarray):
+    return [label.strip() for label in table["label"]], table["values"]
+
+
+def _send_rows(part, stream) -> None:
+    """Write ``(labels, values)`` to ``stream`` for ``_join_rows``: the
+    labels and the row count as one pickle, then the values as raw
+    float64 bytes."""
+    labels, values = part
+    pickle.dump((labels, len(values)), stream)
+    for start in range(0, len(values), _ROWS_PER_WRITE):
+        stream.write(values[start : start + _ROWS_PER_WRITE].tobytes())
+
+
+def _join_rows(first, stream):
+    """The labels and one (n, p) float array of the rows of ``first``,
+    ``(labels, values)``, followed by those ``_send_rows`` wrote to
+    ``stream``, if it is not None.  The array is allocated once, and the
+    sent values are read straight into its rows."""
+    labels, head = first
+    rest_labels, rest = pickle.load(stream) if stream is not None else ([], 0)
+    values = np.empty((len(head) + rest, head.shape[1]))
+    values[: len(head)] = head
+    tail = values[len(head) :]
+    if rest and stream.readinto(tail) != tail.nbytes:
+        raise ChildProcessError("the process handling the second half ended early")
+    return labels + rest_labels, values
 
 
 def _read_data_rows(path: str, lines: list[str], columns: np.dtype) -> np.ndarray:
@@ -172,29 +298,46 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-# Rows formatted per write: bounds the text held in memory at once.
-_ROWS_PER_WRITE = 1000
+def _format_rows(names: list[str], labels: np.ndarray, rows: np.ndarray) -> str:
+    """CSV text of ``rows``, each after its label's cell ``names[label - 1]``,
+    with values in Python's shortest round-trip form."""
+    return "".join(
+        f"{names[label - 1]},{','.join(map(repr, row))}\n"
+        for label, row in zip(labels.tolist(), rows.tolist())
+    )
 
 
 def save_dataset_csv(path: str, dataset: LabeledFunctionalDataset) -> None:
     """Write a dataset in the labeled-curve CSV format.
 
     Values are written in Python's shortest round-trip form, so reading
-    the file back gives the same floats.
+    the file back gives the same floats.  Rows are formatted and written
+    ``_ROWS_PER_WRITE`` at a time.  A dataset of ``2 * _ROWS_PER_WRITE``
+    rows or more may be written in two halves (``_in_parts``): a forked
+    child writes the second half to an unnamed temp file in the target
+    directory, and this process writes the first half to the atomic temp
+    file, then appends the child's text.  The file is the same either way,
+    and on any failure the old file stays and no temp file is left.
     """
     names = [_csv_cell(f"{name}") for name in dataset.label_names]
+    directory = os.path.dirname(os.path.abspath(path))
+    with _atomic_file(path) as fh, tempfile.TemporaryFile(
+        "w+", encoding="utf-8", newline="", dir=directory
+    ) as rest:
 
-    def pieces():
-        for start in range(0, dataset.n, _ROWS_PER_WRITE):
-            stop = start + _ROWS_PER_WRITE
-            yield "".join(
-                f"{names[label - 1]},{','.join(map(repr, row))}\n"
-                for label, row in zip(
-                    dataset.labels[start:stop].tolist(), dataset.y[start:stop].tolist()
-                )
-            )
+        def write(start: int, stop: int) -> None:
+            out = rest if start else fh
+            for begin in range(start, stop, _ROWS_PER_WRITE):
+                end = min(begin + _ROWS_PER_WRITE, stop)
+                out.write(_format_rows(names, dataset.labels[begin:end], dataset.y[begin:end]))
+            # The child ends in os._exit, which drops text not yet flushed.
+            out.flush()
 
-    atomic_write_text(path, pieces())
+        def append_rest(first, stream) -> None:
+            rest.seek(0)
+            shutil.copyfileobj(rest, fh)
+
+        _in_parts(dataset.n, write, lambda part, stream: None, append_rest, True)
 
 
 def save_model(path: str, model: DiscriminantModel) -> None:

@@ -145,21 +145,31 @@ class LabeledFunctionalDataset:
         values = self.y if values is None else values
         return self.class_sums(values) / self.class_counts[:, None]
 
-    def check_within_estimable(self) -> None:
+    def check_within_estimable(self) -> float:
         """Raise ``ValidationError`` unless a within-class covariance is
-        estimable from these curves: there must be at least c + 1 curves,
-        and some curve must differ from its class mean by more than
-        rounding.  Every fit calls this before it factors a within matrix."""
+        estimable from these curves: every class must have a curve, there
+        must be at least c + 1 curves, and some curve must differ from its
+        class mean by more than rounding.  Every fit calls this before it
+        factors a within matrix.
+
+        Returns the within-class sum of squares, the sum over curves of
+        the squared distances to their class means."""
+        counts = self.class_counts
+        if not counts.all():
+            name = self.label_names[int(np.argmin(counts))]
+            raise ValidationError(f"class {name!r} has no curves")
         if self.n < self.c + 1:
             raise ValidationError(
                 f"need at least c + 1 = {self.c + 1} curves, more curves than classes, to "
                 f"estimate a within-class covariance over {self.c} classes, got n={self.n}"
             )
         centered = self.y - self.class_means()[self.labels - 1]
+        within = float(np.sum(centered**2))
         # The class means carry a rounding error of up to about n ulps, so
         # variation below that cannot be told from none.
-        if np.sum(centered**2) <= (self.n * np.finfo(float).eps) ** 2 * np.sum(self.y**2):
+        if within <= (self.n * np.finfo(float).eps) ** 2 * np.sum(self.y**2):
             raise ValidationError("no within-class variation: every curve equals its class mean")
+        return within
 
 
 def check_finite_rows(values: np.ndarray) -> None:

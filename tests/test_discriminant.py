@@ -601,6 +601,28 @@ class TestPcaLdaFit:
             pca_lda_fit(data, q=min(data.n, data.p) + 1)
 
 
+@pytest.mark.parametrize(
+    "fit_one",
+    [
+        gplda_fit,
+        lambda data: pda_fit(data, build_penalty(SECOND_DIFF, data.p), 1.0),
+        mle_lda_fit,
+        lambda data: pca_lda_fit(data, q=1),
+    ],
+    ids=["gplda", "pda", "mle_lda", "pca_lda"],
+)
+def test_a_class_without_curves_is_refused(fit_one):
+    # Labels in 1..c, but class 3 has no curve: its mean would be 0 / 0,
+    # and the fits used to end in NumPy's untyped LinAlgError or in a
+    # NumericFailureError.
+    y = np.random.default_rng(0).standard_normal((6, 4))
+    data = LabeledFunctionalDataset(
+        y=y, labels=np.array([1, 1, 1, 2, 2, 2]), label_names=(1, 2, 3)
+    )
+    with pytest.raises(ValidationError, match="^class 3 has no curves$"):
+        fit_one(data)
+
+
 @pytest.fixture(scope="module")
 def class_two_curves_and_models():
     train, test = generate(SimSpec(which="sim1", n_train=20, n_test=20, seed=0))

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from gplda import (
     save_model,
     validate_dataset,
 )
+from gplda import io as io_module
 from gplda.io import atomic_write_text
 
 from helpers import (
@@ -223,6 +225,174 @@ class TestCsvAgainstTheCsvModule:
         with pytest.raises(ParseError, match="row 2 column 2: cannot parse '1_0'") as info:
             read_labeled_csv(path)
         assert (info.value.row, info.value.column) == (2, 2)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Let the CSV codec see 2 CPUs, and record each fork it makes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    made = []
+    fork = os.fork
+
+    def counted_fork():
+        made.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return made
+
+
+def _one_part(monkeypatch, call, *args):
+    """``call(*args)`` as on a 1-CPU host, which never splits."""
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        return call(*args)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitCsv:
+    """A CSV of at least 2 * _ROWS_PER_WRITE rows is formatted and parsed
+    in two halves, the second in a forked child, with the output of one
+    process."""
+
+    def test_large_set_is_written_and_read_as_by_one_process(self, forks, monkeypatch, tmp_path):
+        _, data = generate(SimSpec(which="sim1", n_train=20, n_test=20000, seed=4))
+        split, whole = str(tmp_path / "split.csv"), str(tmp_path / "whole.csv")
+        save_dataset_csv(split, data)
+        _one_part(monkeypatch, save_dataset_csv, whole, data)
+        assert len(forks) == 1
+        with open(split, "rb") as a, open(whole, "rb") as b:
+            assert a.read() == b.read()
+        labels, values = read_labeled_csv(split)
+        want_labels, want_values = _one_part(monkeypatch, read_labeled_csv, split)
+        assert len(forks) == 2
+        assert labels == want_labels
+        assert values.flags.c_contiguous and values.shape == data.y.shape
+        assert values.tobytes() == want_values.tobytes() == data.y.tobytes()
+        assert sorted(os.listdir(tmp_path)) == ["split.csv", "whole.csv"]
+        _no_child_left()
+
+    def test_quoted_labels_odd_row_count(self, forks, monkeypatch, tmp_path):
+        monkeypatch.setattr(io_module, "_ROWS_PER_WRITE", 3)
+        base = two_class_separable(7, 5, gap=2.0, seed=2)
+        data = validate_dataset(base.y[:13], ["a,b", 'say "hi"', "cr\rhere"] * 4 + ["a,b"])
+        path = str(tmp_path / "curves.csv")
+        save_dataset_csv(path, data)
+        assert len(forks) == 1
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == csv_module_text(data)
+        # A quoted cell may span lines, so the read takes one part.
+        loaded = load_csv(path)
+        assert len(forks) == 1
+        assert loaded.label_names == ("a,b", 'say "hi"', "cr\rhere")
+        np.testing.assert_array_equal(loaded.y, data.y)
+
+    def test_below_the_row_threshold_takes_one_part(self, forks, monkeypatch, tmp_path):
+        # 14 rows, under the 16 that _ROWS_PER_WRITE = 8 asks for
+        monkeypatch.setattr(io_module, "_ROWS_PER_WRITE", 8)
+        data = two_class_separable(7, 3, gap=2.0, seed=2)
+        path = str(tmp_path / "curves.csv")
+        save_dataset_csv(path, data)
+        labels, values = read_labeled_csv(path)
+        assert forks == []
+        assert values.tobytes() == data.y.tobytes()
+        assert labels == [str(name) for name in np.array(data.label_names)[data.labels - 1]]
+
+    def test_blank_lines_leave_no_half_without_rows(self, forks, monkeypatch, tmp_path):
+        # Four rows, then four blank lines: split by lines, the child's
+        # half would hold no data, and NumPy would warn about it.
+        monkeypatch.setattr(io_module, "_ROWS_PER_WRITE", 2)
+        path = str(tmp_path / "curves.csv")
+        with open(path, "w") as fh:
+            fh.write("a,1,2\nb,3,4\na,5,6\nb,7,8\n\n\n\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels, values = read_labeled_csv(path)
+        assert len(forks) == 1
+        assert labels == ["a", "b", "a", "b"]
+        assert values.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
+
+    @pytest.mark.parametrize(
+        "bad_row,message,row,column",
+        [
+            ("b,1.0,oops,3.0\n", "row 9 column 3: cannot parse 'oops' as a number", 9, 3),
+            ("b,1.0,2.0\n", "row 9 has 3 columns, expected 4", 9, None),
+        ],
+    )
+    def test_error_in_the_second_half_is_located_as_before(
+        self, forks, monkeypatch, tmp_path, bad_row, message, row, column
+    ):
+        monkeypatch.setattr(io_module, "_ROWS_PER_WRITE", 3)
+        lines = [f"{'ab'[r % 2]},{r}.5,{r}.25,-{r}\n" for r in range(12)]
+        lines[8] = bad_row
+        path = str(tmp_path / "curves.csv")
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        with pytest.raises(ParseError) as split:
+            read_labeled_csv(path)
+        assert len(forks) == 1
+        with pytest.raises(ParseError) as whole:
+            _one_part(monkeypatch, read_labeled_csv, path)
+        assert str(split.value) == str(whole.value) == f"{path}: {message}"
+        assert (split.value.row, split.value.column) == (row, column)
+        _no_child_left()
+
+    @pytest.mark.parametrize(
+        "in_child,fail,error,message",
+        [
+            (True, "raise", RuntimeError, "formatting failed"),
+            (False, "raise", RuntimeError, "formatting failed"),
+            (True, "exit", ChildProcessError, "second half ended early"),
+        ],
+        ids=["child raises", "parent raises", "child exits"],
+    )
+    def test_failed_half_keeps_the_old_file(
+        self, forks, monkeypatch, tmp_path, in_child, fail, error, message
+    ):
+        monkeypatch.setattr(io_module, "_ROWS_PER_WRITE", 2)
+        data = two_class_separable(5, 3, gap=2.0, seed=2)
+        path = str(tmp_path / "curves.csv")
+        with open(path, "w") as fh:
+            fh.write("old\n")
+        parent = os.getpid()
+        format_rows = io_module._format_rows
+
+        def failing_format(*args):
+            if (os.getpid() != parent) == in_child:
+                if fail == "exit":
+                    os._exit(3)
+                raise RuntimeError("formatting failed")
+            return format_rows(*args)
+
+        monkeypatch.setattr(io_module, "_format_rows", failing_format)
+        with pytest.raises(error, match=message):
+            save_dataset_csv(path, data)
+        assert len(forks) == 1
+        assert os.listdir(tmp_path) == ["curves.csv"]
+        with open(path) as fh:
+            assert fh.read() == "old\n"
+        _no_child_left()
+
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_failed_fork_closes_the_pipe(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(io_module, "_ROWS_PER_WRITE", 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def no_fork():
+            raise OSError("cannot fork")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        data = two_class_separable(5, 3, gap=2.0, seed=2)
+        open_files = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="cannot fork"):
+            save_dataset_csv(str(tmp_path / "curves.csv"), data)
+        assert len(os.listdir("/proc/self/fd")) == open_files
+        assert os.listdir(tmp_path) == []
 
 
 class TestModelFiles:

@@ -121,3 +121,25 @@ def test_traced_run_reports_the_branches_it_missed(tmp_path):
     assert line_coverage.unrun_lines(COVERAGE_FIXTURE, set()) == [
         5, 12, 13, 15, 16, 18, 19, 25,
     ]
+
+
+FORK_FIXTURE = '''import os
+
+pid = os.fork()
+if pid == 0:
+    in_child = True
+    os._exit(0)
+os.waitpid(pid, 0)
+'''
+
+
+def test_forked_children_report_their_lines(tmp_path):
+    path = tmp_path / "forking.py"
+    path.write_text(FORK_FIXTURE)
+    with line_coverage.LineRecorder(tmp_path) as alone:
+        runpy.run_path(str(path))
+    assert line_coverage.unrun_lines(FORK_FIXTURE, alone.executed[str(path.resolve())]) == [5, 6]
+    with line_coverage.LineRecorder(tmp_path) as recorder:
+        with line_coverage.forked_children(recorder):
+            runpy.run_path(str(path))
+    assert line_coverage.unrun_lines(FORK_FIXTURE, recorder.executed[str(path.resolve())]) == []

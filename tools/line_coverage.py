@@ -9,9 +9,12 @@ body statements count on their own.  It is reported by its first line.
 Docstrings, ``def`` and ``class`` statements, imports and the code-free
 ``try``, ``global`` and ``nonlocal`` lines are left out.
 
-Only this process is traced: a test that runs the CLI in a subprocess
-(``subprocess.run([... "gplda" ...])``) adds nothing, so a line that only
-such a run reaches is reported as not run.
+This process and the children it forks are traced.  While pytest runs,
+``os._exit`` is wrapped so that a forked child, such as the CSV codec's,
+writes the lines it recorded to a temp directory before it exits, and
+those lines are merged with this process's afterwards.  A test that runs
+the CLI in a new interpreter (``subprocess.run([... "gplda" ...])``) adds
+nothing, so a line that only such a run reaches is reported as not run.
 
 Usage::
 
@@ -26,8 +29,11 @@ exit status is pytest's.
 from __future__ import annotations
 
 import ast
+import contextlib
+import json
 import os
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -111,6 +117,37 @@ class LineRecorder:
         threading.settrace(self._outer[1])
 
 
+@contextlib.contextmanager
+def forked_children(recorder: LineRecorder):
+    """Let forked children that end in ``os._exit`` report their lines.
+
+    Inside the block, a child forked from this process writes the lines
+    its copy of ``recorder`` holds to a temp directory when it calls
+    ``os._exit``; on exit the block merges them into ``recorder``."""
+    real_exit, parent = os._exit, os.getpid()
+    with tempfile.TemporaryDirectory() as directory:
+
+        def reporting_exit(status):
+            if os.getpid() != parent:
+                # Renamed when whole: a child killed while writing leaves
+                # only a ".part" file, which is not read.
+                part = os.path.join(directory, f"{os.getpid()}.part")
+                with open(part, "w") as fh:
+                    json.dump({name: sorted(lines) for name, lines in recorder.executed.items()}, fh)
+                os.replace(part, part.removesuffix(".part") + ".json")
+            real_exit(status)
+
+        os._exit = reporting_exit
+        try:
+            yield
+        finally:
+            os._exit = real_exit
+            for name in Path(directory).glob("*.json"):
+                with open(name) as fh:
+                    for path, lines in json.load(fh).items():
+                        recorder.executed.setdefault(path, set()).update(lines)
+
+
 def report(package: Path, executed: dict[str, set[int]]) -> list[str]:
     """One ``<count> <module>: <lines>`` line per module of ``package``
     with statement lines that ``executed`` does not hold."""
@@ -129,10 +166,10 @@ def main(argv: list[str]) -> int:
     os.chdir(ROOT)
     # gplda must not be imported before tracing starts, or its module-level
     # lines would read as never run.
-    with LineRecorder(PACKAGE) as recorder:
+    with LineRecorder(PACKAGE) as recorder, forked_children(recorder):
         status = pytest.main(["-q", *argv])
-    print(f"statement lines of {PACKAGE.relative_to(ROOT)} not run in this process "
-          "(subprocess CLI runs are not seen):")
+    print(f"statement lines of {PACKAGE.relative_to(ROOT)} not run in this process or "
+          "its forked children (subprocess CLI runs are not seen):")
     for line in report(PACKAGE, recorder.executed):
         print(line)
     return int(status)
