@@ -303,7 +303,7 @@ class PdaPath:
         model's ``within_cov_used`` on either route."""
         if not (np.isfinite(alpha) and alpha >= 0):
             raise ValidationError(f"alpha must be finite and non-negative, got {alpha}")
-        within = self.scatter + alpha * self.penalty.matrix
+        within = self.penalty.add_to(self.scatter.copy(), alpha)
         solve_with = None
         if self.low_rank is not None and alpha > 0:
             root, rotated = self.low_rank

@@ -209,7 +209,7 @@ def update_sigma_w(
     eps = jitter_scale * (float(np.sum(root * root)) + beta * penalty.trace) / p
     if n < p and np.all(beta * penalty.basis.eigenvalues + eps > 0):
         return WoodburyForm(root, beta, eps, penalty)
-    sigma_w = rho * pooled_within_scatter(x, data.labels, mu) + beta * penalty.matrix
+    sigma_w = penalty.add_to(rho * pooled_within_scatter(x, data.labels, mu), beta)
     sigma_w[np.diag_indices(p)] += eps
     return CholeskyForm(sigma_w, penalty)
 

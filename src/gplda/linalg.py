@@ -8,7 +8,12 @@ an orthonormal eigenbasis (``SmoothingPenalty.basis``).  The orthonormal
 DCT-II diagonalises the first-difference penalty exactly, and its
 two-dimensional form the grid Laplacian's (Strang 1999, SIAM Rev.
 41:135), so those bases rotate by fast transforms and hold no p x p
-matrix; any other penalty takes its basis from ``eigh``.
+matrix; any other penalty takes its basis from ``eigh``.  The
+first-difference and second-difference penalties hold their dense p x p
+matrix.  The grid Laplacian's is 2 GiB at 128 x 128, so it keeps its
+sparse Gram (``SparseGramPenalty``) and forms the matrix only when a
+dense path first reads it.  ``SmoothingPenalty.add_to`` is the one way
+to add a multiple of a penalty to a dense matrix.
 
 The kernel routines solve symmetric positive definite systems and the
 two-matrix symmetric eigenproblem that every discriminant method in this
@@ -38,7 +43,7 @@ import contextlib
 import ctypes
 import functools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,6 +139,11 @@ def _dct_ii(m: int) -> np.ndarray:
 class SmoothingPenalty:
     """Symmetric positive semidefinite roughness penalty on a grid.
 
+    ``add_to(dense, weight)`` is the one way to add ``weight * matrix``
+    to a dense matrix: the covariance update, the dense value of the
+    low-rank covariance, its gradient and PDA's within matrix all call
+    it, so a penalty that keeps no dense matrix never forms one there.
+
     Attributes
     ----------
     matrix : ndarray of shape (p, p)
@@ -149,9 +159,13 @@ class SmoothingPenalty:
         Grid shape for the two-dimensional kind, None otherwise.
     """
 
-    matrix: np.ndarray
+    # Left out of repr, which would form a lazy matrix to print it.
+    matrix: np.ndarray = field(repr=False)
     kind: str
     grid: tuple[int, int] | None = None
+
+    # Set by ``build_penalty`` on what it returns; see ``same_as``.
+    _built = False
 
     @property
     def p(self) -> int:
@@ -178,9 +192,26 @@ class SmoothingPenalty:
         """``rows @ matrix``: each row times the penalty."""
         return rows @ self.matrix
 
+    def add_to(self, dense: np.ndarray, weight: float) -> np.ndarray:
+        """Add ``weight * matrix`` to the (p, p) array ``dense`` in place
+        and return it."""
+        dense += weight * self.matrix
+        return dense
+
     @functools.cached_property
     def trace(self) -> float:
         return float(np.trace(self.matrix))
+
+    def same_as(self, other: "SmoothingPenalty") -> bool:
+        """Whether ``other`` is this penalty.  Two ``build_penalty``
+        penalties are exactly when their kind, grid and length match, read
+        without forming a matrix; any other pair when their matrices are
+        equal."""
+        if other is self:
+            return True
+        if self._built and other._built:
+            return (self.kind, self.grid, self.p) == (other.kind, other.grid, other.p)
+        return np.array_equal(self.matrix, other.matrix)
 
     def in_basis(self) -> "SmoothingPenalty":
         """This penalty in its own eigenbasis: the same eigenvalues on an
@@ -225,9 +256,49 @@ class EigenbasisPenalty(SmoothingPenalty):
     def apply(self, rows: np.ndarray) -> np.ndarray:
         return rows * self.basis.eigenvalues
 
+    def add_to(self, dense: np.ndarray, weight: float) -> np.ndarray:
+        dense[np.diag_indices(self.p)] += weight * self.basis.eigenvalues
+        return dense
+
     @functools.cached_property
     def trace(self) -> float:
         return float(np.sum(self.basis.eigenvalues))
+
+
+class SparseGramPenalty(SmoothingPenalty):
+    """A penalty kept as its sparse Gram matrix, a symmetric SciPy CSR
+    ``gram`` with its duplicates summed.
+
+    ``apply`` is a sparse product, ``trace`` the sum of the stored
+    diagonal, and ``add_to`` adds ``weight`` times each stored entry to
+    its place, so none of them reads a p x p array.  The p x p ``matrix``
+    is formed when a dense path first reads it, as ``gram.toarray()``.
+    """
+
+    def __init__(self, gram, kind: str, grid: tuple[int, int] | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "gram", gram)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return self.gram.toarray()
+
+    @property
+    def p(self) -> int:
+        return self.gram.shape[0]
+
+    def apply(self, rows: np.ndarray) -> np.ndarray:
+        return (self.gram @ rows.T).T
+
+    def add_to(self, dense: np.ndarray, weight: float) -> np.ndarray:
+        entries = self.gram.tocoo()
+        dense[entries.row, entries.col] += weight * entries.data
+        return dense
+
+    @functools.cached_property
+    def trace(self) -> float:
+        return float(np.sum(self.gram.diagonal()))
 
 
 def _difference_gram(p: int, order: int) -> np.ndarray:
@@ -253,6 +324,8 @@ def build_penalty(kind: str, dims: int | tuple[int, int]) -> SmoothingPenalty:
     -------
     SmoothingPenalty
         Penalty with ``matrix`` equal to the Gram matrix of the operator.
+        A ``"lap2d"`` penalty is a ``SparseGramPenalty``, which forms that
+        matrix on its first read.
     """
     if kind in (FIRST_DIFF, SECOND_DIFF):
         if isinstance(dims, tuple):
@@ -263,9 +336,7 @@ def build_penalty(kind: str, dims: int | tuple[int, int]) -> SmoothingPenalty:
                 f"order-{order} differences need at least {order + 1} grid points, got p={p}"
             )
         penalty = SmoothingPenalty(matrix=_difference_gram(p, order), kind=kind)
-        if kind == FIRST_DIFF:
-            _fill_basis(penalty, PenaltyBasis.dct((p,)))
-        return penalty
+        return _as_built(penalty, PenaltyBasis.dct((p,)) if kind == FIRST_DIFF else None)
     if kind == LAPLACIAN_2D:
         if not (isinstance(dims, tuple) and len(dims) == 2):
             raise DimensionError(
@@ -276,16 +347,14 @@ def build_penalty(kind: str, dims: int | tuple[int, int]) -> SmoothingPenalty:
             raise DimensionError(
                 f"two-dimensional penalty needs a grid of at least 2x2, got {rows}x{cols}"
             )
-        penalty = SmoothingPenalty(
-            matrix=_laplacian_gram(rows, cols), kind=kind, grid=(rows, cols)
-        )
-        _fill_basis(penalty, PenaltyBasis.dct((rows, cols)))
-        return penalty
+        penalty = SparseGramPenalty(_laplacian_gram(rows, cols), kind, grid=(rows, cols))
+        return _as_built(penalty, PenaltyBasis.dct((rows, cols)))
     raise DimensionError(f"unknown penalty kind {kind!r}, expected one of {PENALTY_KINDS}")
 
 
-def _laplacian_gram(rows: int, cols: int) -> np.ndarray:
-    """L^T L for the five-point grid Laplacian, as a (rows cols)^2 matrix.
+def _laplacian_gram(rows: int, cols: int):
+    """L^T L for the five-point grid Laplacian, as a sparse CSR matrix of
+    (rows cols)^2 with at most 13 nonzeros per row.
 
     L = kron(I_r, P_c) + kron(P_r, I_c), the Kronecker sum of the path
     Laplacians P, is symmetric, so L^T L = L L, formed as a sparse product
@@ -296,14 +365,20 @@ def _laplacian_gram(rows: int, cols: int) -> np.ndarray:
     import scipy.sparse
 
     laplacian = scipy.sparse.kronsum(_difference_gram(cols, 1), _difference_gram(rows, 1))
-    return (laplacian @ laplacian).toarray()
+    gram = laplacian @ laplacian
+    gram.sum_duplicates()
+    return gram
 
 
-def _fill_basis(penalty: SmoothingPenalty, basis: PenaltyBasis) -> None:
-    # Pre-fills the cached ``basis`` property of a penalty this module just
-    # built, whose matrix the closed form diagonalises exactly.  A penalty
-    # made any other way, whatever its kind, gets the ``eigh`` basis.
-    penalty.__dict__["basis"] = basis
+def _as_built(penalty: SmoothingPenalty, basis: PenaltyBasis | None) -> SmoothingPenalty:
+    # Marks a penalty this module just built, and pre-fills its cached
+    # ``basis`` property with a closed form that diagonalises its matrix
+    # exactly.  A penalty made any other way, whatever its kind, gets the
+    # ``eigh`` basis and compares by its matrix.
+    penalty.__dict__["_built"] = True
+    if basis is not None:
+        penalty.__dict__["basis"] = basis
+    return penalty
 
 
 @functools.cache

@@ -348,9 +348,11 @@ class WithinCovariance:
 
     def check_penalty(self, penalty: SmoothingPenalty) -> None:
         """Raise unless ``penalty`` is built for this grid and is the one
-        this value was built on: the same object, or an equal matrix."""
+        this value was built on (``SmoothingPenalty.same_as``): the same
+        object, a ``build_penalty`` penalty of the same kind and grid,
+        or an equal matrix."""
         penalty.check_grid(self.p)
-        if penalty is not self.penalty and not np.array_equal(penalty.matrix, self.penalty.matrix):
+        if not penalty.same_as(self.penalty):
             raise ValidationError("sigma_w was built on a different penalty than the one given")
 
     @functools.cached_property
@@ -418,7 +420,7 @@ class CholeskyForm(WithinCovariance):
 
     def gradient_norm(self, rows, weight, count):
         inverse = scipy_linalg().cho_solve(self.factor, np.eye(self.p), check_finite=False)
-        sandwich = inverse @ (rows.T @ rows + weight * self.penalty.matrix) @ inverse
+        sandwich = inverse @ self.penalty.add_to(rows.T @ rows, weight) @ inverse
         return frobenius_norm(sandwich - count * inverse)
 
     def carried_to(self, penalty):
@@ -524,7 +526,7 @@ class WoodburyForm(WithinCovariance):
         # On one BLAS thread wherever it is called, ``np.asarray`` included,
         # so the matrix has the same bits inside and outside a fit.
         with blas_threads_for():
-            matrix = self.root.T @ self.root + self.beta * self.penalty.matrix
+            matrix = self.penalty.add_to(self.root.T @ self.root, self.beta)
         matrix[np.diag_indices(self.p)] += self.eps
         return matrix
 
@@ -569,18 +571,23 @@ class WoodburyForm(WithinCovariance):
             + 0.5 * ((weight * (scaled * lam)) @ scaled.T) @ projected
         )
         g = weight * lam / self.d**2 - count / self.d
-        # Both stacks are held transposed in C order, so that left[:t] and
-        # right[s:t].T are contiguous operands of one GEMM per strip.
-        left = np.concatenate((solved_rows, z, projected)).T.copy()
-        right = np.concatenate((solved_rows, projected, z)).T.copy()
+        # Only left is held, transposed in C order so that left[:t] is a
+        # contiguous GEMM operand; right[s:t] is left[s:t] with the Z and P
+        # columns swapped, copied per strip.  With the sources dropped and
+        # each strip squared in place, the peak stays near one stack and
+        # two strips (70 MiB at p = 16384, n = 100, against 176 MiB).
+        left = np.concatenate((solved_rows.T, z.T, projected.T), axis=1)
+        m, k = len(solved_rows), len(z)
+        swap = np.r_[:m, m + k:m + 2 * k, m:m + k]
+        del solved_rows, z, projected
         total = 0.0
         for s in range(0, self.p, _GRADIENT_STRIP):
             t = min(s + _GRADIENT_STRIP, self.p)
-            strip = left[:t] @ right[s:t].T
+            strip = left[:t] @ left[s:t, swap].T
             block = strip[s:]
             block[np.diag_indices(t - s)] += g[s:t]
-            above = strip[:s]
-            total += 2.0 * float(np.sum(above * above)) + float(np.sum(block * block))
+            strip *= strip
+            total += 2.0 * float(np.sum(strip[:s])) + float(np.sum(block))
         return math.sqrt(total)
 
     def _squared_norm(self) -> float:
@@ -788,4 +795,6 @@ def pooled_within_scatter(
     itself, the natural scatter scale for all covariance estimates here.
     """
     centered = values - means[labels - 1]
-    return centered.T @ centered / values.shape[0]
+    scatter = centered.T @ centered
+    scatter /= values.shape[0]
+    return scatter

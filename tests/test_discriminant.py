@@ -1,5 +1,6 @@
 """Tests for discriminant fitting, baselines, and prediction."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -143,6 +144,24 @@ class TestGpldaFit:
         model, _ = gplda_fit(train)
         assert passed[0] is not None
         assert model.penalty == passed[0].penalty.descriptor == FIRST_DIFF
+
+    def test_image_fit_and_predict_allocate_less_than_one_p_by_p_array(self):
+        # The lap2d penalty keeps its sparse Gram, and an n < p fit and its
+        # predict read it only through apply, trace, basis and add_to.
+        rng = np.random.default_rng(29)
+        train, test = lap2d_image_set(rng, 60, 64, 64), lap2d_image_set(rng, 60, 64, 64)
+        tracemalloc.start()
+        try:
+            penalty = build_penalty(LAPLACIAN_2D, (64, 64))
+            model, _ = gplda_fit(train, config=FitConfig(penalty=penalty))
+            predicted = predict(model, test.y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * train.p**2
+        assert "matrix" not in penalty.__dict__
+        truth = np.asarray(test.label_names)[test.labels - 1]
+        assert error_rate(predicted, truth) < 0.5
 
 
 def _fit_calls():

@@ -1,6 +1,7 @@
 """Tests for the blockwise updates and the backfitting loop."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -719,6 +720,34 @@ class TestOneCovarianceBuilder:
         monkeypatch.undo()
         assert isinstance(state.sigma_w, WoodburyForm if train.n < train.p else CholeskyForm)
         assert compared == []
+
+    def test_a_start_on_a_second_lap2d_penalty_forms_no_matrix(self):
+        # Two build_penalty penalties of one kind and grid are the same
+        # penalty, read without their p x p matrices.
+        data = lap2d_image_set(np.random.default_rng(31), 40, 40, 40)
+        first = build_penalty(LAPLACIAN_2D, (40, 40))
+        start, _ = fit(data, config=FitConfig(penalty=first, max_sweeps=1))
+        second = build_penalty(LAPLACIAN_2D, (40, 40))
+        tracemalloc.start()
+        try:
+            state, _ = fit(data, config=FitConfig(penalty=second, max_sweeps=2), start=start)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * data.p**2
+        assert "matrix" not in first.__dict__ and "matrix" not in second.__dict__
+        assert isinstance(state.sigma_w, WoodburyForm) and state.sigma_w.penalty is second
+
+    def test_a_hand_built_penalty_is_compared_by_its_matrix(self):
+        data = lap2d_image_set(np.random.default_rng(32), 20, 6, 6)
+        built = build_penalty(LAPLACIAN_2D, (6, 6))
+        start, _ = fit(data, config=FitConfig(penalty=built, max_sweeps=1))
+        same = SmoothingPenalty(matrix=built.matrix.copy(), kind=LAPLACIAN_2D, grid=(6, 6))
+        state, _ = fit(data, config=FitConfig(penalty=same, max_sweeps=1), start=start)
+        assert state.sigma_w.penalty is same
+        other = SmoothingPenalty(matrix=2.0 * built.matrix, kind=LAPLACIAN_2D, grid=(6, 6))
+        with pytest.raises(ValidationError, match="different penalty"):
+            fit(data, config=FitConfig(penalty=other, max_sweeps=1), start=start)
 
 
 class TestJitterResidual:

@@ -205,7 +205,13 @@ class TestPenaltyBasis:
     def test_apply_and_trace_are_the_matrix_products(self, kind, dims):
         penalty = build_penalty(kind, dims)
         rows = np.random.default_rng(213).standard_normal((3, penalty.p))
-        np.testing.assert_array_equal(penalty.apply(rows), rows @ penalty.matrix)
+        if kind == LAPLACIAN_2D:
+            # A sparse product sums each entry's nonzero terms in another
+            # order than the dense GEMM, so the two differ in the last bits.
+            bound = 4 * np.finfo(float).eps * (np.abs(rows) @ np.abs(penalty.matrix))
+            assert np.all(np.abs(penalty.apply(rows) - rows @ penalty.matrix) <= bound)
+        else:
+            np.testing.assert_array_equal(penalty.apply(rows), rows @ penalty.matrix)
         assert penalty.trace == np.trace(penalty.matrix)
 
     @pytest.mark.parametrize("kind,dims", [
@@ -245,6 +251,80 @@ class TestPenaltyBasis:
     def test_basis_is_computed_once(self):
         penalty = SmoothingPenalty(matrix=build_penalty(SECOND_DIFF, 12).matrix, kind=SECOND_DIFF)
         assert penalty.basis is penalty.basis
+
+
+class TestPenaltyAddTo:
+    """``add_to`` is the one way to add a multiple of a penalty to a dense
+    matrix; every kind gives the bits of ``dense + weight * matrix``."""
+
+    PENALTIES = {
+        "d1": lambda: build_penalty(FIRST_DIFF, 30),
+        "d2": lambda: build_penalty(SECOND_DIFF, 30),
+        "lap2d": lambda: build_penalty(LAPLACIAN_2D, (5, 9)),
+        "lap2d-40x40": lambda: build_penalty(LAPLACIAN_2D, (40, 40)),
+        "eigenbasis": lambda: build_penalty(LAPLACIAN_2D, (5, 9)).in_basis(),
+        "hand-built": lambda: SmoothingPenalty(
+            matrix=random_spd_matrix(np.random.default_rng(5), 12), kind=SECOND_DIFF),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PENALTIES))
+    @pytest.mark.parametrize("weight", [0.0, 0.37, 1e6])
+    def test_add_to_is_the_dense_sum(self, name, weight):
+        penalty = self.PENALTIES[name]()
+        dense = np.random.default_rng(7).standard_normal((penalty.p, penalty.p))
+        expected = dense + weight * penalty.matrix
+        added = penalty.add_to(dense, weight)
+        assert added is dense
+        assert np.array_equal(added, expected)
+
+    @pytest.mark.parametrize("name", sorted(PENALTIES))
+    def test_trace_is_the_matrix_trace(self, name):
+        penalty = self.PENALTIES[name]()
+        assert penalty.trace == np.trace(penalty.matrix)
+
+    @pytest.mark.parametrize("rows,cols", [(40, 40), (5, 9), (2, 50), (50, 2)])
+    def test_lap2d_matrix_is_the_sparse_square_of_the_laplacian(self, rows, cols):
+        import scipy.sparse
+
+        def path(m):
+            d = np.diff(np.eye(m), axis=0)
+            return d.T @ d
+
+        laplacian = scipy.sparse.kronsum(path(cols), path(rows))
+        matrix = build_penalty(LAPLACIAN_2D, (rows, cols)).matrix
+        assert matrix.tobytes() == (laplacian @ laplacian).toarray().tobytes()
+
+    def test_lap2d_forms_its_matrix_on_first_read_only(self):
+        penalty = build_penalty(LAPLACIAN_2D, (12, 20))
+        rows = np.random.default_rng(9).standard_normal((3, penalty.p))
+        assert penalty.p == 240 and penalty.closed_basis and penalty.trace > 0
+        assert penalty.apply(rows).shape == penalty.basis.rotate(rows).shape == rows.shape
+        assert penalty.add_to(np.zeros((240, 240)), 2.0).any()
+        assert penalty.in_basis().p == 240
+        assert repr(penalty) == "SparseGramPenalty(kind='lap2d', grid=(12, 20))"
+        assert "matrix" not in penalty.__dict__
+        assert penalty.matrix is penalty.matrix
+
+
+class TestPenaltySameAs:
+    def test_built_penalties_compare_kind_and_grid_without_a_matrix(self):
+        first, second = build_penalty(LAPLACIAN_2D, (8, 6)), build_penalty(LAPLACIAN_2D, (8, 6))
+        assert first.same_as(second) and second.same_as(first)
+        assert not first.same_as(build_penalty(LAPLACIAN_2D, (6, 8)))
+        assert not first.same_as(build_penalty(LAPLACIAN_2D, (4, 12)))
+        assert "matrix" not in first.__dict__ and "matrix" not in second.__dict__
+        assert build_penalty(FIRST_DIFF, 9).same_as(build_penalty(FIRST_DIFF, 9))
+        assert not build_penalty(FIRST_DIFF, 9).same_as(build_penalty(SECOND_DIFF, 9))
+
+    def test_hand_built_penalties_compare_matrices(self):
+        built = build_penalty(SECOND_DIFF, 9)
+        copied = SmoothingPenalty(matrix=built.matrix.copy(), kind=SECOND_DIFF)
+        assert copied.same_as(built) and built.same_as(copied)
+        other = SmoothingPenalty(matrix=2.0 * built.matrix, kind=SECOND_DIFF)
+        assert not other.same_as(built) and not built.same_as(other)
+        # The in-basis penalty is not the penalty, whatever its kind and grid.
+        lap2d = build_penalty(LAPLACIAN_2D, (3, 4))
+        assert not lap2d.in_basis().same_as(lap2d)
 
 
 class TestLaplacianStencil:

@@ -3,6 +3,7 @@
 import runpy
 
 import numpy as np
+import pytest
 
 from gplda import FIRST_DIFF, FitConfig, build_penalty, gplda_fit
 
@@ -10,6 +11,7 @@ from helpers import load_tool
 
 count_code_lines = load_tool("count_code_lines")
 fit_digest = load_tool("fit_digest")
+image_scale = load_tool("image_scale")
 line_coverage = load_tool("line_coverage")
 
 FIXTURE = '''"""Module docstring,
@@ -143,3 +145,18 @@ def test_forked_children_report_their_lines(tmp_path):
         with line_coverage.forked_children(recorder):
             runpy.run_path(str(path))
     assert line_coverage.unrun_lines(FORK_FIXTURE, recorder.executed[str(path.resolve())]) == []
+
+
+def test_image_scale_prints_one_line_per_grid_and_method(capsys):
+    # Each line comes from its own process.
+    assert image_scale.main(["--sides", "6", "--methods", "GPLDA,PDA", "--n", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "grid method n seconds peak_rss_mib"
+    rows = [line.split() for line in lines[1:]]
+    assert [row[:3] for row in rows] == [["6x6", "GPLDA", "20"], ["6x6", "PDA", "20"]]
+    assert all(float(row[3]) > 0 and float(row[4]) > 0 for row in rows)
+
+
+def test_image_scale_refuses_an_unknown_method():
+    with pytest.raises(SystemExit):
+        image_scale.main(["--sides", "6", "--methods", "LDA"])
