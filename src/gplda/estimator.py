@@ -317,12 +317,15 @@ def fit(
                 start = _carried(start, basis.rotate, config.penalty)
         penalty = config.penalty
         state = start if start is not None else initial_state(data, hyper, config)
-        history = [log_posterior(state, data, hyper, penalty)]
+        # The last state's shared terms serve both its objective and its
+        # residuals, so it is solved against Sigma_w once.
+        shared = _state_terms(state, data, penalty)
+        history = [log_posterior(state, data, hyper, penalty, shared)]
         converged = False
         sweeps_run = 0
         for sweep in range(1, config.max_sweeps + 1):
             sweeps_run = sweep
-            old = state
+            old, shared = state, None  # no state's terms are held through a sweep
             # Each update reads the freshest value of every other block.
             state = replace(old, alpha1=update_alpha1(old.mu, penalty, hyper),
                             alpha2=update_alpha2(old.sigma_w, penalty, hyper),
@@ -336,7 +339,8 @@ def fit(
                 raise NumericFailureError(
                     f"estimate became non-finite during sweep {sweep}", sweep=sweep
                 )
-            history.append(log_posterior(state, data, hyper, penalty))
+            shared = _state_terms(state, data, penalty)
+            history.append(log_posterior(state, data, hyper, penalty, shared))
             if state.relative_change(old) < config.rel_tol:
                 converged = True
                 break
@@ -345,8 +349,9 @@ def fit(
             sweeps_run=sweeps_run,
             converged=converged,
             log_posterior_per_sweep=tuple(history),
-            final_residuals=first_order_residuals(state, data, hyper, penalty),
+            final_residuals=first_order_residuals(state, data, hyper, penalty, shared),
         )
+        del shared  # not held while the state is carried out
         if basis is not None:
             state = _carried(state, basis.unrotate, given)
         return state, trace
@@ -364,6 +369,7 @@ def first_order_residuals(
     data: LabeledFunctionalDataset,
     hyper: HyperParams,
     penalty: SmoothingPenalty,
+    shared: tuple | None = None,
 ) -> FirstOrderResiduals:
     """Gradient norms of the log-posterior in each block at ``state``.
 
@@ -371,9 +377,10 @@ def first_order_residuals(
     ``log_posterior``: scalars with respect to the two precision scalars
     and the noise precision, row gradients for latent curves and class
     means, and the symmetric matrix gradient for the covariance block.
-    The state is checked as ``log_posterior`` checks it.
+    The state is checked as ``log_posterior`` checks it, unless
+    ``shared``, its terms as ``log_posterior`` takes them, is given.
     """
-    resid_y, centered, solved, mean_quad = _state_terms(state, data, penalty)
+    resid_y, centered, solved, mean_quad = shared or _state_terms(state, data, penalty)
     n, p, c = data.n, data.p, data.c
     within = state.sigma_w
 
@@ -393,13 +400,14 @@ def first_order_residuals(
 
     grad_x = 2.0 * resid_y / state.sigma2 - 2.0 * solved
     x_max = float(np.max(np.linalg.norm(grad_x, axis=1))) if n else 0.0
+    del grad_x  # not held through the Sigma_w block below
 
     # Class i: 2 inv(sigma_w) sum_{j in i} (x_j - mu_i) - 2 alpha1 omega mu_i.
     grad_mu = 2.0 * data.class_sums(solved) - 2.0 * state.alpha1 * penalty.apply(state.mu)
     mu_max = float(np.max(np.linalg.norm(grad_mu, axis=1)))
 
     # inv(sigma_w) (scatter + alpha2 omega) inv(sigma_w) - (n + nu + p + 1) inv(sigma_w).
-    grad_sw = within.gradient_norm(centered, state.alpha2, n + hyper.nu(p) + p + 1.0)
+    grad_sw = within.gradient_norm(centered, solved, state.alpha2, n + hyper.nu(p) + p + 1.0)
 
     return FirstOrderResiduals(
         alpha1=abs(g_alpha1),

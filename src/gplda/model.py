@@ -53,11 +53,10 @@ from .linalg import (
     scipy_linalg, spd_solve,
 )
 
-# Column strip width of ``WoodburyForm.gradient_norm``: each strip is one
-# product of at most p x 256 (3.3 MB at p = 1600).  At p = 1600, n = 100
-# on one BLAS thread, widths 128 to 400 took 41-51 ms, and 1600 (the whole
-# matrix at once) 82-86 ms.
-_GRADIENT_STRIP = 256
+# A mode whose d lies below this fraction of the median d is a heavy row
+# of ``WoodburyForm.gradient_norm``: its row of the gradient is formed
+# whole, since in the Gram sum its diagonal term would cancel the rest.
+_HEAVY_MODE = 1e-2
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,9 +318,12 @@ class WithinCovariance:
       taken as y - shift (S + shift I)^-1 (y - m);
     - ``smooth_means(xbar, scales)``: row i solves
       (I + scales[i] S Omega) mu_i = xbar[i];
-    - ``gradient_norm(rows, weight, count)``: the Frobenius norm of
-      S^-1 (rows^T rows + weight Omega) S^-1 - count S^-1 (the low-rank
-      form sums it in column strips and forms no p x p array);
+    - ``gradient_norm(rows, solved, weight, count)``: the Frobenius norm
+      of S^-1 (rows^T rows + weight Omega) S^-1 - count S^-1, given the
+      rows and ``solved`` = ``solve(rows)``: the Cholesky form reads the
+      rows, and the low-rank form the solved rows, whose norm it sums
+      from 3n x 3n Grams in O(p n^2), forming no array larger than
+      (p, 3n);
     - ``relative_change(old)``: ||S - old||_F / (1 + ||old||_F);
     - ``is_finite()``;
     - ``carried_to(penalty)``: the value on ``penalty``, a penalty with the
@@ -418,7 +420,7 @@ class CholeskyForm(WithinCovariance):
                 ) from exc
         return means
 
-    def gradient_norm(self, rows, weight, count):
+    def gradient_norm(self, rows, solved, weight, count):
         inverse = scipy_linalg().cho_solve(self.factor, np.eye(self.p), check_finite=False)
         sandwich = inverse @ self.penalty.add_to(rows.T @ rows, weight) @ inverse
         return frobenius_norm(sandwich - count * inverse)
@@ -429,6 +431,23 @@ class CholeskyForm(WithinCovariance):
 
         matrix = turn(turn(self.matrix).T)
         return CholeskyForm(0.5 * (matrix + matrix.T), penalty)
+
+
+def _halves(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of each value into a high part of 26 bits and the
+    exact rest, so that the product of two halves is exact."""
+    scaled = 134217729.0 * values  # 2**27 + 1
+    high = scaled - (scaled - values)
+    return high, values - high
+
+
+def _exact_dot(a: np.ndarray, b: np.ndarray, start: float) -> float:
+    """start + a . b, correctly rounded: each product a_i b_i as its
+    rounded value plus its exact error, all summed by ``math.fsum``."""
+    product = a * b
+    (a_high, a_low), (b_high, b_low) = _halves(a), _halves(b)
+    error = ((a_high * b_high - product) + a_high * b_low + a_low * b_high) + a_low * b_low
+    return math.fsum((start, *product, *error))
 
 
 class WoodburyForm(WithinCovariance):
@@ -552,43 +571,53 @@ class WoodburyForm(WithinCovariance):
             means[i] = base - scale * (inner @ self.rotated) / g
         return self.basis.unrotate(means)
 
-    def gradient_norm(self, rows, weight, count):
+    def gradient_norm(self, rows, solved, weight, count):
         # With A = inv(Sigma_w) = diag(1/d) - V^T P in the basis, P = K^-1 V,
         # the gradient is G = diag(g) + E^T E + Z^T P + P^T Z = diag(g)
-        # + left^T right, where g = weight lambda / d^2 - count / d, E = rows~ A,
-        # Z = count/2 V - weight V diag(lambda / d) + 1/2 (weight V Lambda V^T) P,
-        # left = [E; Z; P] and right = [E; P; Z].  G is symmetric, so its
-        # squared norm is summed over column strips [s, t) of the upper
-        # triangle: twice the rows above s plus the diagonal block, one
-        # t x (t - s) product at a time and no p x p array.
+        # + L Pi L^T, where g = weight lambda / d^2 - count / d, E = rows~ A
+        # (the solved rows, rotated), Z = count/2 V - weight V diag(lambda / d)
+        # + 1/2 (weight V Lambda V^T) P, L = [E; Z; P]^T, p x 3n, and Pi
+        # swaps the Z and P columns.  With delta_i = L_i . (Pi L_i), the
+        # diagonal of L Pi L^T, the squared norm is sum_i (g_i + delta_i)^2
+        # plus the off-diagonal mass <B, Pi B Pi> - sum_i delta_i^2 of the
+        # 3n x 3n Gram B = L^T L: O(p n^2), no array larger than L.  That
+        # difference cancels where a row's terms dwarf its entries of G (a
+        # mode whose d lies far below the others, as a penalty null mode
+        # that only the jitter holds up), so those heavy rows are formed
+        # whole, at most 3n at a time, with each diagonal entry summed
+        # exactly, and are left out of B.
         _, scaled, capacitance = self._unshifted
         lam = self.basis.eigenvalues
         projected = spd_solve(capacitance, scaled)
-        solved_rows = self._solve_rotated(self.basis.rotate(rows))
+        solved = self.basis.rotate(solved)
         z = (
             (0.5 * count) * scaled
             - weight * scaled * (lam / self.d)
             + 0.5 * ((weight * (scaled * lam)) @ scaled.T) @ projected
         )
         g = weight * lam / self.d**2 - count / self.d
-        # Only left is held, transposed in C order so that left[:t] is a
-        # contiguous GEMM operand; right[s:t] is left[s:t] with the Z and P
-        # columns swapped, copied per strip.  With the sources dropped and
-        # each strip squared in place, the peak stays near one stack and
-        # two strips (70 MiB at p = 16384, n = 100, against 176 MiB).
-        left = np.concatenate((solved_rows.T, z.T, projected.T), axis=1)
-        m, k = len(solved_rows), len(z)
+        left = np.concatenate((solved.T, z.T, projected.T), axis=1)
+        m, k = len(solved), len(z)
         swap = np.r_[:m, m + k:m + 2 * k, m:m + k]
-        del solved_rows, z, projected
+        del solved, z, projected
+        heavy = np.flatnonzero(self.d < _HEAVY_MODE * np.median(self.d))
         total = 0.0
-        for s in range(0, self.p, _GRADIENT_STRIP):
-            t = min(s + _GRADIENT_STRIP, self.p)
-            strip = left[:t] @ left[s:t, swap].T
-            block = strip[s:]
-            block[np.diag_indices(t - s)] += g[s:t]
-            strip *= strip
-            total += 2.0 * float(np.sum(strip[:s])) + float(np.sum(block))
-        return math.sqrt(total)
+        for s in range(0, heavy.size, left.shape[1]):
+            block = heavy[s:s + left.shape[1]]
+            whole = left @ left[block][:, swap].T
+            for column, row in enumerate(block):
+                whole[row, column] = _exact_dot(left[row], left[row, swap], g[row])
+            # Each heavy column counts twice, once more as a row, and the
+            # heavy x heavy entries once.
+            total += 2.0 * float(np.sum(whole * whole)) - float(np.sum(whole[heavy] ** 2))
+        left[heavy] = 0.0
+        g[heavy] = 0.0
+        delta = (np.einsum("ij,ij->i", left[:, :m], left[:, :m])
+                 + 2.0 * np.einsum("ij,ij->i", left[:, m:m + k], left[:, m + k:]))
+        gram = left.T @ left
+        total += float(np.sum((g + delta) ** 2)) + (
+            float(np.sum(gram * gram[np.ix_(swap, swap)])) - float(np.sum(delta * delta)))
+        return math.sqrt(max(total, 0.0))
 
     def _squared_norm(self) -> float:
         gram = self.rotated @ self.rotated.T
@@ -714,7 +743,9 @@ def _state_terms(
     """Check ``state`` against the data and the penalty, and return the
     pieces the objective and its gradients share: y - x, the latent curves
     centred at their class means, those rows solved against Sigma_w, and
-    the class means' penalty quadratic sum_i mu_i^T Omega mu_i."""
+    the class means' penalty quadratic sum_i mu_i^T Omega mu_i.  A caller
+    that evaluates both at one state (``estimator.fit`` at its last)
+    hands them to each as ``shared``, so the state is solved once."""
     check_state(state, data, penalty)
     centered = state.x - state.mu[data.labels - 1]
     mean_quad = float(np.sum(state.mu * penalty.apply(state.mu)))
@@ -726,8 +757,12 @@ def log_posterior_terms(
     data: LabeledFunctionalDataset,
     hyper: HyperParams,
     penalty: SmoothingPenalty,
+    shared: tuple | None = None,
 ) -> LogPosteriorTerms:
     """Evaluate the additive terms of twice the joint log-posterior.
+
+    ``shared``, when given, is the state's ``_state_terms``, already
+    checked and computed by the caller.
 
     Returns
     -------
@@ -735,7 +770,7 @@ def log_posterior_terms(
         Terms summing (via ``total``) to the objective ascended by the
         backfitting estimator.
     """
-    resid_y, centered, solved, mean_quad = _state_terms(state, data, penalty)
+    resid_y, centered, solved, mean_quad = shared or _state_terms(state, data, penalty)
     n, p, c = data.n, data.p, data.c
     within = state.sigma_w
     logdet_sw = within.log_det
@@ -781,9 +816,11 @@ def log_posterior(
     data: LabeledFunctionalDataset,
     hyper: HyperParams,
     penalty: SmoothingPenalty,
+    shared: tuple | None = None,
 ) -> float:
-    """Twice the unnormalized joint log-posterior at ``state``."""
-    return log_posterior_terms(state, data, hyper, penalty).total()
+    """Twice the unnormalized joint log-posterior at ``state``
+    (``shared`` as in ``log_posterior_terms``)."""
+    return log_posterior_terms(state, data, hyper, penalty, shared).total()
 
 
 def pooled_within_scatter(

@@ -224,25 +224,50 @@ def unrotated_fit(data, hyper=None, config=None):
         )
 
 
-def two_gemm_gradient_norm(within, rows, weight, count):
-    """Reference for ``WoodburyForm.gradient_norm``: the Frobenius norm of
-    the whole p x p gradient diag(g) + E^T E + Z^T P + P^T Z, formed as
-    ``gradient_norm`` formed it before it summed the norm in strips."""
+def _gradient_parts(within, weight, count):
+    """Z, P and the diagonal g of ``WoodburyForm.gradient_norm``'s
+    comment, as it computes them."""
     _, scaled, capacitance = within._unshifted
     lam = within.basis.eigenvalues
     projected = spd_solve(capacitance, scaled)
-    solved_rows = within._solve_rotated(within.basis.rotate(rows))
     z = (
         (0.5 * count) * scaled
         - weight * scaled * (lam / within.d)
         + 0.5 * ((weight * (scaled * lam)) @ scaled.T) @ projected
     )
+    return z, projected, weight * lam / within.d**2 - count / within.d
+
+
+def two_gemm_gradient_norm(within, rows, weight, count):
+    """Reference for ``WoodburyForm.gradient_norm``: the Frobenius norm of
+    the whole p x p gradient diag(g) + E^T E + Z^T P + P^T Z, formed as
+    ``gradient_norm`` formed it before it summed the norm in column strips
+    and then from 3n x 3n Grams."""
+    z, projected, g = _gradient_parts(within, weight, count)
+    solved_rows = within._solve_rotated(within.basis.rotate(rows))
     cross = z.T @ projected
     gradient = solved_rows.T @ solved_rows
     gradient += cross
     gradient += cross.T
-    gradient[np.diag_indices(within.p)] += weight * lam / within.d**2 - count / within.d
+    gradient[np.diag_indices(within.p)] += g
     return frobenius_norm(gradient)
+
+
+def stack_gradient_norm(within, solved, weight, count, dtype):
+    """The Frobenius norm of diag(g) + L Pi L^T, in ``dtype``, from the
+    float64 (p, 3n) stack L = [E; Z; P]^T and diagonal g that
+    ``WoodburyForm.gradient_norm`` builds from the solved rows (Pi swaps
+    the Z and P columns): its former strip sum, in one strip.  In long
+    double it is the exact norm of the float64 stack to well past float64
+    precision, so it measures the error of a float64 sum of the same
+    stack alone."""
+    z, projected, g = _gradient_parts(within, weight, count)
+    solved_rows = within.basis.rotate(solved)
+    left = np.concatenate((solved_rows.T, z.T, projected.T), axis=1).astype(dtype)
+    m, k = len(solved_rows), len(z)
+    gradient = left @ left[:, np.r_[:m, m + k:m + 2 * k, m:m + k]].T
+    gradient[np.diag_indices(within.p)] += g.astype(dtype)
+    return float(np.sqrt(np.sum(gradient * gradient)))
 
 
 def dense_pda_fit(data, penalty, alpha):

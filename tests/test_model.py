@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,12 +33,13 @@ from gplda import (
     update_x,
     validate_dataset,
 )
+from gplda import model
 from gplda.linalg import frobenius_norm
 from gplda.model import CholeskyForm, WoodburyForm
 
 from helpers import (
     dense_sigma_w, lap2d_image_set, random_posterior_state, sample_well_posed_dataset,
-    two_gemm_gradient_norm,
+    stack_gradient_norm, two_gemm_gradient_norm,
 )
 
 
@@ -402,7 +404,8 @@ class TestWithinCovariance:
         assert _rel(low_rank.smooth_means(xbar, scales), full.smooth_means(xbar, scales)) <= 1e-8
         weight, count = float(rng.uniform(0.1, 2.0)), float(rng.uniform(1.0, 50.0))
         assert _rel(
-            low_rank.gradient_norm(rows, weight, count), full.gradient_norm(rows, weight, count)
+            low_rank.gradient_norm(rows, low_rank.solve(rows), weight, count),
+            full.gradient_norm(rows, full.solve(rows), weight, count),
         ) <= 1e-8
 
     @pytest.mark.parametrize("case", CASES)
@@ -563,34 +566,87 @@ def _fit_end_gradient_case(name):
     return state.sigma_w, state.x - state.mu[data.labels - 1], state.alpha2, count
 
 
-class TestStripGradientNorm:
-    """``WoodburyForm.gradient_norm`` sums the squared gradient strip by
-    strip over the upper triangle; the two-GEMM body that formed the whole
-    p x p gradient is the oracle."""
+def _heavy_modes(within):
+    return np.flatnonzero(within.d < model._HEAVY_MODE * np.median(within.d))
+
+
+class TestGramGradientNorm:
+    """``WoodburyForm.gradient_norm`` sums the squared gradient from its
+    diagonal and the 3n x 3n Gram of its stack, with the rows of heavy
+    modes formed whole; the two-GEMM body that formed the whole p x p
+    gradient is the oracle."""
 
     @pytest.mark.parametrize("name", ["sim1_N50", "sim2_N20", "lap2d_16", "lap2d_20",
                                       "lap2d_16_c3"])
     def test_fit_end_states(self, name):
-        # p = 256 is exactly one strip; p = 400 ends in a partial strip.
         within, rows, weight, count = _fit_end_gradient_case(name)
         assert isinstance(within, WoodburyForm)
-        assert within.gradient_norm(rows, weight, count) == pytest.approx(
+        assert within.gradient_norm(rows, within.solve(rows), weight, count) == pytest.approx(
             two_gemm_gradient_norm(within, rows, weight, count), rel=1e-12)
 
-    @pytest.mark.parametrize("strip", [None, 7])
     @pytest.mark.parametrize("case", TestWithinCovariance.CASES)
-    def test_low_rank_cases(self, case, strip, monkeypatch):
-        # A strip of 7 splits every grid of the cases into many strips.
-        if strip is not None:
-            monkeypatch.setattr("gplda.model._GRADIENT_STRIP", strip)
+    def test_low_rank_cases(self, case):
         rng = np.random.default_rng(300 + case)
         data, penalty, hyper, jitter, state = _low_rank_case(rng, case)
         within = state.sigma_w
         count = data.n + hyper.nu(data.p) + data.p + 1.0
         centered = state.x - state.mu[data.labels - 1]
         for rows in (centered, rng.standard_normal((5, data.p))):
-            assert within.gradient_norm(rows, state.alpha2, count) == pytest.approx(
-                two_gemm_gradient_norm(within, rows, state.alpha2, count), rel=1e-12)
+            assert within.gradient_norm(rows, within.solve(rows), state.alpha2, count) == (
+                pytest.approx(two_gemm_gradient_norm(within, rows, state.alpha2, count), rel=1e-12))
+
+    @pytest.mark.parametrize("case", TestWithinCovariance.CASES)
+    def test_heavy_modes_are_formed_whole(self, case):
+        # A jitter of 1e-3 times the median d leaves the penalty's null
+        # modes (and the next few) far below the rest: the heavy-row branch.
+        rng = np.random.default_rng(300 + case)
+        data, penalty, hyper, jitter, state = _low_rank_case(rng, case)
+        low = state.sigma_w
+        within = WoodburyForm(low.root, low.beta, 1e-3 * float(np.median(low.d)), penalty)
+        assert np.argmin(within.d) in _heavy_modes(within)
+        count = data.n + hyper.nu(data.p) + data.p + 1.0
+        centered = state.x - state.mu[data.labels - 1]
+        for rows in (centered, rng.standard_normal((5, data.p))):
+            assert within.gradient_norm(rows, within.solve(rows), state.alpha2, count) == (
+                pytest.approx(two_gemm_gradient_norm(within, rows, state.alpha2, count), rel=1e-12))
+
+    def test_heavy_modes_past_one_block(self):
+        # Two root rows and one row make a stack 5 columns wide, against
+        # 17 heavy modes: they are formed in blocks of at most 5 rows.
+        rng = np.random.default_rng(307)
+        data, penalty, hyper, jitter, state = _low_rank_case(rng, 7)
+        low = state.sigma_w
+        within = WoodburyForm(low.root[:2], low.beta, 1e-3 * float(np.median(low.d)), penalty)
+        assert _heavy_modes(within).size > 5
+        rows = rng.standard_normal((1, data.p))
+        assert within.gradient_norm(rows, within.solve(rows), state.alpha2, 7.0) == pytest.approx(
+            two_gemm_gradient_norm(within, rows, state.alpha2, 7.0), rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-6, 1e-4])
+    def test_stiff_values_sum_no_worse_than_the_strip_sum(self, eps):
+        # ROADMAP item 2's probe: rows, weight and count of a Sigma_w
+        # update point (beta = 1), where the gradient is -k eps Sigma_w^-2
+        # and each entry cancels terms near k / d.  Both float64 sums are
+        # compared with the long-double sum of the same stack.
+        penalty = build_penalty(FIRST_DIFF, 101)
+        root = 0.3 * np.random.default_rng(0).standard_normal((20, 101))
+        within = WoodburyForm(root, 1.0, eps, penalty)
+        assert _heavy_modes(within).size > 0
+        rows, weight, count = math.sqrt(500.0) * root, 500.0, 500.0
+        solved = within.solve(rows)
+        exact = stack_gradient_norm(within, solved, weight, count, np.longdouble)
+        strip = stack_gradient_norm(within, solved, weight, count, np.float64)
+        error = abs(within.gradient_norm(rows, solved, weight, count) - exact) / exact
+        assert error <= max(2.0 * abs(strip - exact) / exact, 1e-9)
+
+    def test_exact_dot_is_correctly_rounded(self):
+        rng = np.random.default_rng(31)
+        for scale in (1.0, 1e8, 1e-8):
+            a = scale * rng.standard_normal(60)
+            b = rng.standard_normal(60) / scale
+            start = -float(a @ b)  # cancels all but the rounding error
+            exact = Fraction(start) + sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
+            assert model._exact_dot(a, b, start) == float(exact)
 
     def test_image_residuals_allocate_less_than_one_p_by_p_array(self):
         rng = np.random.default_rng(23)
@@ -606,6 +662,24 @@ class TestStripGradientNorm:
         finally:
             tracemalloc.stop()
         assert peak < 8 * data.p**2
+
+    def test_image_residuals_allocate_a_few_n_by_p_arrays(self):
+        # 64 x 64 images with n = 100: the residuals hold y - x, the
+        # centred curves, their solve and the (p, 3n) stack, and trace
+        # less than twelve n x p arrays.
+        rng = np.random.default_rng(23)
+        data = lap2d_image_set(rng, 100, 64, 64)
+        hyper = HyperParams()
+        config = FitConfig(penalty=build_penalty(LAPLACIAN_2D, (64, 64)))
+        state, _ = fit(data, hyper, config)
+        assert isinstance(state.sigma_w, WoodburyForm)
+        tracemalloc.start()
+        try:
+            first_order_residuals(state, data, hyper, config.penalty)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * data.n * data.p * 8
 
 
 class TestPosteriorState:

@@ -60,7 +60,7 @@ def _zero_jitter_fit_digests():
 
 def test_fit_digest_is_stable_across_calls():
     first = _zero_jitter_fit_digests()
-    assert list(first) == ["GPLDA-fit", "GPLDA"]
+    assert list(first) == ["GPLDA-fit", "GPLDA-resid", "GPLDA"]
     assert all(len(value) == 64 for value in first.values())
     assert _zero_jitter_fit_digests() == first
 

@@ -12,16 +12,16 @@ cross-validated PDA (second-difference penalty), MLE-LDA and PCA+LDA
 (q = 1) on sim1 N=50, sim1 N=200 and sim2 N=20 at seeds 0-9, GPLDA
 fits of 12 x 12, 16 x 16 and 20 x 20 lap2d images with n = 60 < p (the
 first grid rotates by the dense DCT-II matrix, the others, past
-``DENSE_DCT_BELOW_P``, by scipy.fft; the last one's Sigma_w residual
-sums more than one strip, ending in a partial one), one PDA fit at
-alpha = 10 of the 16 x 16 images, which solves its within matrix in the
-penalty's eigenbasis, and one zero-jitter GPLDA fit with n = 80 >= p = 10.  Each
-GPLDA fit prints two lines:
-``GPLDA-fit`` covers the fitted state (x, mu, the matrix of Sigma_w,
-alpha1, alpha2, sigma2) and the trace (``sweeps_run``, ``converged``,
-``log_posterior_per_sweep``, ``final_residuals``), and ``GPLDA`` the
-directions and eigenvalues, so a change that keeps the fit and moves the
-directions differs in ``GPLDA`` lines only.  Each PDA fit prints two
+``DENSE_DCT_BELOW_P``, by scipy.fft), one PDA fit at alpha = 10 of the
+16 x 16 images, which solves its within matrix in the penalty's
+eigenbasis, and one zero-jitter GPLDA fit with n = 80 >= p = 10.  Each
+GPLDA fit prints three lines: ``GPLDA-fit`` covers the fitted state (x,
+mu, the matrix of Sigma_w, alpha1, alpha2, sigma2) and the trace's
+``sweeps_run``, ``converged`` and ``log_posterior_per_sweep``,
+``GPLDA-resid`` the trace's ``final_residuals``, and ``GPLDA`` the
+directions and eigenvalues, so a change that keeps the fit and moves
+only the residuals' bits, or only the directions, differs in
+``GPLDA-resid`` or ``GPLDA`` lines alone.  Each PDA fit prints two
 lines the same way: ``PDA-cv`` covers the cross-validated alpha and the
 mean cross-validated error of every candidate, and ``PDA`` the
 directions and eigenvalues at that alpha.  ``MLE_LDA`` and ``PCA_LDA``
@@ -68,16 +68,17 @@ def digest(*outputs) -> str:
 
 
 def gplda_digests(data: LabeledFunctionalDataset, config: FitConfig) -> dict[str, str]:
-    """The ``GPLDA-fit`` and ``GPLDA`` digests of one ``gplda_fit``, run as
-    its two steps so that the fitted state can be read."""
+    """The ``GPLDA-fit``, ``GPLDA-resid`` and ``GPLDA`` digests of one
+    ``gplda_fit``, run as its two steps so that the fitted state can be
+    read."""
     state, trace = fit(data, config=config)
     model = gplda_directions(state, data.label_names, penalty_descriptor=config.penalty.descriptor)
     return {
         "GPLDA-fit": digest(
             state.x, state.mu, np.asarray(state.sigma_w), state.alpha1, state.alpha2,
             state.sigma2, trace.sweeps_run, trace.converged, trace.log_posterior_per_sweep,
-            tuple(trace.final_residuals.as_dict().values()),
         ),
+        "GPLDA-resid": digest(tuple(trace.final_residuals.as_dict().values())),
         "GPLDA": digest(model.directions, model.eigenvalues),
     }
 
