@@ -11,11 +11,18 @@ the pair is an exact round trip.
 All file writes go through a temporary file in the target directory
 followed by an atomic rename, so readers never observe partial files.
 
-On a host where the process may run on 2 or more CPUs, the CSV writer
-and reader split a file of at least ``2 * _ROWS_PER_WRITE`` rows in two
-at a row boundary: one forked child formats or parses the second half
-while the process handles the first.  The output is the same as from one
-process, byte for byte and value for value.
+The CSV writer formats ``_ROWS_PER_WRITE`` rows at a time.  Where no
+data line holds a double quote, the reader reads ``_ROWS_PER_WRITE``
+lines at a time and parses each block straight into its rows of the one
+values array, so neither holds the file's text; a file with a quote in
+its data rows, where a cell may span lines, is read whole as lines in
+one process.  On a host where the process may run on 2 or more CPUs, a
+file of at least ``2 * _ROWS_PER_WRITE`` rows (lines, for the reader) is
+handled in two halves: the writer splits the rows in two, the reader the
+bytes at the first line break after the middle one, and one forked child
+formats or reads the second half while the process handles the first.
+The output is the same as from one process, byte for byte and value for
+value.
 """
 
 from __future__ import annotations
@@ -64,29 +71,30 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
         fh.writelines([text] if isinstance(text, str) else text)
 
 
-# Rows formatted per write: bounds the text held in memory at once.  A
-# file of at least twice as many rows is split between two processes.
+# Rows (or lines) formatted or parsed at a time: bounds the text held in
+# memory at once.  A file of at least twice as many is split between two
+# processes.
 _ROWS_PER_WRITE = 1000
 
 
-def _in_parts(n_rows: int, run: Callable, send: Callable, finish: Callable, splittable: bool):
-    """``finish(run(0, n_rows), None)``, or the same work in two parts.
+def _in_parts(count: int, bounds: tuple, run: Callable, send: Callable, finish: Callable):
+    """``finish(run(start, stop), None)``, or the same work in two parts.
 
-    The rows are split at ``n_rows // 2`` when ``splittable`` holds, this
-    process may run on at least 2 CPUs and there are at least
-    ``2 * _ROWS_PER_WRITE`` rows.  Then one forked child runs
-    ``run(half, n_rows)`` and passes what it returns to ``send(part,
-    stream)``, which writes it to a pipe, while this process runs
-    ``run(0, half)``; the result is ``finish(first part, stream)``, where
-    ``finish`` reads what ``send`` wrote.  An exception in the child is
-    raised here.  The child always ends in ``os._exit``; it is killed if
-    this process stops before reading all it sent, and reaped before this
-    returns or raises.
+    ``bounds`` is ``(start, middle, stop)``.  The work is split at
+    ``middle`` when this process may run on at least 2 CPUs and ``count``,
+    the rows or lines from ``start`` to ``stop``, is at least
+    ``2 * _ROWS_PER_WRITE``.  Then one forked child runs ``run(middle,
+    stop)`` and passes what it returns to ``send(part, stream)``, which
+    writes it to a pipe, while this process runs ``run(start, middle)``;
+    the result is ``finish(first part, stream)``, where ``finish`` reads
+    what ``send`` wrote.  An exception in the child is raised here.  The
+    child always ends in ``os._exit``; it is killed if this process stops
+    before reading all it sent, and reaped before this returns or raises.
     """
+    start, middle, stop = bounds
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if not (splittable and cpus >= 2 and n_rows >= 2 * _ROWS_PER_WRITE):
-        return finish(run(0, n_rows), None)
-    half = n_rows // 2
+    if not (cpus >= 2 and count >= 2 * _ROWS_PER_WRITE):
+        return finish(run(start, stop), None)
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -100,7 +108,7 @@ def _in_parts(n_rows: int, run: Callable, send: Callable, finish: Callable, spli
             os.close(read_end)
             with os.fdopen(write_end, "wb") as stream:
                 try:
-                    part = run(half, n_rows)
+                    part = run(middle, stop)
                 except Exception as exc:
                     pickle.dump(exc, stream)
                 else:
@@ -113,7 +121,7 @@ def _in_parts(n_rows: int, run: Callable, send: Callable, finish: Callable, spli
     received = False
     try:
         with os.fdopen(read_end, "rb") as stream:
-            first = run(0, half)
+            first = run(start, middle)
             try:
                 error = pickle.load(stream)
             except (EOFError, pickle.UnpicklingError):
@@ -135,8 +143,11 @@ def _in_parts(n_rows: int, run: Callable, send: Callable, finish: Callable, spli
 # commas and quoted as the csv module quotes them, with "#" as data.
 _CSV_CELLS = {"delimiter": ",", "quotechar": '"', "comments": None}
 
+# Bytes read at a time while a file is scanned for line breaks and quotes.
+_SCAN_BYTES = 1 << 20
 
-def _csv_rows(lines: list[str]):
+
+def _csv_rows(lines: Iterable[str]):
     """``(first line, end line, cells)`` of each row of ``lines`` that has a
     cell other than whitespace, split by the csv module.
     """
@@ -148,6 +159,24 @@ def _csv_rows(lines: list[str]):
         begin = reader.line_num
 
 
+def _first_row(lines: Iterable[str], has_header: bool):
+    """The first ``_csv_rows`` entry of ``lines`` after the header row if
+    ``has_header``, or None if there is none.  Reads no line past it."""
+    rows = _csv_rows(lines)
+    if has_header:
+        next(rows, None)
+    return next(rows, None)
+
+
+def _columns(n_cells: int) -> np.dtype:
+    """The ``loadtxt`` dtype of rows of ``n_cells`` cells: a label, then values."""
+    return np.dtype([("label", object), ("values", float, (n_cells - 1,))])
+
+
+def _labels(table: np.ndarray) -> list:
+    return [label.strip() for label in table["label"]]
+
+
 def read_labeled_csv(path: str, has_header: bool = False):
     """Read a labeled-curve CSV into raw labels and a float matrix.
 
@@ -156,14 +185,117 @@ def read_labeled_csv(path: str, has_header: bool = False):
     empty or whitespace are skipped; with ``has_header`` so is the first
     other row.  Cells may be quoted as the csv module quotes them, labels
     are stripped, and values are parsed by NumPy's C reader (``loadtxt``).
-    Where no data line holds a double quote, each line is one row, and a
-    file of ``2 * _ROWS_PER_WRITE`` lines or more may be parsed in two
-    halves (``_in_parts``): a forked child sends its half's values as raw
-    float64 bytes into the rows of the one (n, p) result.  When a half
-    fails to parse, the whole file is read again in this process.
-    Parse failures carry one-based row and column positions, counting
-    data rows only.
+
+    Where no data line holds a double quote, each line is one row, and
+    the data lines are read ``_ROWS_PER_WRITE`` at a time, each block
+    parsed by one ``loadtxt`` call straight into its rows of the one
+    (n, p) result, which is allocated from a count of the line breaks.  A
+    file of ``2 * _ROWS_PER_WRITE`` lines or more may be read in two
+    halves split at a line break near its middle byte (``_in_parts``): a
+    forked child reads the second byte range and sends its values as raw
+    float64 bytes into the rows after the first half's.  So no more than
+    one block of the file's text is held at a time.  A file with a quote
+    in its data rows, where a cell may span lines, and a file that the
+    blocks fail to parse are read whole, as lines, in this process, which
+    locates the failure.  Parse failures carry one-based row and column
+    positions, counting data rows only.
     """
+    try:
+        read = _read_in_blocks(path, has_header)
+    except ValueError:
+        # Not UTF-8, a row of blank cells, a ragged row or a cell that is
+        # no number: the whole-line read reports it.
+        read = None
+    return _read_lines(path, has_header) if read is None else read
+
+
+def _read_in_blocks(path: str, has_header: bool):
+    """``read_labeled_csv`` by blocks of lines, or None where the file
+    cannot be opened, has no first data row of two cells or more, or holds
+    a double quote from that row on: the whole-line read takes those."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            # head keeps each line the csv module reads, up to the first row.
+            head: list[str] = []
+            first = _first_row((head.append(line) or line for line in fh), has_header)
+        if first is None or len(first[2]) < 2:
+            return None
+        begin = len("".join(head[: first[0]]).encode("utf-8"))
+        with open(path, "rb") as fh:
+            fh.seek(begin)
+            count, last = 0, b"\n"
+            while chunk := fh.read(_SCAN_BYTES):
+                if b'"' in chunk:
+                    return None
+                count += chunk.count(b"\n")
+                last = chunk[-1:]
+            end = fh.tell()
+            fh.seek((begin + end) // 2)
+            fh.readline()
+            middle = fh.tell()
+    except OSError:
+        return None
+    # Each line holds at most one row; a last line without a line break counts.
+    count += last != b"\n"
+    columns = _columns(len(first[2]))
+    values = np.empty((count, len(first[2]) - 1))
+
+    def parse(start: int, stop: int):
+        labels = _parse_lines(path, start, stop, columns, values)
+        return labels, values[: len(labels)]
+
+    def join(first_part, stream):
+        labels, rows = first_part
+        rest_labels, rest = pickle.load(stream) if stream is not None else ([], 0)
+        tail = values[len(rows) : len(rows) + rest]
+        if len(tail) != rest:
+            raise ValueError(f"{path} has more rows than when it was scanned")
+        if rest and stream.readinto(tail) != tail.nbytes:
+            raise ChildProcessError("the process handling the second half ended early")
+        return labels + rest_labels, values[: len(rows) + rest]
+
+    return _in_parts(count, (begin, middle, end), parse, _send_rows, join)
+
+
+def _parse_lines(path: str, start: int, stop: int, columns: np.dtype, into: np.ndarray) -> list:
+    """The labels of the rows in bytes ``start`` to ``stop`` of ``path``,
+    each a line, whose values go into the leading rows of ``into``.
+
+    ``start`` and ``stop`` are line boundaries.  Lines are read and parsed
+    ``_ROWS_PER_WRITE`` at a time; lines of whitespace are skipped.
+    """
+    labels: list = []
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        while start < stop:
+            block = []
+            while start < stop and len(block) < _ROWS_PER_WRITE:
+                line = fh.readline()
+                if not line:
+                    raise ValueError(f"{path} ended before byte {stop}")
+                start += len(line)
+                text = line.decode("utf-8")
+                if not text.isspace():
+                    block.append(text)
+            if block:
+                table = np.loadtxt(block, dtype=columns, ndmin=1, **_CSV_CELLS)
+                into[len(labels) : len(labels) + len(table)] = table["values"]
+                labels += _labels(table)
+    return labels
+
+
+def _send_rows(part, stream) -> None:
+    """Write ``(labels, values)`` to ``stream``: the labels and the row
+    count as one pickle, then the values as raw float64 bytes."""
+    labels, values = part
+    pickle.dump((labels, len(values)), stream)
+    for start in range(0, len(values), _ROWS_PER_WRITE):
+        stream.write(values[start : start + _ROWS_PER_WRITE].tobytes())
+
+
+def _read_lines(path: str, has_header: bool):
+    """``read_labeled_csv`` from the file's lines, all read at once, in
+    this process."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -171,61 +303,20 @@ def read_labeled_csv(path: str, has_header: bool = False):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
-    rows = _csv_rows(lines)
-    if has_header:
-        next(rows, None)
-    first = next(rows, None)
+    first = _first_row(lines, has_header)
     if first is None:
         raise ParseError(f"{path}: no data rows")
     begin, _, cells = first
     if len(cells) < 2:
         raise ParseError(f"{path}: row 1 has no value columns", row=1)
-    columns = np.dtype([("label", object), ("values", float, (len(cells) - 1,))])
+    columns = _columns(len(cells))
     data_lines = lines[begin:]
-    # Only a quoted cell can span lines.  Without one, each line is a row,
-    # and blank lines are dropped, so that neither half is left without rows.
-    one_line_rows = not any('"' in line for line in data_lines)
-    if one_line_rows:
-        data_lines = [line for line in data_lines if not line.isspace()]
-
-    def parse(start: int, stop: int):
-        table = np.loadtxt(data_lines[start:stop], dtype=columns, ndmin=1, **_CSV_CELLS)
-        return _labels_and_values(table)
-
     try:
-        return _in_parts(len(data_lines), parse, _send_rows, _join_rows, one_line_rows)
+        table = np.loadtxt(data_lines, dtype=columns, ndmin=1, **_CSV_CELLS)
     except ValueError:
         # A row of blank cells, a ragged row or a cell that is no number.
-        return _join_rows(_labels_and_values(_read_data_rows(path, data_lines, columns)), None)
-
-
-def _labels_and_values(table: np.ndarray):
-    return [label.strip() for label in table["label"]], table["values"]
-
-
-def _send_rows(part, stream) -> None:
-    """Write ``(labels, values)`` to ``stream`` for ``_join_rows``: the
-    labels and the row count as one pickle, then the values as raw
-    float64 bytes."""
-    labels, values = part
-    pickle.dump((labels, len(values)), stream)
-    for start in range(0, len(values), _ROWS_PER_WRITE):
-        stream.write(values[start : start + _ROWS_PER_WRITE].tobytes())
-
-
-def _join_rows(first, stream):
-    """The labels and one (n, p) float array of the rows of ``first``,
-    ``(labels, values)``, followed by those ``_send_rows`` wrote to
-    ``stream``, if it is not None.  The array is allocated once, and the
-    sent values are read straight into its rows."""
-    labels, head = first
-    rest_labels, rest = pickle.load(stream) if stream is not None else ([], 0)
-    values = np.empty((len(head) + rest, head.shape[1]))
-    values[: len(head)] = head
-    tail = values[len(head) :]
-    if rest and stream.readinto(tail) != tail.nbytes:
-        raise ChildProcessError("the process handling the second half ended early")
-    return labels + rest_labels, values
+        table = _read_data_rows(path, data_lines, columns)
+    return _labels(table), np.ascontiguousarray(table["values"])
 
 
 def _read_data_rows(path: str, lines: list[str], columns: np.dtype) -> np.ndarray:
@@ -316,8 +407,9 @@ def save_dataset_csv(path: str, dataset: LabeledFunctionalDataset) -> None:
     rows or more may be written in two halves (``_in_parts``): a forked
     child writes the second half to an unnamed temp file in the target
     directory, and this process writes the first half to the atomic temp
-    file, then appends the child's text.  The file is the same either way,
-    and on any failure the old file stays and no temp file is left.
+    file, then appends the bytes of the child's text.  The file is the
+    same either way, and on any failure the old file stays and no temp
+    file is left.
     """
     names = [_csv_cell(f"{name}") for name in dataset.label_names]
     directory = os.path.dirname(os.path.abspath(path))
@@ -334,10 +426,13 @@ def save_dataset_csv(path: str, dataset: LabeledFunctionalDataset) -> None:
             out.flush()
 
         def append_rest(first, stream) -> None:
-            rest.seek(0)
-            shutil.copyfileobj(rest, fh)
+            # The child's text is copied as the bytes it wrote.
+            fh.flush()
+            rest.buffer.seek(0)
+            shutil.copyfileobj(rest.buffer, fh.buffer)
 
-        _in_parts(dataset.n, write, lambda part, stream: None, append_rest, True)
+        bounds = (0, dataset.n // 2, dataset.n)
+        _in_parts(dataset.n, bounds, write, lambda part, stream: None, append_rest)
 
 
 def save_model(path: str, model: DiscriminantModel) -> None:

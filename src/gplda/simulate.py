@@ -169,18 +169,26 @@ def triangular_bump(t: np.ndarray) -> np.ndarray:
     return np.maximum(6.0 - np.abs(t - 11.0), 0.0)
 
 
+# Rows of the class signal formed at a time and added to the noise, so
+# that a curve set takes one array of its own size.  Each value is the
+# same float sum as signal + noise, since one float + or x gives the same
+# bits in either operand order.
+_ROWS_PER_BLOCK = 1000
+
+
 def _sim1_curves(rng: np.random.Generator, n: int, noise_scale: float):
     t = sim1_grid()
     base = triangular_bump(t)
     right = triangular_bump(t - 4.0)
     left = triangular_bump(t + 4.0)
     weights = rng.random(n)
-    noise = rng.standard_normal((n, t.size))
+    y = rng.standard_normal((n, t.size))
+    y *= noise_scale
     half = n // 2
-    y = np.empty((n, t.size))
-    y[:half] = weights[:half, None] * base + (1.0 - weights[:half, None]) * right
-    y[half:] = weights[half:, None] * base + (1.0 - weights[half:, None]) * left
-    y += noise_scale * noise
+    for first, last, other in ((0, half, right), (half, n, left)):
+        for start in range(first, last, _ROWS_PER_BLOCK):
+            w = weights[start : min(start + _ROWS_PER_BLOCK, last), None]
+            y[start : start + len(w)] += w * base + (1.0 - w) * other
     labels = np.repeat([1, 2], half)
     return y, labels
 
@@ -205,9 +213,13 @@ def _sim2_curves(rng: np.random.Generator, n: int, noise_scale: float):
     offset = sim2_mean_difference(t)
     shared = sim2_shared_component(t)
     amplitude = rng.standard_normal(n)
-    noise = rng.standard_normal((n, t.size)) * np.sqrt(0.1)
+    y = rng.standard_normal((n, t.size))
+    y *= np.sqrt(0.1)
+    y *= noise_scale
+    for start in range(0, n, _ROWS_PER_BLOCK):
+        a = amplitude[start : start + _ROWS_PER_BLOCK, None]
+        y[start : start + len(a)] += a * shared
     half = n // 2
-    y = amplitude[:, None] * shared + noise_scale * noise
     y[:half] += offset
     labels = np.repeat([1, 2], half)
     return y, labels

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -254,6 +255,16 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _one_loadtxt(path, has_header):
+    """Labels and values of one ``loadtxt`` call over the data lines of
+    ``path``: its lines of more than whitespace, after the header row."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = [line for line in fh if not line.isspace()][int(has_header):]
+    columns = [("label", object), ("values", float, (lines[0].count(","),))]
+    table = np.loadtxt(lines, dtype=columns, ndmin=1, delimiter=",", comments=None)
+    return [label.strip() for label in table["label"]], np.ascontiguousarray(table["values"])
+
+
 class TestSplitCsv:
     """A CSV of at least 2 * _ROWS_PER_WRITE rows is formatted and parsed
     in two halves, the second in a forked child, with the output of one
@@ -316,6 +327,73 @@ class TestSplitCsv:
         assert labels == ["a", "b", "a", "b"]
         assert values.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
 
+    # The split offset is the middle byte of the data rows; the halves
+    # part at the first line break after it.
+    @pytest.mark.parametrize(
+        "content,has_header,middle_byte",
+        [
+            ("a,1,2.5\nb,3,4\na,5,6\nb,7,8\n", False, b"\n"),
+            ("a,1,2\nb,3,4\n\n \n\t\n\na,5,6\nb,7,8\n", False, b"\t"),
+            ("a,1,2\nb,3\t,4\n\u03bb\u03bb\u03bb,5,6\nb,7,8\nb,9,9\n", False, b"\xbb"),
+            ("a,1,2\r\nb,3,4\r\n\r\na,5,6\r\nb,7,8\r\n", False, b"\n"),
+            ("a,1,2\nb,3,4\na,5,6\nb,7,8\na,9,10", False, b","),
+            ("label,\u03bb1,\u03bb2\na,1,2\nb,3,4\na,5,6\nb,7,8\n", True, b"a"),
+        ],
+        ids=[
+            "on a newline", "in a run of blank lines", "in a multi-byte label",
+            "between CR and LF", "no final line break", "after a header",
+        ],
+    )
+    def test_split_anywhere_reads_as_one_loadtxt(
+        self, forks, monkeypatch, tmp_path, content, has_header, middle_byte
+    ):
+        monkeypatch.setattr(io_module, "_ROWS_PER_WRITE", 2)
+        monkeypatch.setattr(io_module, "_read_lines", None)  # each block parses
+        raw = content.encode("utf-8")
+        begin = raw.index(b"\n") + 1 if has_header else 0
+        middle = (begin + len(raw)) // 2
+        assert raw[middle : middle + 1] == middle_byte
+        path = str(tmp_path / "curves.csv")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        labels, values = read_labeled_csv(path, has_header=has_header)
+        assert len(forks) == 1
+        want_labels, want_values = _one_loadtxt(path, has_header)
+        assert labels == want_labels
+        assert values.flags.c_contiguous and values.shape == want_values.shape
+        assert values.tobytes() == want_values.tobytes()
+        _no_child_left()
+
+    def test_split_read_traces_its_result_and_a_few_blocks(self, forks, tmp_path):
+        _, data = generate(SimSpec(which="sim1", n_train=20, n_test=20000, seed=4))
+        path = str(tmp_path / "curves.csv")
+        save_dataset_csv(path, data)
+        tracemalloc.start()
+        try:
+            labels, values = read_labeled_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(forks) == 2
+        assert values.tobytes() == data.y.tobytes()
+        assert peak < values.nbytes + 8 * 2**20
+
+    def _located_error(self, monkeypatch, tmp_path, line, bad_row):
+        """The ParseErrors of a split and a one-process read of 12 rows
+        whose row ``line`` (from 0) is ``bad_row``."""
+        monkeypatch.setattr(io_module, "_ROWS_PER_WRITE", 3)
+        lines = [f"{'ab'[r % 2]},{r}.5,{r}.25,-{r}\n" for r in range(12)]
+        lines[line] = bad_row
+        path = str(tmp_path / "curves.csv")
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        with pytest.raises(ParseError) as split:
+            read_labeled_csv(path)
+        with pytest.raises(ParseError) as whole:
+            _one_part(monkeypatch, read_labeled_csv, path)
+        _no_child_left()
+        return path, split.value, whole.value
+
     @pytest.mark.parametrize(
         "bad_row,message,row,column",
         [
@@ -326,19 +404,42 @@ class TestSplitCsv:
     def test_error_in_the_second_half_is_located_as_before(
         self, forks, monkeypatch, tmp_path, bad_row, message, row, column
     ):
+        path, split, whole = self._located_error(monkeypatch, tmp_path, 8, bad_row)
+        assert len(forks) == 1
+        assert str(split) == str(whole) == f"{path}: {message}"
+        assert (split.row, split.column) == (row, column)
+
+    @pytest.mark.parametrize(
+        "bad_row,message,row,column",
+        [
+            ("b,1.0,2.0,x\n", "row 2 column 4: cannot parse 'x' as a number", 2, 4),
+            ("b,1.0,2.0,3.0,4.0\n", "row 2 has 5 columns, expected 4", 2, None),
+        ],
+    )
+    def test_error_in_the_first_half_is_located_as_before(
+        self, forks, monkeypatch, tmp_path, bad_row, message, row, column
+    ):
+        path, split, whole = self._located_error(monkeypatch, tmp_path, 1, bad_row)
+        assert len(forks) == 1
+        assert str(split) == str(whole) == f"{path}: {message}"
+        assert (split.row, split.column) == (row, column)
+
+    def test_bytes_not_utf8_in_the_second_half_are_reported_as_before(
+        self, forks, monkeypatch, tmp_path
+    ):
+        # Past the first 8 KiB, which the search for the first row decodes.
         monkeypatch.setattr(io_module, "_ROWS_PER_WRITE", 3)
-        lines = [f"{'ab'[r % 2]},{r}.5,{r}.25,-{r}\n" for r in range(12)]
-        lines[8] = bad_row
         path = str(tmp_path / "curves.csv")
-        with open(path, "w") as fh:
-            fh.writelines(lines)
-        with pytest.raises(ParseError) as split:
+        with open(path, "wb") as fh:
+            fh.write(b"".join(b"a,%d.5,%d\n" % (r, r) for r in range(2000)) + b"\xff,1,2\n")
+        with pytest.raises(ParseError, match="not UTF-8 text") as split:
             read_labeled_csv(path)
         assert len(forks) == 1
         with pytest.raises(ParseError) as whole:
             _one_part(monkeypatch, read_labeled_csv, path)
-        assert str(split.value) == str(whole.value) == f"{path}: {message}"
-        assert (split.value.row, split.value.column) == (row, column)
+        with pytest.raises(ParseError) as reference:
+            csv_module_read(path)
+        assert str(split.value) == str(whole.value) == str(reference.value)
         _no_child_left()
 
     @pytest.mark.parametrize(

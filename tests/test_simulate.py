@@ -1,6 +1,8 @@
 """Tests for the synthetic problems, CV selection, and the benchmark loop."""
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,7 +100,37 @@ class TestCurveShapes:
         assert np.var(class2_at_zero) == pytest.approx(0.1, abs=0.02)
 
 
+# sha256 of train.y, train.labels, test.y and test.labels, in that order,
+# of generate(SimSpec(which, n_train, n_test, seed)) as the generator drew
+# them when it still built each curve set through full-size temporaries.
+GENERATED_DIGESTS = {
+    ("sim1", 50, 200, 0): "65b615410b50bc61f3fbbec66a94a2c5c35e41c19bc4f9595795317d83cafc02",
+    ("sim1", 200, 20000, 7): "bbd31c2ec153d1abe1a059a15b5415f78cefaea53214f53280181a6d37aa9ff6",
+    ("sim2", 20, 200, 3): "3dd5c4f7be42f51e1ac5dc40aa5e1a67c9833ffe48be100d04751ae5b616e509",
+    ("sim2", 200, 20000, 11): "5096f7b90ac951b3e405f8c09a5dc5fee8643fca164139540f85f38cef6f4e5c",
+}
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("which,n_train,n_test,seed", sorted(GENERATED_DIGESTS))
+    def test_curves_and_labels_are_pinned(self, which, n_train, n_test, seed):
+        digest = hashlib.sha256()
+        for data in generate(SimSpec(which, n_train, n_test, seed=seed)):
+            digest.update(data.y.tobytes())
+            digest.update(data.labels.tobytes())
+        assert digest.hexdigest() == GENERATED_DIGESTS[which, n_train, n_test, seed]
+
+    @pytest.mark.parametrize("which", ["sim1", "sim2"])
+    def test_traces_little_more_than_the_curves_it_returns(self, which):
+        tracemalloc.start()
+        try:
+            train, test = generate(SimSpec(which, 200, 20000, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(data.y.nbytes + data.labels.nbytes for data in (train, test))
+        assert peak < 1.25 * returned
+
     def test_deterministic_and_role_separated(self):
         spec = SimSpec("sim1", 20, 30, seed=5)
         train_a, test_a = generate(spec)

@@ -9,6 +9,7 @@ from gplda import FIRST_DIFF, FitConfig, build_penalty, gplda_fit
 
 from helpers import load_tool
 
+cli_scale = load_tool("cli_scale")
 count_code_lines = load_tool("count_code_lines")
 fit_digest = load_tool("fit_digest")
 image_scale = load_tool("image_scale")
@@ -160,3 +161,13 @@ def test_image_scale_prints_one_line_per_grid_and_method(capsys):
 def test_image_scale_refuses_an_unknown_method():
     with pytest.raises(SystemExit):
         image_scale.main(["--sides", "6", "--methods", "LDA"])
+
+
+def test_cli_scale_prints_each_command_with_its_peaks(capsys):
+    # Each command runs in its own process.
+    assert cli_scale.main(["--n-test", "400"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "command n_test seconds own_rss_mib children_rss_mib"
+    rows = [line.split() for line in lines[1:]]
+    assert [row[:2] for row in rows] == [["simulate", "400"], ["fit", "400"], ["predict", "400"]]
+    assert all(float(row[2]) > 0 and float(row[3]) > 0 and float(row[4]) >= 0 for row in rows)
