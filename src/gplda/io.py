@@ -209,18 +209,32 @@ def read_labeled_csv(path: str, has_header: bool = False):
     return _read_lines(path, has_header) if read is None else read
 
 
+class _LineOffsets:
+    """The lines of a text file, with the byte offset ``start`` of the
+    last line given out."""
+
+    def __init__(self, fh):
+        self.fh, self.start, self.end = fh, 0, 0
+
+    def __iter__(self):
+        for line in self.fh:
+            self.start = self.end
+            self.end += len(line.encode("utf-8"))
+            yield line
+
+
 def _read_in_blocks(path: str, has_header: bool):
     """``read_labeled_csv`` by blocks of lines, or None where the file
     cannot be opened, has no first data row of two cells or more, or holds
     a double quote from that row on: the whole-line read takes those."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            # head keeps each line the csv module reads, up to the first row.
-            head: list[str] = []
-            first = _first_row((head.append(line) or line for line in fh), has_header)
-        if first is None or len(first[2]) < 2:
+            lines = _LineOffsets(fh)
+            first = _first_row(lines, has_header)
+        # A row over more than one line has a quoted line break.
+        if first is None or len(first[2]) < 2 or first[1] - first[0] != 1:
             return None
-        begin = len("".join(head[: first[0]]).encode("utf-8"))
+        begin = lines.start
         with open(path, "rb") as fh:
             fh.seek(begin)
             count, last = 0, b"\n"

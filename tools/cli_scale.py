@@ -1,12 +1,12 @@
 """Time and peak memory of each CLI command, one process per command.
 
 For each test-set size, three fresh Python processes run ``gplda
-simulate`` (sim1, 200 training curves, ``--n-test`` test curves),
-``gplda fit`` (GPLDA on the training CSV) and ``gplda predict`` (on the
-test CSV), in a temporary directory, as perfbench's ``cli_roundtrip``
-task does.  Usage::
+simulate`` (sim1, seed ``SEED``, ``N_TRAIN`` training curves,
+``--n-test`` test curves), ``gplda fit`` (GPLDA on the training CSV)
+and ``gplda predict`` (on the test CSV), in a temporary directory, as
+perfbench's ``cli_roundtrip`` task does.  Usage::
 
-    PYTHONPATH=src python3 tools/cli_scale.py [--n-test 20000,100000] [--seed 0]
+    PYTHONPATH=src python3 tools/cli_scale.py [--n-test 20000,100000]
 
 prints a header and one ``<command> <n_test> <seconds> <own MiB>
 <children MiB>`` line per command: the wall seconds of the whole process
@@ -35,6 +35,7 @@ import gplda
 
 N_TEST = "20000,100000"
 N_TRAIN = 200
+SEED = 0
 
 
 def run_one(argv: list[str]) -> tuple[float, float]:
@@ -65,11 +66,11 @@ def measure(argv: list[str]) -> tuple[float, float, float]:
     return seconds, float(own), float(children)
 
 
-def commands(prefix: str, n_test: int, seed: int) -> list[list[str]]:
+def commands(prefix: str, n_test: int) -> list[list[str]]:
     """The argv of simulate, fit and predict on files named from ``prefix``."""
     return [
         ["simulate", "--which", "sim1", "--n-train", str(N_TRAIN), "--n-test", str(n_test),
-         "--seed", str(seed), "--out", prefix],
+         "--seed", str(SEED), "--out", prefix],
         ["fit", "--data", f"{prefix}_train.csv", "--method", "gplda",
          "--out", f"{prefix}_model.json"],
         ["predict", "--model", f"{prefix}_model.json", "--data", f"{prefix}_test.csv",
@@ -83,12 +84,11 @@ def main(argv: list[str]) -> int:
         return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n-test", default=N_TEST, help="comma-separated test-set sizes")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the simulated curves")
     args = parser.parse_args(argv)
     print("command n_test seconds own_rss_mib children_rss_mib", flush=True)
     for n_test in map(int, args.n_test.split(",")):
         with tempfile.TemporaryDirectory() as work_dir:
-            for command in commands(os.path.join(work_dir, "run"), n_test, args.seed):
+            for command in commands(os.path.join(work_dir, "run"), n_test):
                 seconds, own, children = measure(command)
                 print(f"{command[0]} {n_test} {seconds:.3f} {own:.1f} {children:.1f}", flush=True)
     return 0
