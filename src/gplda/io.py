@@ -11,24 +11,28 @@ the pair is an exact round trip.
 All file writes go through a temporary file in the target directory
 followed by an atomic rename, so readers never observe partial files.
 
-The CSV writer formats ``_ROWS_PER_WRITE`` rows at a time.  Where no
-data line holds a double quote, the reader reads ``_ROWS_PER_WRITE``
-lines at a time and parses each block straight into its rows of the one
-values array, so neither holds the file's text; a file with a quote in
-its data rows, where a cell may span lines, is read whole as lines in
-one process.  On a host where the process may run on 2 or more CPUs, a
+The CSV writer formats ``_ROWS_PER_WRITE`` rows at a time.  The reader
+has one path for every file: it reads ``_ROWS_PER_WRITE`` lines at a
+time, a block ending only where a record does (at a CR, LF or CRLF line
+break with an even count of double quotes before it, as the csv module
+quotes cells), and parses each block straight into its rows of the one
+values array, so neither holds the file's text.  A block that fails to
+parse is parsed again without its rows of blank cells; a file that still
+fails is read again by the csv module's rows, one at a time, to locate
+the fault.  On a host where the process may run on 2 or more CPUs, a
 file of at least ``2 * _ROWS_PER_WRITE`` rows (lines, for the reader) is
 handled in two halves: the writer splits the rows in two, the reader the
-bytes at the first line break after the middle one, and one forked child
-formats or reads the second half while the process handles the first.
-The output is the same as from one process, byte for byte and value for
-value.
+bytes at the first record boundary after the middle one, and one forked
+child formats or reads the second half while the process handles the
+first.  The output is the same as from one process, byte for byte and
+value for value.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import os
 import pickle
@@ -134,9 +138,15 @@ def _in_parts(count: int, bounds: tuple, run: Callable, send: Callable, finish: 
 
             os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-    if error is not None:
+    if error is None:
+        return result
+    try:
         raise error
-    return result
+    finally:
+        # The traceback holds this frame: without this, the error and the
+        # frame, with the results it holds, would be freed only by the
+        # cycle collector.
+        del error
 
 
 # How NumPy's C reader splits the labeled-curve CSV: cells separated by
@@ -148,33 +158,46 @@ _SCAN_BYTES = 1 << 20
 
 
 def _csv_rows(lines: Iterable[str]):
-    """``(first line, end line, cells)`` of each row of ``lines`` that has a
-    cell other than whitespace, split by the csv module.
+    """``(offset, lines, cells)`` of each row of ``lines`` that has a cell
+    other than whitespace: the UTF-8 byte offset of its first line, counted
+    from the first of ``lines``, its lines, and its cells as the csv module
+    splits them.
     """
-    reader = csv.reader(lines)
-    begin = 0
-    for cells in reader:
+    held: list[str] = []
+
+    def hold():
+        for line in lines:
+            held.append(line)
+            yield line
+
+    offset = 0
+    for cells in csv.reader(hold()):
+        row, held[:] = held[:], []
         if any(cell.strip() for cell in cells):
-            yield begin, reader.line_num, cells
-        begin = reader.line_num
+            yield offset, row, cells
+        offset += sum(len(line.encode("utf-8")) for line in row)
 
 
-def _first_row(lines: Iterable[str], has_header: bool):
-    """The first ``_csv_rows`` entry of ``lines`` after the header row if
-    ``has_header``, or None if there is none.  Reads no line past it."""
-    rows = _csv_rows(lines)
+def _data_rows(path: str, fh, has_header: bool):
+    """The ``_csv_rows`` of the text file ``fh`` after its header row if
+    ``has_header``.  Raises ParseError, when the first is asked for, if
+    there is no data row or the first has no value cell.
+    """
+    rows = _csv_rows(fh)
     if has_header:
         next(rows, None)
-    return next(rows, None)
+    first = next(rows, None)
+    if first is None:
+        raise ParseError(f"{path}: no data rows")
+    if len(first[2]) < 2:
+        raise ParseError(f"{path}: row 1 has no value columns", row=1)
+    yield first
+    yield from rows
 
 
 def _columns(n_cells: int) -> np.dtype:
     """The ``loadtxt`` dtype of rows of ``n_cells`` cells: a label, then values."""
     return np.dtype([("label", object), ("values", float, (n_cells - 1,))])
-
-
-def _labels(table: np.ndarray) -> list:
-    return [label.strip() for label in table["label"]]
 
 
 def read_labeled_csv(path: str, has_header: bool = False):
@@ -186,84 +209,92 @@ def read_labeled_csv(path: str, has_header: bool = False):
     other row.  Cells may be quoted as the csv module quotes them, labels
     are stripped, and values are parsed by NumPy's C reader (``loadtxt``).
 
-    Where no data line holds a double quote, each line is one row, and
-    the data lines are read ``_ROWS_PER_WRITE`` at a time, each block
+    Every file is read by one path.  A record is a line, or the lines that
+    a quoted cell joins: a CR, LF or CRLF line break ends one where the
+    count of double quotes before it, from the first data row, is even.
+    The records are read ``_ROWS_PER_WRITE`` lines at a time, each block
     parsed by one ``loadtxt`` call straight into its rows of the one
-    (n, p) result, which is allocated from a count of the line breaks.  A
-    file of ``2 * _ROWS_PER_WRITE`` lines or more may be read in two
-    halves split at a line break near its middle byte (``_in_parts``): a
+    (n, p) result, which is allocated from a count of the line breaks; a
+    block that fails is split into rows by the csv module, which drops its
+    rows of blank cells such as ``,,``, and parsed again.  A file of
+    ``2 * _ROWS_PER_WRITE`` lines or more may be read in two halves split
+    at the first record boundary after its middle byte (``_in_parts``): a
     forked child reads the second byte range and sends its values as raw
     float64 bytes into the rows after the first half's.  So no more than
-    one block of the file's text is held at a time.  A file with a quote
-    in its data rows, where a cell may span lines, and a file that the
-    blocks fail to parse are read whole, as lines, in this process, which
-    locates the failure.  Parse failures carry one-based row and column
-    positions, counting data rows only.
+    one block of the file's text is held at a time.  A file whose blocks
+    still fail is read again in this process by the csv module's rows, one
+    ``loadtxt`` call each, which locates the failure: parse failures carry
+    one-based row and column positions, counting data rows only.  A file
+    that changes while it is read raises ParseError too.
     """
     try:
-        read = _read_in_blocks(path, has_header)
-    except ValueError:
-        # Not UTF-8, a row of blank cells, a ragged row or a cell that is
-        # no number: the whole-line read reports it.
-        read = None
-    return _read_lines(path, has_header) if read is None else read
+        return _read_in_blocks(path, has_header)
+    except ParseError:
+        raise
+    except (OSError, ValueError):
+        # Unreadable, not UTF-8, a ragged row, a cell that is no number, or
+        # a fork or child that failed: the read by rows reports or reads it.
+        pass
+    try:
+        return _read_rows(path, has_header)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-class _LineOffsets:
-    """The lines of a text file, with the byte offset ``start`` of the
-    last line given out."""
+def _scan(path: str, begin: int) -> tuple[int, int, bool]:
+    """The count of line breaks from byte ``begin`` of ``path`` to its
+    end, plus one for a last line without one, the end's offset, and
+    whether those bytes hold a double quote."""
+    count, quoted, last = 0, False, b""
+    with open(path, "rb") as raw:
+        raw.seek(begin)
+        while chunk := raw.read(_SCAN_BYTES):
+            count += chunk.count(b"\n")
+            if b"\r" in chunk:
+                count += chunk.count(b"\r") - chunk.count(b"\r\n")
+            quoted = quoted or b'"' in chunk
+            last = chunk[-1:]
+        return count + (last not in b"\r\n"), raw.tell(), quoted
 
-    def __init__(self, fh):
-        self.fh, self.start, self.end = fh, 0, 0
 
-    def __iter__(self):
-        for line in self.fh:
-            self.start = self.end
-            self.end += len(line.encode("utf-8"))
-            yield line
+def _middle(path: str, begin: int, end: int, quoted: bool) -> int:
+    """The first record boundary after the middle byte of bytes ``begin``
+    to ``end`` of ``path``, or ``end``."""
+    at = (begin + end) // 2
+    start, quotes = (begin if quoted else at), 0
+    with open(path, "rb") as raw:
+        raw.seek(start)
+        # One character per byte, so that a line's length is its byte count.
+        with io.TextIOWrapper(raw, encoding="latin-1", newline="") as lines:
+            for line in lines:
+                start += len(line)
+                quotes += line.count('"') if quoted else 0
+                if start > at and quotes % 2 == 0:
+                    return start
+    return end
 
 
 def _read_in_blocks(path: str, has_header: bool):
-    """``read_labeled_csv`` by blocks of lines, or None where the file
-    cannot be opened, has no first data row of two cells or more, or holds
-    a double quote from that row on: the whole-line read takes those."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            lines = _LineOffsets(fh)
-            first = _first_row(lines, has_header)
-        # A row over more than one line has a quoted line break.
-        if first is None or len(first[2]) < 2 or first[1] - first[0] != 1:
-            return None
-        begin = lines.start
-        with open(path, "rb") as fh:
-            fh.seek(begin)
-            count, last = 0, b"\n"
-            while chunk := fh.read(_SCAN_BYTES):
-                if b'"' in chunk:
-                    return None
-                count += chunk.count(b"\n")
-                last = chunk[-1:]
-            end = fh.tell()
-            fh.seek((begin + end) // 2)
-            fh.readline()
-            middle = fh.tell()
-    except OSError:
-        return None
-    # Each line holds at most one row; a last line without a line break counts.
-    count += last != b"\n"
-    columns = _columns(len(first[2]))
-    values = np.empty((count, len(first[2]) - 1))
+    """``read_labeled_csv`` by blocks of records, in one or two parts."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        begin, _, cells = next(_data_rows(path, fh, has_header))
+    count, end, quoted = _scan(path, begin)
+    middle = _middle(path, begin, end, quoted)
+    columns = _columns(len(cells))
+    values = np.empty((count, len(cells) - 1))
 
     def parse(start: int, stop: int):
-        labels = _parse_lines(path, start, stop, columns, values)
+        labels = _parse_records(path, start, stop, columns, values)
         return labels, values[: len(labels)]
 
     def join(first_part, stream):
         labels, rows = first_part
         rest_labels, rest = pickle.load(stream) if stream is not None else ([], 0)
         tail = values[len(rows) : len(rows) + rest]
-        if len(tail) != rest:
-            raise ValueError(f"{path} has more rows than when it was scanned")
+        if len(tail) != rest or os.path.getsize(path) != end:
+            raise ParseError(f"{path} changed while it was read")
         if rest and stream.readinto(tail) != tail.nbytes:
             raise ChildProcessError("the process handling the second half ended early")
         return labels + rest_labels, values[: len(rows) + rest]
@@ -271,31 +302,47 @@ def _read_in_blocks(path: str, has_header: bool):
     return _in_parts(count, (begin, middle, end), parse, _send_rows, join)
 
 
-def _parse_lines(path: str, start: int, stop: int, columns: np.dtype, into: np.ndarray) -> list:
+def _parse_records(path: str, start: int, stop: int, columns: np.dtype, into: np.ndarray) -> list:
     """The labels of the rows in bytes ``start`` to ``stop`` of ``path``,
-    each a line, whose values go into the leading rows of ``into``.
+    whose values go into the leading rows of ``into``.
 
-    ``start`` and ``stop`` are line boundaries.  Lines are read and parsed
-    ``_ROWS_PER_WRITE`` at a time; lines of whitespace are skipped.
+    ``start`` and ``stop`` are record boundaries.  Lines are parsed
+    ``_ROWS_PER_WRITE`` at a time, a block ending only where a record
+    does.
     """
-    labels: list = []
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        while start < stop:
-            block = []
-            while start < stop and len(block) < _ROWS_PER_WRITE:
-                line = fh.readline()
-                if not line:
-                    raise ValueError(f"{path} ended before byte {stop}")
-                start += len(line)
-                text = line.decode("utf-8")
-                if not text.isspace():
-                    block.append(text)
-            if block:
-                table = np.loadtxt(block, dtype=columns, ndmin=1, **_CSV_CELLS)
-                into[len(labels) : len(labels) + len(table)] = table["values"]
-                labels += _labels(table)
-    return labels
+    labels, block, quoted = [], [], False
+    with open(path, "rb") as raw:
+        raw.seek(start)
+        with io.TextIOWrapper(raw, encoding="utf-8", newline="") as lines:
+            while start < stop and (line := lines.readline()):
+                # A full block is parsed once a line follows it, so that a
+                # file cut short ends in the check below.
+                if not quoted and len(block) >= _ROWS_PER_WRITE:
+                    labels += _parse_block(block, columns, into[len(labels) :])
+                    block = []
+                start += len(line.encode("utf-8"))
+                block.append(line)
+                quoted ^= '"' in line and line.count('"') % 2 == 1
+    if start != stop:
+        raise ParseError(f"{path} changed while it was read")
+    return labels + _parse_block(block, columns, into[len(labels) :])
+
+
+def _parse_block(lines: list[str], columns: np.dtype, into: np.ndarray) -> list:
+    """The labels of the rows of ``lines``, whose values go into the
+    leading rows of ``into``.  Lines of whitespace are not rows."""
+    if all(line.isspace() for line in lines):
+        return []
+    try:
+        table = np.loadtxt(lines, dtype=columns, ndmin=1, **_CSV_CELLS)
+    except ValueError:
+        # Rows of blank cells, such as ",,": the csv module drops them.
+        kept = [line for _, row, _ in _csv_rows(lines) for line in row]
+        if len(kept) == len(lines):
+            raise
+        return _parse_block(kept, columns, into)
+    into[: len(table)] = table["values"]
+    return [label.strip() for label in table["label"]]
 
 
 def _send_rows(part, stream) -> None:
@@ -307,79 +354,38 @@ def _send_rows(part, stream) -> None:
         stream.write(values[start : start + _ROWS_PER_WRITE].tobytes())
 
 
-def _read_lines(path: str, has_header: bool):
-    """``read_labeled_csv`` from the file's lines, all read at once, in
-    this process."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
-    first = _first_row(lines, has_header)
-    if first is None:
-        raise ParseError(f"{path}: no data rows")
-    begin, _, cells = first
-    if len(cells) < 2:
-        raise ParseError(f"{path}: row 1 has no value columns", row=1)
-    columns = _columns(len(cells))
-    data_lines = lines[begin:]
-    try:
-        table = np.loadtxt(data_lines, dtype=columns, ndmin=1, **_CSV_CELLS)
-    except ValueError:
-        # A row of blank cells, a ragged row or a cell that is no number.
-        table = _read_data_rows(path, data_lines, columns)
-    return _labels(table), np.ascontiguousarray(table["values"])
+def _read_rows(path: str, has_header: bool):
+    """``read_labeled_csv`` by the csv module's rows, one ``loadtxt`` call
+    each, in this process, which raises a ParseError at the first ragged
+    row or cell ``loadtxt`` cannot parse.
 
-
-def _read_data_rows(path: str, lines: list[str], columns: np.dtype) -> np.ndarray:
-    """Read the data rows in ``lines`` again, split into rows by the csv module.
-
-    The csv module drops the blank rows and finds a ragged one; the values
-    still come from ``loadtxt``, which the first cell it cannot parse stops.
+    The file is decoded from its first byte as the csv module decodes it,
+    so bytes that are not UTF-8 raise where they would there.
     """
-    expected = 1 + columns["values"].shape[0]
-    spans = []
-    for r, (begin, end, cells) in enumerate(_csv_rows(lines), start=1):
-        if len(cells) != expected:
-            _raise_on_bad_cell(path, lines, spans, expected)
-            raise ParseError(
-                f"{path}: row {r} has {len(cells)} columns, expected {expected}", row=r
-            )
-        spans.append((begin, end))
-    kept = [line for begin, end in spans for line in lines[begin:end]]
-    try:
-        return np.loadtxt(kept, dtype=columns, ndmin=1, **_CSV_CELLS)
-    except ValueError as exc:
-        _raise_on_bad_cell(path, lines, spans, expected)
-        raise ParseError(f"{path}: {exc}") from exc
-
-
-def _raise_on_bad_cell(path: str, lines: list[str], spans: list, expected: int) -> None:
-    """Raise a ParseError at the first value cell, in the rows that
-    ``spans`` delimit in ``lines``, that ``loadtxt`` cannot parse.
-    """
-    for r, (begin, end) in enumerate(spans, start=1):
-        row = lines[begin:end]
-        if _parses(row, range(1, expected)):
-            continue
-        c = next((c for c in range(1, expected) if not _parses(row, c)), None)
-        if c is not None:
-            cell = next(csv.reader(row))[c]
-            raise ParseError(
-                f"{path}: row {r} column {c + 1}: cannot parse {cell.strip()!r} as a number",
-                row=r,
-                column=c + 1,
-            )
-
-
-def _parses(row: list[str], columns) -> bool:
-    try:
-        np.loadtxt(row, usecols=columns, **_CSV_CELLS)
-    except ValueError:
-        return False
-    return True
+    labels: list = []
+    count = _scan(path, 0)[0]
+    with open(path, newline="", encoding="utf-8") as fh:
+        for r, (_, lines, cells) in enumerate(_data_rows(path, fh, has_header), start=1):
+            if r == 1:
+                expected, columns = len(cells), _columns(len(cells))
+                values = np.empty((count, expected - 1))
+            if len(cells) != expected:
+                message = f"row {r} has {len(cells)} columns, expected {expected}"
+                raise ParseError(f"{path}: {message}", row=r)
+            if r > count:
+                raise ParseError(f"{path} changed while it was read")
+            try:
+                labels += _parse_block(lines, columns, values[r - 1 :])
+            except ValueError as exc:
+                for c in range(1, expected):
+                    try:
+                        np.loadtxt(lines, usecols=c, **_CSV_CELLS)
+                    except ValueError:
+                        cell = cells[c].strip()
+                        message = f"row {r} column {c + 1}: cannot parse {cell!r} as a number"
+                        raise ParseError(f"{path}: {message}", row=r, column=c + 1) from None
+                raise ParseError(f"{path}: {exc}") from exc
+    return labels, values[: len(labels)]
 
 
 def load_csv(path: str, has_header: bool = False) -> LabeledFunctionalDataset:

@@ -166,6 +166,12 @@ CSV_CASES = {
     "short row before an unparsable cell": ("a,1,2\nc,1\nb,x,2\n", False),
     "comment after a value": ("a,1,2 # note\n", False),
     "quoted comma in a value": ('a,"1,5",2\n', False),
+    "quote inside an unquoted cell": ('a"b,1,2\nc,3,4\n', False),
+    "quote inside an unquoted cell, then a quoted whitespace line": (
+        'a"b,1,2\n"p\n  \nq",3,4\n', False
+    ),
+    "whitespace line inside a quoted label": ('"x\n  \ny",1,2\nb,3,4\n', False),
+    "CRLF inside a quoted label": ('"x\r\ny",1,2\r\nb,3,4\r\n', False),
 }
 
 
@@ -250,6 +256,12 @@ def _one_part(monkeypatch, call, *args):
         return call(*args)
 
 
+def _read(monkeypatch, split, path):
+    """``read_labeled_csv(path)``, in two parts if ``split`` and the file
+    is large enough, else as on a 1-CPU host."""
+    return read_labeled_csv(path) if split else _one_part(monkeypatch, read_labeled_csv, path)
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -261,8 +273,44 @@ def _one_loadtxt(path, has_header):
     with open(path, encoding="utf-8", newline="") as fh:
         lines = [line for line in fh if not line.isspace()][int(has_header):]
     columns = [("label", object), ("values", float, (lines[0].count(","),))]
-    table = np.loadtxt(lines, dtype=columns, ndmin=1, delimiter=",", comments=None)
+    table = np.loadtxt(lines, dtype=columns, ndmin=1, delimiter=",", quotechar='"', comments=None)
     return [label.strip() for label in table["label"]], np.ascontiguousarray(table["values"])
+
+
+def _quoted_labels(lines, labels):
+    """Labels with commas and doubled quotes, every 4000th over two lines."""
+    names = [("two\nlines" if r % 4000 == 0 else f'a,"{label}"') for r, label in enumerate(labels)]
+    cells = ['"' + name.replace('"', '""') + '"' for name in names]
+    return [cell + line[line.index(",") :] for cell, line in zip(cells, lines)], names, None
+
+
+def _bad_last_cell(lines, labels):
+    lines[-1] = lines[-1][: lines[-1].rindex(",")] + ",oops\n"
+    error = f"row {len(lines)} column {lines[-1].count(',') + 1}: cannot parse 'oops' as a number"
+    return lines, labels, error
+
+
+# How the 20,000-curve file is changed before the memory test reads it:
+# (lines, labels) -> (lines, labels, the ParseError message or None).
+_VARIANTS = {
+    "as written": lambda lines, labels: (lines, labels, None),
+    "quoted labels": _quoted_labels,
+    "lone CR line ends": lambda lines, labels: ([l[:-1] + "\r" for l in lines], labels, None),
+    "a row of blank cells": lambda lines, labels: (
+        lines[:9999] + [",,\n"] + lines[9999:], labels, None
+    ),
+    "a bad cell in the last row": _bad_last_cell,
+}
+
+
+@pytest.fixture(scope="module")
+def curves_20000(tmp_path_factory):
+    """A written 20,000-curve sim1 test set: its path and dataset."""
+    _, data = generate(SimSpec(which="sim1", n_train=20, n_test=20000, seed=4))
+    path = str(tmp_path_factory.mktemp("curves") / "curves.csv")
+    save_dataset_csv(path, data)
+    yield path, data
+    os.remove(path)
 
 
 class TestSplitCsv:
@@ -296,9 +344,9 @@ class TestSplitCsv:
         assert len(forks) == 1
         with open(path, encoding="utf-8", newline="") as fh:
             assert fh.read() == csv_module_text(data)
-        # A quoted cell may span lines, so the read takes one part.
+        # Split at a record boundary, found by quote parity, like any file.
         loaded = load_csv(path)
-        assert len(forks) == 1
+        assert len(forks) == 2
         assert loaded.label_names == ("a,b", 'say "hi"', "cr\rhere")
         np.testing.assert_array_equal(loaded.y, data.y)
 
@@ -338,17 +386,20 @@ class TestSplitCsv:
             ("a,1,2\r\nb,3,4\r\n\r\na,5,6\r\nb,7,8\r\n", False, b"\n"),
             ("a,1,2\nb,3,4\na,5,6\nb,7,8\na,9,10", False, b","),
             ("label,\u03bb1,\u03bb2\na,1,2\nb,3,4\na,5,6\nb,7,8\n", True, b"a"),
+            ('a,1,2\nb,3,4\n"x\ny",5,6\nb,7,8\n', False, b"\n"),
+            ("a,1,2.5\rb,3,4\ra,5,6\rb,7,8\r", False, b"\r"),
         ],
         ids=[
             "on a newline", "in a run of blank lines", "in a multi-byte label",
             "between CR and LF", "no final line break", "after a header",
+            "on a line break in a quoted label", "on a lone CR",
         ],
     )
     def test_split_anywhere_reads_as_one_loadtxt(
         self, forks, monkeypatch, tmp_path, content, has_header, middle_byte
     ):
         monkeypatch.setattr(io_module, "_ROWS_PER_WRITE", 2)
-        monkeypatch.setattr(io_module, "_read_lines", None)  # each block parses
+        monkeypatch.setattr(io_module, "_read_rows", None)  # each block parses
         raw = content.encode("utf-8")
         begin = raw.index(b"\n") + 1 if has_header else 0
         middle = (begin + len(raw)) // 2
@@ -364,19 +415,52 @@ class TestSplitCsv:
         assert values.tobytes() == want_values.tobytes()
         _no_child_left()
 
-    def test_split_read_traces_its_result_and_a_few_blocks(self, forks, tmp_path):
-        _, data = generate(SimSpec(which="sim1", n_train=20, n_test=20000, seed=4))
+    def test_stray_quote_before_a_quoted_line_break_reads_as_the_csv_module(
+        self, forks, monkeypatch, tmp_path
+    ):
+        # Quote parity cuts a block inside the quoted label: the blocks
+        # fail, and the read by rows gives the csv module's rows.
+        monkeypatch.setattr(io_module, "_ROWS_PER_WRITE", 2)
         path = str(tmp_path / "curves.csv")
-        save_dataset_csv(path, data)
+        with open(path, "w") as fh:
+            fh.write('a"b,1,2\n"x\ny",3,4\nc,5,6\nd,7,8\n')
+        labels, values = read_labeled_csv(path)
+        want_labels, want_values = csv_module_read(path)
+        assert labels == want_labels == ['a"b', "x\ny", "c", "d"]
+        assert values.tobytes() == want_values.tobytes()
+        _no_child_left()
+
+    @pytest.mark.parametrize("split", [True, False], ids=["split", "one process"])
+    @pytest.mark.parametrize("variant", sorted(_VARIANTS))
+    def test_split_read_traces_its_result_and_a_few_blocks(
+        self, forks, monkeypatch, curves_20000, tmp_path, variant, split
+    ):
+        source, data = curves_20000
+        with open(source, encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+        labels = [line.split(",", 1)[0] for line in lines]
+        lines, labels, error = _VARIANTS[variant](lines, labels)
+        path = str(tmp_path / "curves.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(lines)
+        del lines
         tracemalloc.start()
         try:
-            labels, values = read_labeled_csv(path)
+            try:
+                got_labels, values = _read(monkeypatch, split, path)
+            except ParseError as exc:
+                got_labels, values = str(exc), None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(forks) == 2
-        assert values.tobytes() == data.y.tobytes()
-        assert peak < values.nbytes + 8 * 2**20
+            os.remove(path)  # 38 MB
+        assert len(forks) == int(split)
+        if error is None:
+            assert got_labels == labels
+            assert values.tobytes() == data.y.tobytes()
+        else:
+            assert got_labels == f"{path}: {error}"
+        assert peak < data.y.nbytes + 8 * 2**20
 
     def _located_error(self, monkeypatch, tmp_path, line, bad_row):
         """The ParseErrors of a split and a one-process read of 12 rows
@@ -442,6 +526,33 @@ class TestSplitCsv:
         assert str(split.value) == str(whole.value) == str(reference.value)
         _no_child_left()
 
+    @pytest.mark.parametrize("split", [True, False], ids=["split", "one process"])
+    @pytest.mark.parametrize("change", ["grows", "shrinks by a row", "shrinks mid-row"])
+    def test_file_changed_during_the_read_raises(
+        self, forks, monkeypatch, tmp_path, change, split
+    ):
+        monkeypatch.setattr(io_module, "_ROWS_PER_WRITE", 2)
+        path = str(tmp_path / "curves.csv")
+        with open(path, "w") as fh:
+            fh.writelines(f"{'ab'[r % 2]},{r}.5,{r}\n" for r in range(8))
+        in_parts = io_module._in_parts
+
+        def change_then_read(*args):
+            with open(path, "r+") as fh:
+                if change == "grows":
+                    fh.seek(0, os.SEEK_END)
+                    fh.write("a,9.5,9\n")
+                else:
+                    fh.truncate(os.path.getsize(path) - (8 if change == "shrinks by a row" else 3))
+            return in_parts(*args)
+
+        monkeypatch.setattr(io_module, "_in_parts", change_then_read)
+        # A ParseError is a ValidationError: `gplda predict` exits with code 1.
+        with pytest.raises(ParseError, match="changed while it was read"):
+            _read(monkeypatch, split, path)
+        assert len(forks) == int(split)
+        _no_child_left()
+
     @pytest.mark.parametrize(
         "in_child,fail,error,message",
         [
@@ -477,6 +588,21 @@ class TestSplitCsv:
         with open(path) as fh:
             assert fh.read() == "old\n"
         _no_child_left()
+
+    def test_failed_fork_reads_in_one_process(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(io_module, "_ROWS_PER_WRITE", 2)
+        data = two_class_separable(5, 3, gap=2.0, seed=2)
+        path = str(tmp_path / "curves.csv")
+        save_dataset_csv(path, data)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def no_fork():
+            raise OSError("cannot fork")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        labels, values = read_labeled_csv(path)
+        assert labels == [str(name) for name in np.array(data.label_names)[data.labels - 1]]
+        assert values.tobytes() == data.y.tobytes()
 
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
