@@ -13,19 +13,18 @@ followed by an atomic rename, so readers never observe partial files.
 
 The CSV writer formats ``_ROWS_PER_WRITE`` rows at a time.  The reader
 has one path for every file: it reads ``_ROWS_PER_WRITE`` lines at a
-time, a block ending only where a record does (at a CR, LF or CRLF line
-break with an even count of double quotes before it, as the csv module
-quotes cells), and parses each block straight into its rows of the one
-values array, so neither holds the file's text.  A block that fails to
-parse is parsed again without its rows of blank cells; a file that still
-fails is read again by the csv module's rows, one at a time, to locate
-the fault.  On a host where the process may run on 2 or more CPUs, a
-file of at least ``2 * _ROWS_PER_WRITE`` rows (lines, for the reader) is
-handled in two halves: the writer splits the rows in two, the reader the
-bytes at the first record boundary after the middle one, and one forked
-child formats or reads the second half while the process handles the
-first.  The output is the same as from one process, byte for byte and
-value for value.
+time, a block ending only where the csv module ends a row (a line break
+outside a quoted cell), drops the rows of blank cells, and parses each
+block straight into its rows of the one values array, so neither holds
+the file's text.  A file whose blocks fail to parse is read again by the
+csv module's rows, one at a time, to locate the fault.  On a host
+where the process may run on 2 or more CPUs, a file of at least
+``2 * _ROWS_PER_WRITE`` rows (lines, for the reader) is handled in two
+halves: the writer splits the rows in two, the reader the bytes at the
+first record boundary after the middle one, and one forked child formats
+or reads the second half while the process handles the first.  The
+output is the same as from one process, byte for byte and value for
+value.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import pickle
@@ -157,39 +157,51 @@ _CSV_CELLS = {"delimiter": ",", "quotechar": '"', "comments": None}
 _SCAN_BYTES = 1 << 20
 
 
-def _csv_rows(lines: Iterable[str]):
-    """``(offset, lines, cells)`` of each row of ``lines`` that has a cell
-    other than whitespace: the UTF-8 byte offset of its first line, counted
-    from the first of ``lines``, its lines, and its cells as the csv module
-    splits them.
+def _kept(lines: Iterable[str], into: list):
+    """``lines``, each appended to ``into`` as it is given out."""
+    for line in lines:
+        into.append(line)
+        yield line
+
+
+def _blank(cells: list[str]) -> bool:
+    return not any(cell.strip() for cell in cells)
+
+
+def _records(lines: Iterable[str]):
+    """``(lines, blank)`` of each row of ``lines`` as the csv module splits
+    them: the lines it spans, and whether its cells are all empty or
+    whitespace.  A row that starts on a line without a double quote is
+    that line, found without the csv module."""
+    lines = iter(lines)
+    for line in lines:
+        if '"' not in line:
+            # A line is blank only if it starts with a comma or whitespace.
+            yield [line], (line[0] == "," or line[0].isspace()) and _blank(line.split(","))
+            continue
+        row: list[str] = []
+        # Whether a row ends at a line break depends only on the line up to
+        # its last quote, so the csv module is given each line that far.
+        row_lines = _kept(itertools.chain([line], lines), row)
+        next(csv.reader(text[: text.rfind('"') + 1] for text in row_lines))
+        # A character other than a comma, a quote or whitespace is in a cell.
+        text = "".join(row).replace(",", "").replace('"', "")
+        yield row, not text.strip() and _blank(next(csv.reader(row)))
+
+
+def _data_rows(path: str, lines: Iterable[str], has_header: bool):
+    """``(lines, cells)`` of each ``_records`` row of ``lines`` that is not
+    blank, with its cells as the csv module splits them, after the header
+    row if ``has_header``.  Raises ParseError, when the first is asked
+    for, if there is none or it has no value cell.
     """
-    held: list[str] = []
-
-    def hold():
-        for line in lines:
-            held.append(line)
-            yield line
-
-    offset = 0
-    for cells in csv.reader(hold()):
-        row, held[:] = held[:], []
-        if any(cell.strip() for cell in cells):
-            yield offset, row, cells
-        offset += sum(len(line.encode("utf-8")) for line in row)
-
-
-def _data_rows(path: str, fh, has_header: bool):
-    """The ``_csv_rows`` of the text file ``fh`` after its header row if
-    ``has_header``.  Raises ParseError, when the first is asked for, if
-    there is no data row or the first has no value cell.
-    """
-    rows = _csv_rows(fh)
+    rows = ((row, next(csv.reader(row))) for row, blank in _records(lines) if not blank)
     if has_header:
         next(rows, None)
     first = next(rows, None)
     if first is None:
         raise ParseError(f"{path}: no data rows")
-    if len(first[2]) < 2:
+    if len(first[1]) < 2:
         raise ParseError(f"{path}: row 1 has no value columns", row=1)
     yield first
     yield from rows
@@ -209,38 +221,33 @@ def read_labeled_csv(path: str, has_header: bool = False):
     other row.  Cells may be quoted as the csv module quotes them, labels
     are stripped, and values are parsed by NumPy's C reader (``loadtxt``).
 
-    Every file is read by one path.  A record is a line, or the lines that
-    a quoted cell joins: a CR, LF or CRLF line break ends one where the
-    count of double quotes before it, from the first data row, is even.
-    The records are read ``_ROWS_PER_WRITE`` lines at a time, each block
-    parsed by one ``loadtxt`` call straight into its rows of the one
-    (n, p) result, which is allocated from a count of the line breaks; a
-    block that fails is split into rows by the csv module, which drops its
-    rows of blank cells such as ``,,``, and parsed again.  A file of
-    ``2 * _ROWS_PER_WRITE`` lines or more may be read in two halves split
-    at the first record boundary after its middle byte (``_in_parts``): a
-    forked child reads the second byte range and sends its values as raw
-    float64 bytes into the rows after the first half's.  So no more than
-    one block of the file's text is held at a time.  A file whose blocks
-    still fail is read again in this process by the csv module's rows, one
-    ``loadtxt`` call each, which locates the failure: parse failures carry
-    one-based row and column positions, counting data rows only.  A file
-    that changes while it is read raises ParseError too.
+    Every file is read by one path.  A record is a row as the csv module
+    splits the file: a CR, LF or CRLF line break ends one unless a quoted
+    cell spans it.  A record that starts on a line without a double quote
+    is that line, found without the csv module.  The records are read
+    ``_ROWS_PER_WRITE`` lines at a time, blank ones dropped, and each
+    block is parsed by one ``loadtxt`` call straight into its rows of the
+    one (n, p) result, which is allocated from a count of the line breaks.
+    A file of ``2 * _ROWS_PER_WRITE`` lines or more may be read in two
+    halves split at the first record boundary after its middle byte
+    (``_in_parts``): a forked child reads the second byte range and sends
+    its values as raw float64 bytes into the rows after the first half's.
+    So no more than one block of the file's text is held at a time.  A
+    block that fails to parse sends the read to one pass, in this process,
+    over the csv module's rows with one ``loadtxt`` call each, which
+    locates the failure: parse failures carry one-based row and column
+    positions, counting data rows only.  A file that changes while it is
+    read raises ParseError too.
     """
     try:
         return _read_in_blocks(path, has_header)
     except ParseError:
         raise
-    except (OSError, ValueError):
-        # Unreadable, not UTF-8, a ragged row, a cell that is no number, or
-        # a fork or child that failed: the read by rows reports or reads it.
-        pass
-    try:
-        return _read_rows(path, has_header)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    except ValueError as exc:
+        # Not UTF-8, a ragged row or a cell that is no number.  Only the
+        # message is kept, so that the blocks' values are freed here.
+        error = str(exc)
+    raise _located(path, has_header, error)
 
 
 def _scan(path: str, begin: int) -> tuple[int, int, bool]:
@@ -261,27 +268,33 @@ def _scan(path: str, begin: int) -> tuple[int, int, bool]:
 
 def _middle(path: str, begin: int, end: int, quoted: bool) -> int:
     """The first record boundary after the middle byte of bytes ``begin``
-    to ``end`` of ``path``, or ``end``."""
+    to ``end`` of ``path``, or ``end``.  Without a quote every line break
+    is one, so the search starts at the middle byte."""
     at = (begin + end) // 2
-    start, quotes = (begin if quoted else at), 0
+    start = begin if quoted else at
     with open(path, "rb") as raw:
         raw.seek(start)
-        # One character per byte, so that a line's length is its byte count.
+        # One character per byte, so that a line's length is its byte
+        # count; the csv module's quotes, commas and line breaks are ASCII.
         with io.TextIOWrapper(raw, encoding="latin-1", newline="") as lines:
-            for line in lines:
-                start += len(line)
-                quotes += line.count('"') if quoted else 0
-                if start > at and quotes % 2 == 0:
+            for record, _ in _records(lines):
+                start += sum(map(len, record))
+                if start > at:
                     return start
     return end
 
 
 def _read_in_blocks(path: str, has_header: bool):
     """``read_labeled_csv`` by blocks of records, in one or two parts."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        begin, _, cells = next(_data_rows(path, fh, has_header))
-    count, end, quoted = _scan(path, begin)
-    middle = _middle(path, begin, end, quoted)
+    seen: list[str] = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            first, cells = next(_data_rows(path, _kept(fh, seen), has_header))
+        begin = sum(len(line.encode("utf-8")) for line in seen[: len(seen) - len(first)])
+        count, end, quoted = _scan(path, begin)
+        middle = _middle(path, begin, end, quoted)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     columns = _columns(len(cells))
     values = np.empty((count, len(cells) - 1))
 
@@ -306,23 +319,24 @@ def _parse_records(path: str, start: int, stop: int, columns: np.dtype, into: np
     """The labels of the rows in bytes ``start`` to ``stop`` of ``path``,
     whose values go into the leading rows of ``into``.
 
-    ``start`` and ``stop`` are record boundaries.  Lines are parsed
-    ``_ROWS_PER_WRITE`` at a time, a block ending only where a record
-    does.
+    ``start`` and ``stop`` are record boundaries.  The records that are
+    not blank are parsed ``_ROWS_PER_WRITE`` lines, or a few more, at a
+    time.
     """
-    labels, block, quoted = [], [], False
+    labels, block = [], []
     with open(path, "rb") as raw:
         raw.seek(start)
         with io.TextIOWrapper(raw, encoding="utf-8", newline="") as lines:
-            while start < stop and (line := lines.readline()):
-                # A full block is parsed once a line follows it, so that a
-                # file cut short ends in the check below.
-                if not quoted and len(block) >= _ROWS_PER_WRITE:
+            for record, blank in _records(lines):
+                if start >= stop:
+                    break
+                # A full block is parsed once a record follows it, so that
+                # a file cut short ends in the check below.
+                if len(block) >= _ROWS_PER_WRITE:
                     labels += _parse_block(block, columns, into[len(labels) :])
                     block = []
-                start += len(line.encode("utf-8"))
-                block.append(line)
-                quoted ^= '"' in line and line.count('"') % 2 == 1
+                start += len("".join(record).encode("utf-8"))
+                block += [] if blank else record
     if start != stop:
         raise ParseError(f"{path} changed while it was read")
     return labels + _parse_block(block, columns, into[len(labels) :])
@@ -330,17 +344,10 @@ def _parse_records(path: str, start: int, stop: int, columns: np.dtype, into: np
 
 def _parse_block(lines: list[str], columns: np.dtype, into: np.ndarray) -> list:
     """The labels of the rows of ``lines``, whose values go into the
-    leading rows of ``into``.  Lines of whitespace are not rows."""
-    if all(line.isspace() for line in lines):
+    leading rows of ``into``."""
+    if not lines:
         return []
-    try:
-        table = np.loadtxt(lines, dtype=columns, ndmin=1, **_CSV_CELLS)
-    except ValueError:
-        # Rows of blank cells, such as ",,": the csv module drops them.
-        kept = [line for _, row, _ in _csv_rows(lines) for line in row]
-        if len(kept) == len(lines):
-            raise
-        return _parse_block(kept, columns, into)
+    table = np.loadtxt(lines, dtype=columns, ndmin=1, **_CSV_CELLS)
     into[: len(table)] = table["values"]
     return [label.strip() for label in table["label"]]
 
@@ -354,38 +361,37 @@ def _send_rows(part, stream) -> None:
         stream.write(values[start : start + _ROWS_PER_WRITE].tobytes())
 
 
-def _read_rows(path: str, has_header: bool):
-    """``read_labeled_csv`` by the csv module's rows, one ``loadtxt`` call
-    each, in this process, which raises a ParseError at the first ragged
-    row or cell ``loadtxt`` cannot parse.
+def _located(path: str, has_header: bool, error: str) -> ParseError:
+    """The ParseError for ``error``, which a block of ``path`` raised: at
+    the first ragged row or cell ``loadtxt`` cannot parse, found by the
+    csv module's rows, one ``loadtxt`` call each, in this process.
 
     The file is decoded from its first byte as the csv module decodes it,
-    so bytes that are not UTF-8 raise where they would there.
+    so bytes that are not UTF-8 are reported where they would be there.
     """
-    labels: list = []
-    count = _scan(path, 0)[0]
-    with open(path, newline="", encoding="utf-8") as fh:
-        for r, (_, lines, cells) in enumerate(_data_rows(path, fh, has_header), start=1):
-            if r == 1:
-                expected, columns = len(cells), _columns(len(cells))
-                values = np.empty((count, expected - 1))
-            if len(cells) != expected:
-                message = f"row {r} has {len(cells)} columns, expected {expected}"
-                raise ParseError(f"{path}: {message}", row=r)
-            if r > count:
-                raise ParseError(f"{path} changed while it was read")
-            try:
-                labels += _parse_block(lines, columns, values[r - 1 :])
-            except ValueError as exc:
-                for c in range(1, expected):
-                    try:
-                        np.loadtxt(lines, usecols=c, **_CSV_CELLS)
-                    except ValueError:
-                        cell = cells[c].strip()
-                        message = f"row {r} column {c + 1}: cannot parse {cell!r} as a number"
-                        raise ParseError(f"{path}: {message}", row=r, column=c + 1) from None
-                raise ParseError(f"{path}: {exc}") from exc
-    return labels, values[: len(labels)]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for r, (lines, cells) in enumerate(_data_rows(path, fh, has_header), start=1):
+                if r == 1:
+                    expected, columns = len(cells), _columns(len(cells))
+                if len(cells) != expected:
+                    message = f"row {r} has {len(cells)} columns, expected {expected}"
+                    return ParseError(f"{path}: {message}", row=r)
+                try:
+                    np.loadtxt(lines, dtype=columns, **_CSV_CELLS)
+                except ValueError:
+                    for c in range(1, expected):
+                        try:
+                            np.loadtxt(lines, usecols=c, **_CSV_CELLS)
+                        except ValueError:
+                            cell = cells[c].strip()
+                            message = f"row {r} column {c + 1}: cannot parse {cell!r} as a number"
+                            return ParseError(f"{path}: {message}", row=r, column=c + 1)
+    except OSError as exc:
+        return ParseError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        return ParseError(f"{path}: not UTF-8 text: {exc}")
+    return ParseError(f"{path}: {error}")
 
 
 def load_csv(path: str, has_header: bool = False) -> LabeledFunctionalDataset:

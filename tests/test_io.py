@@ -172,6 +172,32 @@ CSV_CASES = {
     ),
     "whitespace line inside a quoted label": ('"x\n  \ny",1,2\nb,3,4\n', False),
     "CRLF inside a quoted label": ('"x\r\ny",1,2\r\nb,3,4\r\n', False),
+    # Rows of quotes, commas and whitespace: blank unless a cell holds a quote.
+    "quotes as labels, quoted blank rows": ('"""",1\n"",""\n"\n",\n" """,2\n', False),
+    "a row of quoted quotes": ('a,1\n"""",""""\nb,2\n', False),
+    # A quote inside an unquoted cell, such as the label 'q"', then cells
+    # quoted over more than one line: the file is cut only where the csv
+    # module ends a row (see TestSplitCsv).
+    "stray quotes, quoted line breaks": ('a"b,1,2\n"x\ny",3,4\nc,5,6\nd,7,8\n', False),
+    "stray quotes, quoted line breaks, CRLF": (
+        '#h,"6\n",1,1\r\n"p\n  \nq",2.5,1,2.5\r\n"p\n  \nq",1,1,nan\r\na"b,"5",1,2.5\r\n'
+        ' c ,2.5,2.5,"6\n"\r\na"b,2.5,nan,2.5\r\n#h,2.5,1,"5"\r\n"say ""hi""",1,1,1\r\n,,\r\n'
+        'a"b, 4 ,2.5,1\r\nq",1,1,2.5\r\nb,2.5,2.5,2.5\r\nq",2.5,1,1\r\na"b,2.5,2.5,2.5\r\n'
+        '"a,b",-3e-2,2.5,2.5\r\n',
+        False,
+    ),
+    "stray quotes, quoted line breaks, lone CR": (
+        '"p\n  \nq",1\r\r"a,b",1\r  \ra"b,2.5\rb,"6\n"\rq",2.5\r"a,b","6\n"',
+        False,
+    ),
+    "stray quotes, quoted line breaks in values": (
+        'q","6\n","6\n"\r\nq",-3e-2,2.5\r\nq", 4 ,-3e-2\r\na,1,nan\r\n#h,2.5,1\r\n',
+        False,
+    ),
+    "stray quotes, quoted line breaks, after a header": (
+        'q",1\r\n"x\ny",1\r\n#h,1\r\nq","6\n"\r\n#h,1\r\nq",1\r\n#h,2.5\r\na,1\r\n',
+        True,
+    ),
 }
 
 
@@ -344,7 +370,7 @@ class TestSplitCsv:
         assert len(forks) == 1
         with open(path, encoding="utf-8", newline="") as fh:
             assert fh.read() == csv_module_text(data)
-        # Split at a record boundary, found by quote parity, like any file.
+        # Split where the csv module ends a row, like any file.
         loaded = load_csv(path)
         assert len(forks) == 2
         assert loaded.label_names == ("a,b", 'say "hi"', "cr\rhere")
@@ -376,7 +402,7 @@ class TestSplitCsv:
         assert values.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
 
     # The split offset is the middle byte of the data rows; the halves
-    # part at the first line break after it.
+    # part at the first line break after it that ends a row.
     @pytest.mark.parametrize(
         "content,has_header,middle_byte",
         [
@@ -399,7 +425,7 @@ class TestSplitCsv:
         self, forks, monkeypatch, tmp_path, content, has_header, middle_byte
     ):
         monkeypatch.setattr(io_module, "_ROWS_PER_WRITE", 2)
-        monkeypatch.setattr(io_module, "_read_rows", None)  # each block parses
+        monkeypatch.setattr(io_module, "_located", None)  # each block parses
         raw = content.encode("utf-8")
         begin = raw.index(b"\n") + 1 if has_header else 0
         middle = (begin + len(raw)) // 2
@@ -415,19 +441,28 @@ class TestSplitCsv:
         assert values.tobytes() == want_values.tobytes()
         _no_child_left()
 
-    def test_stray_quote_before_a_quoted_line_break_reads_as_the_csv_module(
-        self, forks, monkeypatch, tmp_path
+    @pytest.mark.parametrize("split", [True, False], ids=["split", "one process"])
+    @pytest.mark.parametrize("rows_per_block", [2, 3])
+    @pytest.mark.parametrize("case", sorted(case for case in CSV_CASES if "stray" in case))
+    def test_stray_quotes_are_cut_where_the_csv_module_ends_a_row(
+        self, forks, monkeypatch, tmp_path, case, rows_per_block, split
     ):
-        # Quote parity cuts a block inside the quoted label: the blocks
-        # fail, and the read by rows gives the csv module's rows.
-        monkeypatch.setattr(io_module, "_ROWS_PER_WRITE", 2)
+        # A count of quotes would cut these inside a quoted cell, and
+        # loadtxt would read both sides without an error.
+        monkeypatch.setattr(io_module, "_ROWS_PER_WRITE", rows_per_block)
+        content, has_header = CSV_CASES[case]
         path = str(tmp_path / "curves.csv")
-        with open(path, "w") as fh:
-            fh.write('a"b,1,2\n"x\ny",3,4\nc,5,6\nd,7,8\n')
-        labels, values = read_labeled_csv(path)
-        want_labels, want_values = csv_module_read(path)
-        assert labels == want_labels == ['a"b', "x\ny", "c", "d"]
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(content)
+        with monkeypatch.context() as patch:
+            if not split:
+                patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            labels, values = read_labeled_csv(path, has_header=has_header)
+        want_labels, want_values = csv_module_read(path, has_header=has_header)
+        assert labels == want_labels
         assert values.tobytes() == want_values.tobytes()
+        # Each file has at least 2 * 2 lines, but not all have 2 * 3.
+        assert len(forks) == int(split) or rows_per_block == 3
         _no_child_left()
 
     @pytest.mark.parametrize("split", [True, False], ids=["split", "one process"])
@@ -589,21 +624,19 @@ class TestSplitCsv:
             assert fh.read() == "old\n"
         _no_child_left()
 
-    def test_failed_fork_reads_in_one_process(self, monkeypatch, tmp_path):
+    def test_failed_fork_is_raised_by_the_reader(self, monkeypatch, tmp_path):
+        # As by the writer: the read is not redone a slower way.
         monkeypatch.setattr(io_module, "_ROWS_PER_WRITE", 2)
-        data = two_class_separable(5, 3, gap=2.0, seed=2)
         path = str(tmp_path / "curves.csv")
-        save_dataset_csv(path, data)
+        save_dataset_csv(path, two_class_separable(5, 3, gap=2.0, seed=2))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
         def no_fork():
             raise OSError("cannot fork")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        labels, values = read_labeled_csv(path)
-        assert labels == [str(name) for name in np.array(data.label_names)[data.labels - 1]]
-        assert values.tobytes() == data.y.tobytes()
-
+        with pytest.raises(OSError, match="cannot fork"):
+            read_labeled_csv(path)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_failed_fork_closes_the_pipe(self, monkeypatch, tmp_path):
