@@ -252,10 +252,16 @@ def pda_fit(
     Needs curves from which a within-class covariance is estimable
     (``check_within_estimable``), as every fit does.  ``PdaPath`` does
     not check this, so a cross-validation fold too small to fit scores 1.
+
+    The fit is ``PdaPath.fit`` at one weight, with the within matrix
+    built in the path's own pooled scatter, which no other fit reads:
+    the model's ``within_cov_used`` is that array, and the fit holds one
+    p x p array where a path fitted at many weights holds two.
     """
     data.check_within_estimable()
     with blas_threads_for():
-        return PdaPath.of(data, penalty).fit(alpha, k)
+        path = PdaPath.of(data, penalty)
+        return path._fit(alpha, k, path.scatter)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,7 +276,10 @@ class PdaPath:
     then solves the c centred means against the within matrix: through
     a ``WoodburyForm`` with eps = 0 (n x n capacitance, no p x p factor)
     when it holds R and alpha > 0, through one Cholesky factor of the
-    matrix otherwise.  Callers hold the one-thread BLAS policy themselves.
+    matrix otherwise.  Each ``fit`` builds its within matrix in a copy of
+    the scatter, which it leaves as it was, so every model keeps its own
+    within matrix; ``pda_fit``, a path's only fit, builds it in the
+    scatter itself.  Callers hold the one-thread BLAS policy themselves.
     """
 
     mu: np.ndarray
@@ -299,11 +308,17 @@ class PdaPath:
 
     def fit(self, alpha: float, k: int | None = None) -> DiscriminantModel:
         """The PDA model at weight ``alpha``: the within matrix is the
-        pooled scatter plus ``alpha`` times the penalty, and it is the
-        model's ``within_cov_used`` on either route."""
+        pooled scatter plus ``alpha`` times the penalty, built in a copy
+        of the scatter, and it is the model's ``within_cov_used`` on
+        either route."""
+        return self._fit(alpha, k, self.scatter.copy())
+
+    def _fit(self, alpha: float, k: int | None, scatter: np.ndarray) -> DiscriminantModel:
+        """``fit`` with the within matrix built in ``scatter``, an array
+        that holds the pooled scatter and becomes ``within_cov_used``."""
         if not (np.isfinite(alpha) and alpha >= 0):
             raise ValidationError(f"alpha must be finite and non-negative, got {alpha}")
-        within = self.penalty.add_to(self.scatter.copy(), alpha)
+        within = self.penalty.add_to(scatter, alpha)
         solve_with = None
         if self.low_rank is not None and alpha > 0:
             root, rotated = self.low_rank
@@ -338,7 +353,7 @@ def mle_lda_fit(
         if not (np.isfinite(ridge) and ridge >= 0):
             raise ValidationError(f"ridge must be finite and non-negative, got {ridge}")
         if ridge > 0:
-            within = within + ridge * np.eye(data.p)
+            within[np.diag_indices(data.p)] += ridge
         return _assemble(METHOD_MLE_LDA, mu, within, data.label_names, k)
 
 

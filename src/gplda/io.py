@@ -17,7 +17,7 @@ time, a block ending only where the csv module ends a row (a line break
 outside a quoted cell), drops the rows of blank cells, and parses each
 block straight into its rows of the one values array, so neither holds
 the file's text.  A file whose blocks fail to parse is read again by the
-csv module's rows, one at a time, to locate the fault.  On a host
+csv module's rows, a block at a time, to locate the fault.  On a host
 where the process may run on 2 or more CPUs, a file of at least
 ``2 * _ROWS_PER_WRITE`` rows (lines, for the reader) is handled in two
 halves: the writer splits the rows in two, the reader the bytes at the
@@ -189,19 +189,27 @@ def _records(lines: Iterable[str]):
         yield row, not text.strip() and _blank(next(csv.reader(row)))
 
 
+def _width(row: list[str]) -> int:
+    """The count of cells of a ``_records`` row as the csv module splits
+    it; that of a line without a double quote is counted by its commas."""
+    if len(row) == 1 and '"' not in row[0]:
+        return row[0].count(",") + 1
+    return len(next(csv.reader(row)))
+
+
 def _data_rows(path: str, lines: Iterable[str], has_header: bool):
-    """``(lines, cells)`` of each ``_records`` row of ``lines`` that is not
-    blank, with its cells as the csv module splits them, after the header
-    row if ``has_header``.  Raises ParseError, when the first is asked
-    for, if there is none or it has no value cell.
+    """``(lines, width)`` of each ``_records`` row of ``lines`` that is not
+    blank, with its count of cells (``_width``), after the header row if
+    ``has_header``.  Raises ParseError, when the first is asked for, if
+    there is none or it has no value cell.
     """
-    rows = ((row, next(csv.reader(row))) for row, blank in _records(lines) if not blank)
+    rows = ((row, _width(row)) for row, blank in _records(lines) if not blank)
     if has_header:
         next(rows, None)
     first = next(rows, None)
     if first is None:
         raise ParseError(f"{path}: no data rows")
-    if len(first[1]) < 2:
+    if first[1] < 2:
         raise ParseError(f"{path}: row 1 has no value columns", row=1)
     yield first
     yield from rows
@@ -234,10 +242,11 @@ def read_labeled_csv(path: str, has_header: bool = False):
     its values as raw float64 bytes into the rows after the first half's.
     So no more than one block of the file's text is held at a time.  A
     block that fails to parse sends the read to one pass, in this process,
-    over the csv module's rows with one ``loadtxt`` call each, which
-    locates the failure: parse failures carry one-based row and column
-    positions, counting data rows only.  A file that changes while it is
-    read raises ParseError too.
+    over the csv module's rows with one ``loadtxt`` call per block, and
+    one per row only in the block that fails, which locates the failure:
+    parse failures carry one-based row and column positions, counting
+    data rows only.  A file that changes while it is read raises
+    ParseError too.
     """
     try:
         return _read_in_blocks(path, has_header)
@@ -289,14 +298,14 @@ def _read_in_blocks(path: str, has_header: bool):
     seen: list[str] = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            first, cells = next(_data_rows(path, _kept(fh, seen), has_header))
+            first, width = next(_data_rows(path, _kept(fh, seen), has_header))
         begin = sum(len(line.encode("utf-8")) for line in seen[: len(seen) - len(first)])
         count, end, quoted = _scan(path, begin)
         middle = _middle(path, begin, end, quoted)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    columns = _columns(len(cells))
-    values = np.empty((count, len(cells) - 1))
+    columns = _columns(width)
+    values = np.empty((count, width - 1))
 
     def parse(start: int, stop: int):
         labels = _parse_records(path, start, stop, columns, values)
@@ -363,35 +372,60 @@ def _send_rows(part, stream) -> None:
 
 def _located(path: str, has_header: bool, error: str) -> ParseError:
     """The ParseError for ``error``, which a block of ``path`` raised: at
-    the first ragged row or cell ``loadtxt`` cannot parse, found by the
-    csv module's rows, one ``loadtxt`` call each, in this process.
+    the first ragged row or cell ``loadtxt`` cannot parse, found in this
+    process by the csv module's rows, ``_ROWS_PER_WRITE`` at a time.
 
     The file is decoded from its first byte as the csv module decodes it,
-    so bytes that are not UTF-8 are reported where they would be there.
+    so bytes that are not UTF-8 are reported where they would be there,
+    after any fault in the rows read before them.
     """
+    start, expected, rows = 1, 0, []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            for r, (lines, cells) in enumerate(_data_rows(path, fh, has_header), start=1):
-                if r == 1:
-                    expected, columns = len(cells), _columns(len(cells))
-                if len(cells) != expected:
-                    message = f"row {r} has {len(cells)} columns, expected {expected}"
-                    return ParseError(f"{path}: {message}", row=r)
-                try:
-                    np.loadtxt(lines, dtype=columns, **_CSV_CELLS)
-                except ValueError:
-                    for c in range(1, expected):
-                        try:
-                            np.loadtxt(lines, usecols=c, **_CSV_CELLS)
-                        except ValueError:
-                            cell = cells[c].strip()
-                            message = f"row {r} column {c + 1}: cannot parse {cell!r} as a number"
-                            return ParseError(f"{path}: {message}", row=r, column=c + 1)
+            for row in _data_rows(path, fh, has_header):
+                expected = expected or row[1]
+                rows.append(row)
+                if len(rows) == _ROWS_PER_WRITE:
+                    if fault := _fault(path, rows, start, expected):
+                        return fault
+                    start, rows = start + len(rows), []
     except OSError as exc:
         return ParseError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
-        return ParseError(f"{path}: not UTF-8 text: {exc}")
-    return ParseError(f"{path}: {error}")
+        return _fault(path, rows, start, expected) or ParseError(f"{path}: not UTF-8 text: {exc}")
+    return _fault(path, rows, start, expected) or ParseError(f"{path}: {error}")
+
+
+def _fault(path: str, rows: list, start: int, expected: int) -> ParseError | None:
+    """The ParseError of the first of ``rows``, ``(lines, width)`` of the
+    data rows numbered from ``start``, that has other than ``expected``
+    cells or a cell ``loadtxt`` cannot parse, or None.  The rows before
+    the first ragged one are parsed by one ``loadtxt`` call, and one at a
+    time only when it fails, so a ragged row is reported only after the
+    rows before it have parsed."""
+    even = next((i for i, (_, width) in enumerate(rows) if width != expected), len(rows))
+    lines = [line for record, _ in rows[:even] for line in record]
+    if lines and not _parses(lines, dtype=_columns(expected)):
+        for r, (record, _) in enumerate(rows[:even], start=start):
+            if not _parses(record, dtype=_columns(expected)):
+                for c in range(1, expected):
+                    if not _parses(record, usecols=c):
+                        cell = next(csv.reader(record))[c].strip()
+                        message = f"row {r} column {c + 1}: cannot parse {cell!r} as a number"
+                        return ParseError(f"{path}: {message}", row=r, column=c + 1)
+    if even < len(rows):
+        r, width = start + even, rows[even][1]
+        return ParseError(f"{path}: row {r} has {width} columns, expected {expected}", row=r)
+    return None
+
+
+def _parses(lines: list[str], **options) -> bool:
+    """Whether one ``loadtxt`` call parses ``lines`` with ``options``."""
+    try:
+        np.loadtxt(lines, **options, **_CSV_CELLS)
+    except ValueError:
+        return False
+    return True
 
 
 def load_csv(path: str, has_header: bool = False) -> LabeledFunctionalDataset:

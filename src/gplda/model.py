@@ -404,16 +404,21 @@ class CholeskyForm(WithinCovariance):
     def shifted_solve(self, rows, shift):
         if shift == 0:
             return scipy_linalg().cho_solve(self.factor, rows.T, check_finite=False).T
-        return spd_solve(self.matrix + shift * np.eye(self.p), rows.T).T
+        shifted = self.matrix.copy()
+        shifted[np.diag_indices(self.p)] += shift
+        return spd_solve(shifted, rows.T).T
 
     def smooth_means(self, xbar, scales):
-        eye = np.eye(self.p)
         smoothing = self.matrix @ self.penalty.matrix
+        system = np.empty_like(smoothing)
         means = np.zeros_like(xbar)
         solve = scipy_linalg().solve
         for i, scale in enumerate(scales):
+            # I + scale * smoothing, built in the one system array.
+            np.multiply(scale, smoothing, out=system)
+            system[np.diag_indices(self.p)] += 1.0
             try:
-                means[i] = solve(eye + scale * smoothing, xbar[i], check_finite=False)
+                means[i] = solve(system, xbar[i], check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise SingularMatrixError(
                     f"mean smoothing system for class {i + 1} is singular: {exc}"

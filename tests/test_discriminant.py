@@ -42,6 +42,7 @@ from gplda import estimator as estimator_module
 from gplda import linalg as linalg_module
 from gplda import model as model_module
 from gplda.estimator import fit
+from gplda.discriminant import PdaPath
 from gplda.linalg import Gram, blas_threads_for
 from gplda.model import CholeskyForm, WoodburyForm
 
@@ -487,6 +488,56 @@ class TestPdaEigenbasisSolve:
         data = LabeledFunctionalDataset(y=curves[labels - 1], labels=labels, label_names=(1, 2))
         with pytest.raises(ValidationError, match="no within-class variation"):
             pda_fit(data, build_penalty(LAPLACIAN_2D, (16, 16)), 10.0)
+
+
+class TestPdaWithinMatrix:
+    """A one-shot ``pda_fit`` builds its within matrix in the pooled
+    scatter's own array; a ``PdaPath`` fitted at many weights, as the
+    cross-validation fits each fold, builds each in a copy."""
+
+    def test_one_shot_image_fit_holds_one_p_by_p_array(self):
+        # The scatter becomes the within matrix; the n < p fit solves it
+        # in the penalty's eigenbasis with no p x p factor.
+        rng = np.random.default_rng(733)
+        train = lap2d_image_set(rng, 40, 32, 32)
+        penalty = build_penalty(LAPLACIAN_2D, (32, 32))
+        assert train.n < train.p
+        pda_fit(train, penalty, 10.0)  # SciPy's first-use imports, outside the trace
+        tracemalloc.start()
+        try:
+            model = pda_fit(train, penalty, 10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * train.p**2
+        assert model.within_cov_used.shape == (train.p, train.p)
+        assert "matrix" not in penalty.__dict__
+
+    @pytest.mark.parametrize("kind", [FIRST_DIFF, SECOND_DIFF, LAPLACIAN_2D])
+    def test_one_shot_within_matrix_is_the_scatter_plus_the_penalty(self, kind):
+        train, _, penalty = _pda_case(kind, 2)
+        model = pda_fit(train, penalty, 0.37)
+        with blas_threads_for():
+            scatter = pooled_within_scatter(train.y, train.labels, train.class_means())
+        expected = penalty.add_to(scatter, 0.37)
+        assert model.within_cov_used.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", [SECOND_DIFF, LAPLACIAN_2D])
+    def test_a_path_gives_each_weight_its_own_within_matrix(self, kind):
+        # d2 solves through a Cholesky factor, lap2d in its eigenbasis.
+        train, _, penalty = _pda_case(kind, 3)
+        path = PdaPath.of(train, penalty)
+        scatter = path.scatter.copy()
+        with blas_threads_for():
+            models = [path.fit(alpha) for alpha in DEFAULT_PDA_ALPHA_GRID]
+            fresh = [PdaPath.of(train, penalty).fit(alpha) for alpha in DEFAULT_PDA_ALPHA_GRID]
+        assert path.scatter.tobytes() == scatter.tobytes()
+        withins = [path.scatter] + [model.within_cov_used for model in models]
+        for i, within in enumerate(withins):
+            assert not any(np.shares_memory(within, other) for other in withins[i + 1 :])
+        for model, reference in zip(models, fresh):
+            assert model.within_cov_used.tobytes() == reference.within_cov_used.tobytes()
+            assert model.directions.tobytes() == reference.directions.tobytes()
 
 
 class TestMleLdaFit:

@@ -543,6 +543,48 @@ class TestSplitCsv:
         assert str(split) == str(whole) == f"{path}: {message}"
         assert (split.row, split.column) == (row, column)
 
+    def test_a_fault_is_located_by_blocks_and_probed_in_its_block(self, monkeypatch, tmp_path):
+        # 12 rows, 3 a block: three blocks parse in one call each; the
+        # fourth fails and is probed row by row, then cell by cell.
+        monkeypatch.setattr(io_module, "_ROWS_PER_WRITE", 3)
+        lines = [f"{'ab'[r % 2]},{r}.5,{r}.25,-{r}\n" for r in range(11)] + ["b,1.0,oops,3.0\n"]
+        path = str(tmp_path / "curves.csv")
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        calls = []
+        parses = io_module._parses
+
+        def spy(rows, **options):
+            calls.append((len(rows), sorted(options)))
+            return parses(rows, **options)
+
+        monkeypatch.setattr(io_module, "_parses", spy)
+        with pytest.raises(ParseError) as located:
+            _one_part(monkeypatch, read_labeled_csv, path)
+        assert str(located.value) == f"{path}: row 12 column 3: cannot parse 'oops' as a number"
+        assert calls == [(3, ["dtype"])] * 4 + [(1, ["dtype"])] * 3 + [(1, ["usecols"])] * 2
+
+    @pytest.mark.parametrize("split", [True, False], ids=["split", "one process"])
+    def test_a_fault_before_bytes_not_utf8_in_its_block_is_reported_first(
+        self, forks, monkeypatch, tmp_path, split
+    ):
+        # Row 1001 opens the second block of 1,000 rows; the bytes that
+        # are not UTF-8 come 500 rows later, in the same block, but the
+        # rows read before them are checked first, as the csv module
+        # would read them.
+        lines = [b"a,%d.5,%d\n" % (r, r) for r in range(1000)] + [b"b,x,2\n"]
+        lines += [b"a,%d.5,%d\n" % (r, r) for r in range(500)] + [b"\xff,1,2\n"]
+        lines += [b"a,%d.5,%d\n" % (r, r) for r in range(600)]  # 2,102 lines: split
+        path = str(tmp_path / "curves.csv")
+        with open(path, "wb") as fh:
+            fh.writelines(lines)
+        with pytest.raises(ParseError) as located:
+            _read(monkeypatch, split, path)
+        assert str(located.value) == f"{path}: row 1001 column 2: cannot parse 'x' as a number"
+        assert (located.value.row, located.value.column) == (1001, 2)
+        assert len(forks) == int(split)
+        _no_child_left()
+
     def test_bytes_not_utf8_in_the_second_half_are_reported_as_before(
         self, forks, monkeypatch, tmp_path
     ):

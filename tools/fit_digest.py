@@ -24,8 +24,9 @@ only the residuals' bits, or only the directions, differs in
 ``GPLDA-resid`` or ``GPLDA`` lines alone.  Each PDA fit prints two
 lines the same way: ``PDA-cv`` covers the cross-validated alpha and the
 mean cross-validated error of every candidate, and ``PDA`` the
-directions and eigenvalues at that alpha.  ``MLE_LDA`` and ``PCA_LDA``
-lines cover the directions and eigenvalues of those fits, and a
+directions, eigenvalues and within matrix (``within_cov_used``) at that
+alpha.  ``MLE_LDA`` lines cover the directions, eigenvalues and within
+matrix of that fit, ``PCA_LDA`` lines its directions and eigenvalues, and a
 ``penalty`` line the bytes of one lap2d penalty matrix.  The script reads
 only the public ``gplda`` API and ``gplda.simulate.pda_cv_errors``, so it
 runs on any checkout the path points at.
@@ -46,7 +47,8 @@ if __name__ == "__main__":
 import numpy as np  # noqa: E402
 
 from gplda import (  # noqa: E402
-    FIRST_DIFF, LAPLACIAN_2D, SECOND_DIFF, FitConfig, LabeledFunctionalDataset, SimSpec,
+    FIRST_DIFF, LAPLACIAN_2D, METHOD_MLE_LDA, METHOD_PDA, SECOND_DIFF, FitConfig,
+    LabeledFunctionalDataset, SimSpec,
     build_penalty, fit, generate, gplda_directions, mle_lda_fit, pca_lda_fit, pda_fit,
     select_pda_alpha,
 )
@@ -85,7 +87,7 @@ def gplda_digests(data: LabeledFunctionalDataset, config: FitConfig) -> dict[str
 
 def baseline_digests(data: LabeledFunctionalDataset, seed: int) -> dict[str, str]:
     """The ``PDA-cv``, ``PDA``, ``MLE_LDA`` and ``PCA_LDA`` digests of one
-    dataset; a model digest covers its directions and eigenvalues."""
+    dataset, each model's by ``model_digest``."""
     penalty = build_penalty(SECOND_DIFF, data.p)
     alpha = select_pda_alpha(data, penalty, seed=seed)
     models = {
@@ -95,8 +97,16 @@ def baseline_digests(data: LabeledFunctionalDataset, seed: int) -> dict[str, str
     }
     return {
         "PDA-cv": digest(alpha, pda_cv_errors(data, penalty, seed=seed)),
-        **{method: digest(model.directions, model.eigenvalues) for method, model in models.items()},
+        **{method: model_digest(model) for method, model in models.items()},
     }
+
+
+def model_digest(model) -> str:
+    """The digest of a model's directions and eigenvalues, and for PDA
+    and MLE-LDA also of the matrix of its ``within_cov_used``."""
+    dense = model.method_tag in (METHOD_PDA, METHOD_MLE_LDA)
+    within = (np.asarray(model.within_cov_used),) if dense else ()
+    return digest(model.directions, model.eigenvalues, *within)
 
 
 def lap2d_images(n: int, side: int, seed: int) -> LabeledFunctionalDataset:
@@ -138,7 +148,7 @@ def digest_lines():
         for method, value in gplda_digests(images, lap2d).items():
             yield f"lap2d_{side}x{side}_N60 0 {method} {value}"
     model = pda_fit(images, lap2d.penalty, 10.0)
-    yield f"lap2d_16x16_N60 0 PDA {digest(model.directions, model.eigenvalues)}"
+    yield f"lap2d_16x16_N60 0 PDA {model_digest(model)}"
     images = lap2d_images(60, 20, seed=0)
     lap2d = FitConfig(penalty=build_penalty(LAPLACIAN_2D, (20, 20)))
     for method, value in gplda_digests(images, lap2d).items():

@@ -13,8 +13,9 @@ line per run: the seconds of the penalty, the fit and the predict
 set size (``ru_maxrss``, read as KiB as Linux reports it), which counts
 the interpreter, NumPy, SciPy and the images too.  Each run imports
 ``gplda`` from where this process finds it, so ``PYTHONPATH`` picks the
-checkout.  A PDA fit holds p x p arrays of 8 p^2 bytes each (512 MiB at
-64 x 64, 2 GiB at 128 x 128), so PDA is not among the default methods.
+checkout.  A PDA fit holds one p x p array of 8 p^2 bytes, its within
+matrix (128 MiB at 64 x 64, 2 GiB at 128 x 128), so PDA is not among
+the default methods.
 """
 
 from __future__ import annotations
